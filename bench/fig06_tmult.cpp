@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "baselines/published.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 int
 main()
@@ -32,7 +32,7 @@ main()
     const sim::BtsConfig hw;
     for (const auto& inst : hw::table4_instances()) {
         const sim::BtsSimulator s(hw, inst);
-        const auto r = s.run(workloads::tmult_microbench(inst));
+        const auto r = s.run(runtime::apps::paper_trace("tmult", inst));
         printf("%-12s %10.1f %13.1f ns %11.0fx\n",
                ("BTS/" + inst.name).c_str(), inst.lambda(),
                r.tmult_a_slot_ns, lattigo_ns / r.tmult_a_slot_ns);

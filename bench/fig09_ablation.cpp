@@ -11,8 +11,8 @@
 #include <cstdio>
 
 #include "baselines/published.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 namespace {
 
@@ -20,7 +20,8 @@ double
 run_tmult(const bts::sim::BtsConfig& hw, const bts::hw::CkksInstance& inst)
 {
     const bts::sim::BtsSimulator s(hw, inst);
-    return s.run(bts::workloads::tmult_microbench(inst)).tmult_a_slot_ns;
+    return s.run(bts::runtime::apps::paper_trace("tmult", inst))
+        .tmult_a_slot_ns;
 }
 
 } // namespace

@@ -9,8 +9,8 @@
  */
 #include <cstdio>
 
+#include "sim/bootstrap_plan.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 int
 main()
@@ -23,7 +23,7 @@ main()
     sim::TraceBuilder b("boot3/INS-1");
     int ct = b.fresh_id();
     for (int i = 0; i < 3; ++i) {
-        ct = workloads::append_bootstrap(b, inst, ct);
+        ct = sim::append_bootstrap(b, inst, ct);
     }
 
     printf("=== Fig. 10: bootstrap time & EDAP vs scratchpad (INS-1) "

@@ -8,8 +8,8 @@
 
 #include "baselines/published.h"
 #include "hwparams/explorer.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 int
 main()
@@ -38,7 +38,7 @@ main()
     const sim::BtsConfig hw;
     const auto inst = hw::ins2();
     const auto r = sim::BtsSimulator(hw, inst).run(
-        workloads::tmult_microbench(inst));
+        runtime::apps::paper_trace("tmult", inst));
     printf("%-10s %-10s %12s %10zu %14.2g\n", "BTS", "ASIC (7nm)", "yes",
            inst.slots(), thruput(r.tmult_a_slot_ns));
     printf("\nparallelism: FPGA/F1 works exploit rPLP; BTS exploits CLP "

@@ -7,19 +7,18 @@
  * Expected shape: BTS is ~3 orders of magnitude over the CPU and ~1
  * over the GPU; INS-2 is the best BTS instance.
  *
- * The workloads::helr trace this prices is the pin target for the
- * runtime graph application runtime/apps/helr.h — its paper()
- * configuration must lower to the same op histogram / bootstrap
- * count / op count (tests/runtime/test_apps_pin.cpp), and the same
- * circuit runs functionally on real ciphertexts
- * (tests/runtime/test_apps_functional.cpp). Structural edits to the
- * generator must be mirrored there; see docs/APPLICATIONS.md.
+ * The trace priced here is the runtime graph application
+ * runtime/apps/helr.h (paper() configuration, raw form) lowered with
+ * lower_to_trace; its lowering is pinned by the golden fixtures in
+ * tests/runtime/test_apps_pin.cpp, and the same circuit runs
+ * functionally on real ciphertexts
+ * (tests/runtime/test_apps_functional.cpp). See docs/APPLICATIONS.md.
  */
 #include <cstdio>
 
 #include "baselines/published.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 int
 main()
@@ -36,7 +35,7 @@ main()
     const sim::BtsConfig hw;
     for (const auto& inst : hw::table4_instances()) {
         const sim::BtsSimulator s(hw, inst);
-        const auto trace = workloads::helr(inst);
+        const auto trace = runtime::apps::paper_trace("helr", inst);
         const auto r = s.run(trace);
         const double ms = r.total_s * 1e3 / 30;
         printf("%-12s %12.1fms %11.0fx   (%d bootstraps/30 iters)\n",

@@ -9,20 +9,18 @@
  * complexity dominates — Section 6.3 "parameter selection in
  * retrospect"); bootstrap counts fall as usable levels grow.
  *
- * The workloads::resnet20 / workloads::sorting traces priced here are
- * the pin targets for the runtime graph applications
- * runtime/apps/{resnet,sort}.h — their paper() configurations must
- * lower to the same op histogram / bootstrap count / op count
- * (tests/runtime/test_apps_pin.cpp), and the same circuits run
- * functionally on real ciphertexts
- * (tests/runtime/test_apps_functional.cpp). Structural edits to the
- * generators must be mirrored there; see docs/APPLICATIONS.md.
+ * The traces priced here are the runtime graph applications
+ * runtime/apps/{resnet,sort}.h (paper() configurations, raw form)
+ * lowered with lower_to_trace; their lowering is pinned by the golden
+ * fixtures in tests/runtime/test_apps_pin.cpp, and the same circuits
+ * run functionally on real ciphertexts
+ * (tests/runtime/test_apps_functional.cpp). See docs/APPLICATIONS.md.
  */
 #include <cstdio>
 
 #include "baselines/published.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 int
 main()
@@ -38,7 +36,7 @@ main()
            "-");
     for (const auto& inst : hw::table4_instances()) {
         const sim::BtsSimulator s(hw, inst);
-        const auto trace = workloads::resnet20(inst);
+        const auto trace = runtime::apps::paper_trace("resnet", inst);
         const auto r = s.run(trace);
         printf("%-12s %10.2f s %9.0fx %8d\n",
                ("BTS/" + inst.name).c_str(), r.total_s,
@@ -53,7 +51,7 @@ main()
            "-");
     for (const auto& inst : hw::table4_instances()) {
         const sim::BtsSimulator s(hw, inst);
-        const auto trace = workloads::sorting(inst);
+        const auto trace = runtime::apps::paper_trace("sort", inst);
         const auto r = s.run(trace);
         printf("%-12s %10.1f s %9.0fx %8d\n",
                ("BTS/" + inst.name).c_str(), r.total_s,

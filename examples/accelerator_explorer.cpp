@@ -10,14 +10,15 @@
 
 #include "baselines/published.h"
 #include "hwparams/explorer.h"
+#include "runtime/apps/paper.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
-#include "workloads/workloads.h"
 
 int
 main(int argc, char** argv)
 {
     using namespace bts;
+    using runtime::apps::paper_trace;
     // Optionally select the instance: 1, 2 or 3 (default 2).
     int pick = argc > 1 ? std::atoi(argv[1]) : 2;
     if (pick < 1 || pick > 3) pick = 2;
@@ -46,15 +47,16 @@ main(int argc, char** argv)
            tl.bconv_busy_frac * 100);
 
     printf("\n-- workloads on the 512MB-scratchpad BTS --\n");
-    const auto mb = s.run(workloads::tmult_microbench(inst));
+    const sim::Trace tmult = paper_trace("tmult", inst);
+    const auto mb = s.run(tmult);
     printf("Tmult,a/slot: %.1f ns (bootstrap %.1f ms, ct-cache hit "
            "%.0f%%)\n",
            mb.tmult_a_slot_ns, mb.boot_s * 1e3, mb.cache_hit_rate * 100);
-    const auto helr_trace = workloads::helr(inst);
+    const auto helr_trace = paper_trace("helr", inst);
     const auto helr = s.run(helr_trace);
     printf("HELR: %.1f ms/iter (%d bootstraps/30 iters)\n",
            helr.total_s * 1e3 / 30, helr_trace.bootstrap_count);
-    const auto rn_trace = workloads::resnet20(inst);
+    const auto rn_trace = paper_trace("resnet", inst);
     const auto rn = s.run(rn_trace);
     printf("ResNet-20: %.2f s (%d bootstraps) -> %.0fx over the CPU\n",
            rn.total_s, rn_trace.bootstrap_count,
@@ -64,8 +66,7 @@ main(int argc, char** argv)
     for (int mbytes : {256, 384, 512, 1024, 2048}) {
         sim::BtsConfig cfg;
         cfg.scratchpad_bytes = static_cast<double>(mbytes) * (1 << 20);
-        const auto r = sim::BtsSimulator(cfg, inst)
-                           .run(workloads::tmult_microbench(inst));
+        const auto r = sim::BtsSimulator(cfg, inst).run(tmult);
         printf("  %4d MB: %.1f ns (energy %.2f J)\n", mbytes,
                r.tmult_a_slot_ns, r.energy_j);
     }

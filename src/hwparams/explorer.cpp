@@ -1,10 +1,11 @@
 #include "hwparams/explorer.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/bit_ops.h"
 #include "common/check.h"
 #include "hwparams/security.h"
+#include "sim/bootstrap_plan.h"
 
 namespace bts::hw {
 
@@ -41,51 +42,16 @@ max_dnum_for(std::size_t n, double lambda_target)
 
 namespace {
 
-/**
- * Analytic mirror of the bootstrapping op plan (see
- * workloads/bootstrap_plan.cpp): three CoeffToSlot stages, a
- * conjugation, two EvalMod polynomial evaluations, three SlotToCoeff
- * stages. Returns (level, is_keyswitch) pairs for every evk-bearing op.
- */
+/** Levels of the evk-bearing ops (HMult, HRot, Conj) of the one
+ *  bootstrap plan, sim::append_bootstrap, in plan order. */
 std::vector<int>
 bootstrap_keyswitch_levels(const CkksInstance& inst)
 {
+    sim::TraceBuilder b("bootstrap-plan");
+    sim::append_bootstrap(b, inst, b.fresh_id());
     std::vector<int> levels;
-    const int l_top = inst.max_level;
-    const int log_slots = log2_exact(inst.slots());
-
-    // CtS: 3 FFT-decomposed stages, radix ~ n^(1/3); BSGS rotations per
-    // stage ~ 2*sqrt(radix).
-    int radix_bits[3];
-    radix_bits[0] = (log_slots + 2) / 3;
-    radix_bits[1] = (log_slots + 1) / 3;
-    radix_bits[2] = log_slots / 3;
-    for (int s = 0; s < 3; ++s) {
-        const int rotations = 2 * static_cast<int>(std::ceil(
-                                      std::sqrt(1 << radix_bits[s])));
-        for (int r = 0; r < rotations; ++r) levels.push_back(l_top - s);
-    }
-    // Real/imag split: one conjugation.
-    levels.push_back(l_top - 3);
-
-    // EvalMod on both components: PS-BSGS Chebyshev evaluation.
-    const int em_top = l_top - 3;
-    const int em_levels = inst.boot_levels - 6; // what remains of L_boot
-    const int hmults_per_evalmod = 15;          // babies + giants + nodes
-    for (int comp = 0; comp < 2; ++comp) {
-        for (int m = 0; m < hmults_per_evalmod; ++m) {
-            // Spread multiplications across the consumed levels.
-            const int lvl = em_top - (m * em_levels) / hmults_per_evalmod;
-            levels.push_back(lvl);
-        }
-    }
-
-    // StC: 3 stages at the bottom of the bootstrap level budget.
-    const int stc_top = l_top - inst.boot_levels + 3;
-    for (int s = 0; s < 3; ++s) {
-        const int rotations = 2 * static_cast<int>(std::ceil(
-                                      std::sqrt(1 << radix_bits[s])));
-        for (int r = 0; r < rotations; ++r) levels.push_back(stc_top - s);
+    for (const sim::HeOp& op : b.trace().ops) {
+        if (sim::needs_evk(op.kind)) levels.push_back(op.level);
     }
     return levels;
 }

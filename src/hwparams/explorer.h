@@ -40,9 +40,8 @@ int max_dnum_for(std::size_t n, double lambda_target = kTargetLambda);
 /**
  * Minimum-bound amortized multiplication time per slot (Eq. 8), with
  * every HMult/HRot lower-bounded by its evk load time at @p hbm_gbps
- * aggregate bandwidth. The bootstrapping op counts follow the plan in
- * workloads/bootstrap_plan (mirrored analytically here to keep hwparams
- * free of the simulator dependency).
+ * aggregate bandwidth. The bootstrapping key-switches are those of the
+ * simulated plan, sim::append_bootstrap.
  */
 double min_bound_tmult_ns(const CkksInstance& inst,
                           double hbm_bytes_per_s = 1.0e12);

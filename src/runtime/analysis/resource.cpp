@@ -8,99 +8,10 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "runtime/lowering.h"
-#include "workloads/workloads.h"
 
 namespace bts::runtime::analysis {
 
 namespace {
-
-/** One expanded primitive: the (kind, level) pair the cost model
- *  prices. Mirrors lower_to_trace's expansion rules EXACTLY — the
- *  op-count pin against the lowered trace depends on it. */
-struct PrimOp
-{
-    sim::HeOpKind kind;
-    int level;
-};
-
-/** The bootstrap composite's primitive plan for one instance,
- *  computed once per analysis by running the hand generator into a
- *  scratch TraceBuilder — the same call lower_to_trace makes, so the
- *  per-(kind, level) profile is shared by construction, not
- *  re-derived. */
-struct BootProfile
-{
-    std::vector<PrimOp> ops;
-};
-
-BootProfile
-bootstrap_profile(const hw::CkksInstance& inst)
-{
-    sim::TraceBuilder b("bootstrap-profile");
-    const int in = b.fresh_id();
-    workloads::append_bootstrap(b, inst, in);
-    BootProfile p;
-    p.ops.reserve(b.trace().ops.size());
-    for (const sim::HeOp& op : b.trace().ops) {
-        p.ops.push_back({op.kind, op.level});
-    }
-    return p;
-}
-
-/** Expand node @p n into the primitive ops lower_to_trace would emit
- *  for it, appending to @p out. */
-void
-expand_node(const Graph& g, const Node& n, const BootProfile* boot,
-            std::vector<PrimOp>& out)
-{
-    switch (n.kind) {
-    case OpKind::kBootstrap:
-        BTS_ASSERT(boot != nullptr, "bootstrap profile not computed");
-        out.insert(out.end(), boot->ops.begin(), boot->ops.end());
-        return;
-    case OpKind::kHRotHoisted:
-        for (const int o : n.outputs) {
-            out.push_back({sim::HeOpKind::kHRot, g.value(o).level});
-        }
-        return;
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd: {
-        const sim::HeOpKind first =
-            n.kind == OpKind::kHMultRescale ? sim::HeOpKind::kHMult
-            : n.kind == OpKind::kPMultRescale ? sim::HeOpKind::kPMult
-                                              : sim::HeOpKind::kCMult;
-        const sim::HeOpKind second = n.kind == OpKind::kCMultAdd
-                                         ? sim::HeOpKind::kCAdd
-                                         : sim::HeOpKind::kHRescale;
-        const int mid_level = g.value(n.output).level +
-                              (n.kind == OpKind::kCMultAdd ? 0 : 1);
-        out.push_back({first, mid_level});
-        out.push_back({second, mid_level});
-        return;
-    }
-    case OpKind::kHRescale:
-        // Executes at the input level: it still holds the
-        // about-to-drop prime.
-        out.push_back(
-            {sim::HeOpKind::kHRescale, g.value(n.inputs[0]).level});
-        return;
-    case OpKind::kHMult:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
-        out.push_back({to_sim_kind(n.kind), g.value(n.output).level});
-        return;
-    }
-    panic("unknown OpKind");
-}
 
 /**
  * Serial-schedule liveness walk, mirroring Executor::run_serial op for
@@ -162,20 +73,20 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
 }
 
 /** Count evk-bearing primitive ops of one node (grouped rotations
- *  count one per amount; bootstrap counts its expanded plan). */
+ *  count one per amount). Instance-free: a bootstrap's internal plan
+ *  depends on the instance, so the composite node counts as one. */
 std::size_t
-node_evk_ops(const Node& n, std::size_t bootstrap_evk_ops)
+node_evk_ops(const Node& n)
 {
     switch (n.kind) {
     case OpKind::kHMult:
     case OpKind::kHMultRescale:
     case OpKind::kHRot:
     case OpKind::kConj:
+    case OpKind::kBootstrap:
         return 1;
     case OpKind::kHRotHoisted:
         return n.outputs.size();
-    case OpKind::kBootstrap:
-        return bootstrap_evk_ops;
     default:
         return 0;
     }
@@ -264,11 +175,7 @@ analyze_liveness(const Graph& g)
 {
     LivenessStats s;
     s.nodes = g.num_nodes();
-    for (const Node& n : g.nodes()) {
-        // Instance-free: a bootstrap's internal plan depends on the
-        // instance, so count the composite node as one evk op here.
-        s.evk_ops += node_evk_ops(n, 1);
-    }
+    for (const Node& n : g.nodes()) s.evk_ops += node_evk_ops(n);
     double peak_limbs = 0;
     liveness_walk(
         g, [](int level) { return 2.0 * (level + 1); },
@@ -281,57 +188,26 @@ ResourceSummary
 analyze_resources(const Graph& g, const hw::CkksInstance& inst,
                   const sim::BtsConfig& hw)
 {
-    // Level-geometry compatibility — the same preconditions
-    // lower_to_trace enforces: a cost estimate against the wrong
-    // instance is worse than no estimate.
-    for (std::size_t id = 0; id < g.num_values(); ++id) {
-        const ValueInfo& info = g.value(static_cast<int>(id));
-        BTS_CHECK(info.level <= inst.max_level,
-                  g.name() << ": value level " << info.level
-                           << " exceeds instance max_level "
-                           << inst.max_level);
-    }
-    if (g.uses_bootstrap() || g.count_kind(OpKind::kModRaise) > 0) {
-        BTS_CHECK(g.traits().max_level == inst.max_level,
-                  g.name() << ": graph raises to level "
-                           << g.traits().max_level << ", instance has L = "
-                           << inst.max_level);
-    }
-    if (g.uses_bootstrap()) {
-        BTS_CHECK(g.traits().bootstrap_out_level == inst.usable_levels(),
-                  g.name() << ": graph bootstrap level "
-                           << g.traits().bootstrap_out_level
-                           << " != instance usable levels "
-                           << inst.usable_levels());
-    }
+    // Price the lowered trace itself: lower_to_trace enforces the
+    // level-geometry preconditions, and node_end attributes each op to
+    // the node that emitted it.
+    std::vector<std::size_t> node_end;
+    const sim::Trace trace = lower_to_trace(g, inst, &node_end);
 
     ResourceSummary s;
     s.nodes.resize(g.num_nodes());
-
-    BootProfile boot;
-    std::size_t boot_evk_ops = 0;
-    if (g.uses_bootstrap()) {
-        boot = bootstrap_profile(inst);
-        for (const PrimOp& op : boot.ops) {
-            if (sim::needs_evk(op.kind)) ++boot_evk_ops;
-        }
-    }
+    s.bootstrap_count = trace.bootstrap_count;
+    s.total_ops = trace.ops.size();
 
     const sim::CostModel model(hw, inst);
-    std::vector<PrimOp> prims;
+    std::size_t op = 0;
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
-        prims.clear();
-        expand_node(g, n, g.uses_bootstrap() ? &boot : nullptr, prims);
-        if (n.kind == OpKind::kBootstrap) ++s.bootstrap_count;
-
+        const bool is_bootstrap = g.node(i).kind == OpKind::kBootstrap;
         NodeResource& nr = s.nodes[i];
         double node_evk_resident = 0;
-        for (const PrimOp& p : prims) {
-            sim::HeOp op;
-            op.kind = p.kind;
-            op.level = p.level;
-            const sim::OpCost c = model.op_cost(op);
+        for (; op < node_end[i]; ++op) {
+            const sim::HeOp& p = trace.ops[op];
+            const sim::OpCost c = model.op_cost(p);
             s.op_counts[static_cast<std::size_t>(p.kind)] += 1;
             nr.cost_s += c.compute_s;
             nr.evk_bytes += c.evk_bytes;
@@ -345,7 +221,7 @@ analyze_resources(const Graph& g, const hw::CkksInstance& inst,
                 // node's call needs: all the distinct keys of a
                 // hoisted group at once, one key at a time inside the
                 // (serial) bootstrap plan.
-                if (n.kind == OpKind::kBootstrap) {
+                if (is_bootstrap) {
                     node_evk_resident =
                         std::max(node_evk_resident, c.evk_bytes);
                 } else {
@@ -358,7 +234,6 @@ analyze_resources(const Graph& g, const hw::CkksInstance& inst,
         s.evk_working_set_bytes =
             std::max(s.evk_working_set_bytes, node_evk_resident);
     }
-    for (const std::size_t c : s.op_counts) s.total_ops += c;
 
     // Liveness: ciphertext bytes(level) = 2 (level+1) N 8 — the two
     // RnsPoly components of (level+1) residue rows of N words.

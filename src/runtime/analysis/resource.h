@@ -5,12 +5,12 @@
  * graph safe to run", analyze_resources() asks "what will it cost" —
  * per graph x Table-4 instance, before anything executes:
  *
- *  (a) exact op counts: every node is expanded by the same rules
- *      lower_to_trace applies (composites to primitives, kBootstrap to
- *      the full ModRaise/CtS/EvalMod/StC plan), so the per-HeOpKind
- *      counts match the lowered sim::Trace histogram EXACTLY — the
- *      zero-tolerance pin in tests/runtime/test_resource.cpp;
- *  (b) cost totals: each expanded primitive is priced by sim::CostModel
+ *  (a) exact op counts: the graph is lowered with lower_to_trace
+ *      (composites to primitives, kBootstrap to the full
+ *      ModRaise/CtS/EvalMod/StC plan of sim::append_bootstrap) and
+ *      each op is attributed to the node that emitted it, so the
+ *      per-HeOpKind counts ARE the lowered sim::Trace histogram;
+ *  (b) cost totals: each lowered primitive is priced by sim::CostModel
  *      at its execution level (calibration by construction: the
  *      analyzer reuses the very cost table the simulator schedules
  *      with), accumulating NTT / BConv / element-wise busy time, evk
@@ -52,7 +52,7 @@ namespace bts::runtime::analysis {
  *  and the cost-annotated DOT render. */
 struct NodeResource
 {
-    double cost_s = 0;      //!< summed compute_s of the expanded ops
+    double cost_s = 0;      //!< summed compute_s of the node's lowered ops
     double evk_bytes = 0;   //!< evk stream the node pulls
     std::size_t live_after = 0;  //!< live ciphertexts after the node
                                  //!< finished (serial schedule)
@@ -68,7 +68,7 @@ struct ResourceSummary
      *  matches kind_histogram(lower_to_trace(g, inst)) exactly. */
     std::array<std::size_t, sim::kHeOpKindCount> op_counts{};
     std::size_t total_ops = 0;       //!< sum of op_counts
-    int bootstrap_count = 0;         //!< kBootstrap nodes expanded
+    int bootstrap_count = 0;         //!< kBootstrap nodes lowered
     std::size_t evk_ops = 0;         //!< evk-bearing primitives
 
     // ----- (b) calibrated cost totals -----
@@ -120,7 +120,7 @@ LivenessStats analyze_liveness(const Graph& g);
 
 /**
  * Run the full resource analysis of @p g on @p inst under @p hw.
- * Mirrors lower_to_trace's level-geometry preconditions (value levels
+ * Inherits lower_to_trace's level-geometry preconditions (value levels
  * within the instance chain; ModRaise/Bootstrap graphs match the
  * instance's L and usable levels) and throws BTS_CHECK-style on
  * violation — an estimate against the wrong instance is worse than no

@@ -8,7 +8,7 @@ namespace bts::runtime::apps {
 HelrConfig
 HelrConfig::paper()
 {
-    return HelrConfig{}; // defaults == workloads::helr constants
+    return HelrConfig{}; // the defaults are Table 5's circuit
 }
 
 HelrConfig

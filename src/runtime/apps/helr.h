@@ -10,11 +10,10 @@
  *                               feature plaintext, lr pre-folded)
  *
  * which spends kHelrIterLevels multiplicative levels; the builder
- * inserts a Bootstrap whenever the weights' level budget runs short —
- * the same ensure() rule as the hand-written workloads::helr
- * generator, which this graph is pinned against (op histogram +
- * bootstrap count, tests/runtime/test_apps_pin.cpp). Structural edits
- * must be mirrored there.
+ * inserts a Bootstrap whenever the weights' level budget runs short
+ * (level < kHelrIterLevels + 1). The paper() configuration is Table 5's
+ * circuit: its lowered trace is pinned by a golden fixture in
+ * tests/runtime/test_apps_pin.cpp.
  *
  * Packing: slot j of the weight ciphertext holds w_j; the rotation
  * tree sums windows of 2^log_features slots, so with log_features ==
@@ -28,8 +27,7 @@
 
 namespace bts::runtime::apps {
 
-/** Levels one HELR iteration consumes (mirror of workloads::helr's
- *  kLevelsPerIter — the pin breaks if they diverge). */
+/** Levels one HELR iteration consumes. */
 inline constexpr int kHelrIterLevels = 5;
 
 struct HelrConfig
@@ -40,13 +38,13 @@ struct HelrConfig
     double c1 = 0.15012;  //!< sigmoid linear coefficient
     double c3 = -0.001593; //!< sigmoid cubic coefficient
     /** Run the pass pipeline (runtime/passes/) on the built graph; the
-     *  returned handles are already remapped. The Table 5 trace-pin
-     *  tests set this false — the pin contract is against the raw
-     *  builder form, which the passes rewrite (fused kinds, grouped
+     *  returned handles are already remapped. The simulated figures
+     *  and the golden trace fixtures set this false — they price the
+     *  raw builder form, which the passes rewrite (fused kinds, grouped
      *  rotations) without changing what it computes. */
     bool optimize = true;
 
-    /** Table 5 scale: the exact workloads::helr configuration. */
+    /** Table 5 scale: 30 iterations of batch-1024 training. */
     static HelrConfig paper();
     /** Small functional scale for executor tests and benches
      *  (full-slot reduction on a 64-slot test instance). */

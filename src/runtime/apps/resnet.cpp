@@ -8,7 +8,7 @@ namespace bts::runtime::apps {
 ResnetConfig
 ResnetConfig::paper()
 {
-    return ResnetConfig{}; // defaults == workloads::resnet20 constants
+    return ResnetConfig{}; // the defaults are Table 6's circuit
 }
 
 ResnetConfig
@@ -48,8 +48,8 @@ build_resnet(const ResnetConfig& cfg, const GraphTraits& traits)
     }
     const Value pool_pt = g.plain_input(traits.max_level, traits.delta);
 
-    // The hand generator's ensure(): refresh when the next burst's
-    // levels (+1 so no op executes below level 1) no longer fit.
+    // ensure(): refresh when the next burst's levels (+1 so no op
+    // executes below level 1) no longer fit.
     const auto ensure = [&](int needed) {
         if (g.value(act.id).level < needed + 1) act = g.bootstrap(act);
     };

@@ -13,11 +13,10 @@
  * then a rotation log-tree average pool and a final FC PMult.
  *
  * The builder inserts a Bootstrap whenever the level budget runs
- * short, with the exact ensure() rule of the hand-written
- * workloads::resnet20 generator; the paper() configuration is pinned
- * against it (op histogram + bootstrap count — the Table 6 bootstrap
- * counts 53/22/19 — in tests/runtime/test_apps_pin.cpp). Structural
- * edits must be mirrored there.
+ * short (ensure(): the next burst's levels + 1 no longer fit). The
+ * paper() configuration is Table 6's circuit: its lowered trace is
+ * pinned by a golden fixture in tests/runtime/test_apps_pin.cpp, and
+ * its bootstrap counts track the paper's 53/22/19.
  */
 #pragma once
 
@@ -39,10 +38,10 @@ struct ResnetConfig
     double bn_shift = 0.01;
     double relu_shift = 0.2; //!< CAdd on even relu steps
     /** Run the pass pipeline on the built graph (handles remapped);
-     *  the Table 6 trace-pin tests set this false. */
+     *  the simulated figures and golden fixtures set this false. */
     bool optimize = true;
 
-    /** Table 6 scale: the exact workloads::resnet20 configuration. */
+    /** Table 6 scale: 20 layers on one encrypted image. */
     static ResnetConfig paper();
     /** Small functional scale with contractive dynamics (activations
      *  stay in [0, 0.5] so repeated squaring cannot blow up). */

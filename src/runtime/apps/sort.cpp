@@ -10,7 +10,7 @@ namespace bts::runtime::apps {
 SortConfig
 SortConfig::paper()
 {
-    return SortConfig{}; // defaults == workloads::sorting constants
+    return SortConfig{}; // the defaults are Table 6's circuit
 }
 
 SortConfig
@@ -49,7 +49,8 @@ build_sort(const SortConfig& cfg, const GraphTraits& traits)
             st.select = g.plain_input(traits.max_level, traits.delta);
 
             // Entry refresh: front end burns 2 levels, the select path
-            // 2 more below the sign output (see workloads::sorting).
+            // 2 more below the sign output; level >= 4 keeps every op
+            // at level >= 1.
             if (g.value(v.id).level < 4) v = g.bootstrap(v);
             const Value p1 = g.hrot(v, d);
             const Value p2 = g.hrot(v, -d);

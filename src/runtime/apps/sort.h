@@ -14,12 +14,11 @@
  *   v' = 0.5*s + select * (sg * dif)    (select = +-0.5 direction
  *                                        mask: -0.5 keeps the min)
  *
- * The sign iterate refreshes independently mid-polynomial; entry and
- * select refreshes follow the hand-written workloads::sorting
- * generator's level rules exactly — the paper() configuration is
- * pinned against it (op histogram + bootstrap count) in
- * tests/runtime/test_apps_pin.cpp. Structural edits must be mirrored
- * there.
+ * The sign iterate refreshes independently mid-polynomial; the carried
+ * value refreshes at stage entry (level < 4) and the sign output
+ * before the select (level < 3). The paper() configuration is Table
+ * 6's circuit: its lowered trace is pinned by a golden fixture in
+ * tests/runtime/test_apps_pin.cpp.
  *
  * Exactness: on inputs drawn from the grid {-0.75,-0.25,0.25,0.75}
  * the sign polynomial saturates to +-1 within ~4e-4, so rounding the
@@ -39,10 +38,10 @@ struct SortConfig
     int log_elements = 14; //!< block size 2^k, k(k+1)/2 stages
     int sign_rounds = 8;   //!< g-kernel iterations per comparison
     /** Run the pass pipeline on the built graph (handles remapped);
-     *  the Table 6 trace-pin tests set this false. */
+     *  the simulated figures and golden fixtures set this false. */
     bool optimize = true;
 
-    /** Table 6 scale: the exact workloads::sorting configuration. */
+    /** Table 6 scale: 2^14 elements, 8 sign rounds per stage. */
     static SortConfig paper();
     /** Functional scale: blocks of 4 values, enough sign rounds to
      *  saturate on grid-spaced inputs. */

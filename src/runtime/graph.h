@@ -223,8 +223,7 @@ class Graph
      *  expands the same plan either way) and refreshes to
      *  traits().bootstrap_out_level at canonical scale. This is what
      *  lets application graphs refresh mid-circuit the moment the
-     *  level budget runs short, exactly like the hand-written
-     *  workloads::* generators' ensure() logic. */
+     *  level budget runs short (the apps' ensure() rules). */
     Value bootstrap(Value ct);
 
     // ----- composite ops (emitted by the pass pipeline; legal to

@@ -33,9 +33,9 @@ tmult_graph(const hw::CkksInstance& inst, const passes::PassOptions& opts)
     BTS_CHECK(inst.usable_levels() >= 1, "instance cannot bootstrap");
     const GraphTraits t = traits_for(inst);
     Graph g("tmult_graph/" + inst.name, t);
-    // Same program as workloads::tmult_microbench, value for value:
-    // the multiplicand is declared AFTER the bootstrap so the lowered
-    // object-id stream matches the hand-written generator exactly.
+    // The multiplicand is declared AFTER the bootstrap, so its lowered
+    // object id follows the bootstrap plan's (the golden tmult traces
+    // pin this id stream).
     Value ct = g.input(0, t.delta);
     ct = g.bootstrap(ct);
     Value other = g.input(t.bootstrap_out_level, t.delta);

@@ -2,27 +2,19 @@
  * @file
  * Graph-API workload definitions.
  *
- * tmult_graph() is the paper's T_mult,a/slot microbenchmark (Eq. 8)
- * ported from the hand-written sim::TraceBuilder generator
- * (workloads::tmult_microbench) to the runtime IR — the validation
- * loop the simulator was missing: lowering it yields an op-for-op
- * identical trace (pinned by tests), while the same definition also
- * executes functionally.
+ * tmult_graph() is the paper's T_mult,a/slot microbenchmark (Eq. 8):
+ * the one definition the simulated figures lower (lower_to_trace)
+ * and the functional Executor runs.
  *
  * The remaining generators are the serving harness's client scenarios
  * at functional scale: an encrypted dot product (rotation log-tree), a
  * Horner polynomial evaluation, and a bootstrap refresh.
  *
- * The pin contract, stated once: every graph-API port of a hand
- * generator must lower (lower_to_trace) to a trace the tests can
- * equate with the generator's output. tmult_graph is pinned
- * op-for-op (tests/runtime/test_lowering.cpp); the application
- * graphs in runtime/apps/ (HELR, ResNet, sorting) are pinned on
- * op-kind histogram + bootstrap count + op count per Table 4
- * instance (tests/runtime/test_apps_pin.cpp) — levels and object ids
- * may differ, the op mix and refresh schedule the simulator prices
- * may not. A structural edit on either side must be mirrored on the
- * other, then re-pinned.
+ * tmult_graph and bootstrap_refresh_graph, with the application
+ * graphs in runtime/apps/ (HELR, ResNet, sorting), are the paper
+ * graphs of runtime/apps/paper.h; golden fixtures in
+ * tests/runtime/test_apps_pin.cpp pin their lowered traces op for op
+ * on every Table 4 instance.
  */
 #pragma once
 

@@ -1,7 +1,7 @@
 #include "runtime/lowering.h"
 
 #include "common/check.h"
-#include "workloads/workloads.h"
+#include "sim/bootstrap_plan.h"
 
 namespace bts::runtime {
 
@@ -33,7 +33,8 @@ to_sim_kind(OpKind kind)
 }
 
 sim::Trace
-lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
+lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
+               std::vector<std::size_t>* node_end)
 {
     // Level-geometry compatibility: every value must fit the instance's
     // chain, and composite/raise ops must target ITS top level.
@@ -60,20 +61,19 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
 
     sim::TraceBuilder b(g.name());
     // Object ids assigned at first use (inputs) / production (outputs):
-    // this makes the id stream identical to a hand-written generator
-    // that calls fresh_id() in the same op order.
+    // the id stream of a TraceBuilder program that calls fresh_id() in
+    // the same op order.
     std::vector<int> object(g.num_values(), -1);
     const auto obj = [&](int value_id) {
         if (object[value_id] < 0) object[value_id] = b.fresh_id();
         return object[value_id];
     };
 
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
+    const auto lower_node = [&](const Node& n) {
         if (n.kind == OpKind::kBootstrap) {
             object[n.output] =
-                workloads::append_bootstrap(b, inst, obj(n.inputs[0]));
-            continue;
+                sim::append_bootstrap(b, inst, obj(n.inputs[0]));
+            return;
         }
         // Pass-introduced composites expand back to the primitive ops
         // they fused, keeping the simulator trace contract unchanged:
@@ -86,7 +86,7 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
                     b.add(sim::HeOpKind::kHRot, g.value(n.outputs[k]).level,
                           {src}, n.amounts[k]);
             }
-            continue;
+            return;
         }
         if (op_is_composite(n.kind)) {
             const sim::HeOpKind first =
@@ -109,7 +109,7 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
             const int mid =
                 b.add(first, mid_level, std::move(inputs), 0);
             object[n.output] = b.add(second, mid_level, {mid}, 0);
-            continue;
+            return;
         }
         // The level an op *executes at*: HRescale still holds the
         // about-to-drop prime, ModRaise already runs on the full chain.
@@ -121,6 +121,15 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst)
         for (const int in : n.inputs) inputs.push_back(obj(in));
         object[n.output] = b.add(to_sim_kind(n.kind), level,
                                  std::move(inputs), n.rot_amount);
+    };
+
+    if (node_end != nullptr) {
+        node_end->clear();
+        node_end->reserve(g.num_nodes());
+    }
+    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+        lower_node(g.node(i));
+        if (node_end != nullptr) node_end->push_back(b.trace().ops.size());
     }
     return std::move(b.trace());
 }

@@ -78,13 +78,12 @@ struct Trace
     }
 };
 
-/** Op count per kind — the op-mix signature the runtime lowering is
- *  pinned against the hand-written workload generators with. */
+/** Op count per kind — the op-mix signature of a trace. */
 std::map<HeOpKind, int> kind_histogram(const Trace& trace);
 
 /**
  * Convenience builder tracking object ids and the current level, used
- * by the workload generators.
+ * by lower_to_trace and the bootstrap plan.
  */
 class TraceBuilder
 {

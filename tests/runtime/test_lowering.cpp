@@ -1,14 +1,33 @@
 #include <gtest/gtest.h>
 
+#include "runtime/apps/paper.h"
 #include "runtime/graph_workloads.h"
 #include "runtime/lowering.h"
+#include "sim/bootstrap_plan.h"
 #include "sim/engine.h"
-#include "workloads/workloads.h"
 
 namespace bts::runtime {
 namespace {
 
 using sim::HeOpKind;
+
+// The lowered traces of tmult_graph and the paper apps are pinned op
+// for op by the golden fixtures in test_apps_pin.cpp.
+
+/** Eq. 8's numerator written directly as a trace: one bootstrap, then
+ *  HMult + HRescale down the usable levels. */
+sim::Trace
+hand_tmult_trace(const hw::CkksInstance& inst)
+{
+    sim::TraceBuilder b("hand_tmult/" + inst.name);
+    int ct = sim::append_bootstrap(b, inst, b.fresh_id());
+    const int other = b.fresh_id();
+    for (int lvl = inst.usable_levels(); lvl >= 1; --lvl) {
+        ct = b.add(HeOpKind::kHMult, lvl, {ct, other});
+        ct = b.add(HeOpKind::kHRescale, lvl, {ct});
+    }
+    return b.trace();
+}
 
 class TmultPin : public ::testing::TestWithParam<int>
 {
@@ -22,12 +41,12 @@ class TmultPin : public ::testing::TestWithParam<int>
 
 TEST_P(TmultPin, LoweredTraceMatchesHandWrittenGenerator)
 {
-    // THE validation loop: the graph-API port of the tmult workload
-    // must lower to the exact trace the hand-written generator emits —
-    // same op-kind histogram, same bootstrap count, and (stronger)
-    // op-for-op equality including levels, object ids and tags.
+    // The graph-API tmult workload must lower to the exact trace the
+    // hand-written generator emits — same op-kind histogram, same
+    // bootstrap count, and (stronger) op-for-op equality including
+    // levels, object ids and tags.
     const auto i = inst();
-    const sim::Trace hand = workloads::tmult_microbench(i);
+    const sim::Trace hand = hand_tmult_trace(i);
     const sim::Trace lowered = lower_to_trace(tmult_graph(i), i);
 
     EXPECT_EQ(sim::kind_histogram(lowered), sim::kind_histogram(hand));
@@ -45,7 +64,7 @@ TEST_P(TmultPin, SimulatorResultsIdenticalOnRuntimeTrace)
     const auto i = inst();
     const sim::BtsConfig hw;
     const sim::BtsSimulator sim(hw, i);
-    const auto r_hand = sim.run(workloads::tmult_microbench(i));
+    const auto r_hand = sim.run(hand_tmult_trace(i));
     const auto r_rt = sim.run(lower_to_trace(tmult_graph(i), i));
     EXPECT_DOUBLE_EQ(r_rt.total_s, r_hand.total_s);
     EXPECT_DOUBLE_EQ(r_rt.boot_s, r_hand.boot_s);
@@ -56,6 +75,29 @@ TEST_P(TmultPin, SimulatorResultsIdenticalOnRuntimeTrace)
 
 INSTANTIATE_TEST_SUITE_P(Table4, TmultPin, ::testing::Values(0, 1, 2));
 
+class TmultLowering : public ::testing::TestWithParam<int>
+{
+  protected:
+    hw::CkksInstance
+    inst() const
+    {
+        return hw::table4_instances()[GetParam()];
+    }
+};
+
+TEST_P(TmultLowering, UsesAllUsableLevels)
+{
+    // Eq. 8's numerator: one bootstrap (whose EvalMod holds 30 HMults),
+    // then one HMult per usable level.
+    const sim::Trace t = apps::paper_trace("tmult", inst());
+    int hmults = 0;
+    for (const auto& op : t.ops) hmults += op.kind == HeOpKind::kHMult;
+    EXPECT_EQ(hmults - 30, inst().usable_levels());
+    EXPECT_EQ(t.bootstrap_count, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Table4, TmultLowering, ::testing::Values(0, 1, 2));
+
 TEST(Lowering, Deterministic)
 {
     const auto i = hw::ins1();
@@ -65,6 +107,32 @@ TEST(Lowering, Deterministic)
     ASSERT_EQ(a.ops.size(), b.ops.size());
     for (std::size_t k = 0; k < a.ops.size(); ++k) {
         EXPECT_EQ(a.ops[k], b.ops[k]);
+    }
+}
+
+TEST(Lowering, NodeEndAttributesEveryOpToItsNode)
+{
+    // The optimized tmult graph has a Bootstrap node and fused
+    // HMult+HRescale nodes: node i owns ops [node_end[i-1], node_end[i]).
+    const auto i = hw::ins1();
+    const Graph g = tmult_graph(i);
+    ASSERT_EQ(g.count_kind(OpKind::kBootstrap), 1);
+    ASSERT_GT(g.count_kind(OpKind::kHMultRescale), 0);
+    std::vector<std::size_t> node_end;
+    const sim::Trace t = lower_to_trace(g, i, &node_end);
+    ASSERT_EQ(node_end.size(), g.num_nodes());
+    EXPECT_EQ(node_end.back(), t.ops.size());
+    std::size_t begin = 0;
+    for (std::size_t n = 0; n < g.num_nodes(); ++n) {
+        ASSERT_GE(node_end[n], begin);
+        const OpKind kind = g.node(n).kind;
+        for (std::size_t k = begin; k < node_end[n]; ++k) {
+            EXPECT_EQ(t.ops[k].in_bootstrap, kind == OpKind::kBootstrap);
+        }
+        if (kind == OpKind::kHMultRescale) {
+            EXPECT_EQ(node_end[n] - begin, 2u) << "node " << n;
+        }
+        begin = node_end[n];
     }
 }
 

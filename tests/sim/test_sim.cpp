@@ -3,6 +3,8 @@
 #include <set>
 #include <string>
 
+#include "baselines/published.h"
+#include "sim/bootstrap_plan.h"
 #include "sim/engine.h"
 #include "sim/timeline.h"
 
@@ -318,6 +320,63 @@ TEST(Timeline, MatchesFig8Shape)
         peak = std::max(peak, u.scratchpad_mb);
     }
     EXPECT_NEAR(peak, hw::ins1().temp_bytes() / 1e6, 20);
+}
+
+int
+count_kind(const Trace& t, HeOpKind kind)
+{
+    int n = 0;
+    for (const auto& op : t.ops) n += (op.kind == kind);
+    return n;
+}
+
+TEST(BootstrapPlan, OpMixAndLevels)
+{
+    TraceBuilder b("boot");
+    const int out = append_bootstrap(b, hw::ins1(), b.fresh_id());
+    EXPECT_GE(out, 0);
+    const auto& t = b.trace();
+    EXPECT_EQ(t.bootstrap_count, 1);
+    EXPECT_EQ(count_kind(t, HeOpKind::kModRaise), 1);
+    EXPECT_EQ(count_kind(t, HeOpKind::kConj), 1);
+    // ">40 evks" worth of rotations plus the EvalMod HMults.
+    EXPECT_GT(count_kind(t, HeOpKind::kHRot), 40);
+    EXPECT_EQ(count_kind(t, HeOpKind::kHMult), 30); // 15 per component
+    for (const auto& op : t.ops) {
+        EXPECT_TRUE(op.in_bootstrap);
+        EXPECT_GE(op.level, 1);
+        EXPECT_LE(op.level, hw::ins1().max_level);
+    }
+}
+
+TEST(BootstrapPlan, LevelsDescendThroughStages)
+{
+    TraceBuilder b("boot");
+    append_bootstrap(b, hw::ins2(), b.fresh_id());
+    const auto& ops = b.trace().ops;
+    EXPECT_EQ(ops.front().level, hw::ins2().max_level);
+    // The last StC stage sits at the bottom of the L_boot budget.
+    const int bottom = hw::ins2().max_level - hw::ins2().boot_levels + 1;
+    EXPECT_EQ(ops.back().level, bottom);
+}
+
+TEST(Baselines, PublishedNumbersConsistent)
+{
+    const auto all = baselines::all_baselines();
+    ASSERT_EQ(all.size(), 4u);
+    // Fig. 6 relations: Lattigo = 2237 x 45.5ns; F1 2.5x slower than
+    // Lattigo; F1+ = 824 x 45.5ns.
+    EXPECT_NEAR(baselines::lattigo_cpu().tmult_a_slot_ns / 1e3, 101.8,
+                0.1);
+    EXPECT_NEAR(baselines::f1().tmult_a_slot_ns /
+                    baselines::lattigo_cpu().tmult_a_slot_ns,
+                2.5, 0.01);
+    EXPECT_GT(baselines::f1().tmult_a_slot_ns,
+              baselines::lattigo_cpu().tmult_a_slot_ns);
+    // Only F1/F1+ are single-slot bootstrappers.
+    EXPECT_EQ(baselines::f1().refreshed_slots, 1);
+    EXPECT_EQ(baselines::lattigo_cpu().refreshed_slots, 32768);
+    EXPECT_EQ(baselines::gpu_100x().refreshed_slots, 65536);
 }
 
 } // namespace
