@@ -4,6 +4,7 @@
 
 #include "common/bit_ops.h"
 #include "common/check.h"
+#include "math/mod_arith.h"
 
 namespace bts {
 
@@ -21,18 +22,34 @@ ChebyshevSeries::interpolate(const std::function<double(double)>& f, double a,
 {
     BTS_CHECK(degree >= 0, "degree must be nonnegative");
     const int nodes = degree + 1;
-    std::vector<double> samples(nodes);
-    for (int k = 0; k < nodes; ++k) {
-        const double theta = M_PI * (k + 0.5) / nodes;
-        const double x = std::cos(theta);
-        samples[k] = f(0.5 * (b - a) * x + 0.5 * (a + b));
+    const int pairs = nodes / 2;
+    const double mid = 0.5 * (a + b);
+    const double half = 0.5 * (b - a);
+    // Node k sits at x_k = cos(pi (k + 1/2) / n) and node n-1-k at -x_k.
+    // Each mirror pair is sampled at exactly mid +- half x_k, and the DCT
+    // folds over the pairs with cos(pi j (n-1-k+1/2)/n) =
+    // (-1)^j cos(pi j (k+1/2)/n): even j reads the pair sums, odd j the
+    // differences. A function with parity on a symmetric interval thus
+    // gets exactly 0.0 in the coefficients of the other parity.
+    std::vector<double> sums(pairs), diffs(pairs);
+    for (int k = 0; k < pairs; ++k) {
+        const double x = std::cos(M_PI * (k + 0.5) / nodes);
+        const double hi = f(mid + half * x);
+        const double lo = f(mid - half * x);
+        sums[k] = hi + lo;
+        diffs[k] = hi - lo;
     }
+    // An odd node count adds the middle node x = 0, whose factor
+    // cos(pi j / 2) is exactly 0 for odd j and (-1)^(j/2) for even j.
+    const double center = nodes % 2 == 1 ? f(mid) : 0.0;
     std::vector<double> coeffs(nodes);
     for (int j = 0; j < nodes; ++j) {
+        const std::vector<double>& folded = j % 2 == 0 ? sums : diffs;
         double acc = 0.0;
-        for (int k = 0; k < nodes; ++k) {
-            acc += samples[k] * std::cos(M_PI * j * (k + 0.5) / nodes);
+        for (int k = 0; k < pairs; ++k) {
+            acc += folded[k] * std::cos(M_PI * j * (k + 0.5) / nodes);
         }
+        if (j % 2 == 0) acc += j % 4 == 0 ? center : -center;
         coeffs[j] = 2.0 * acc / nodes;
     }
     coeffs[0] *= 0.5;
@@ -110,13 +127,48 @@ ChebyshevEvaluator::depth(int degree)
     return d;
 }
 
+namespace {
+
+/** The giant step a node of degree @p deg >= m divides by: the largest
+ *  T_{2^k m} <= deg. */
+int
+giant_for(int deg, int m)
+{
+    int g = m;
+    while (2 * g <= deg) g *= 2;
+    return g;
+}
+
+/** Walk eval_recurse's divmod tree without ciphertexts and mark the
+ *  powers it reads: each leaf's T_j with c_j != 0 and each giant T_g. */
+void
+mark_powers(const std::vector<double>& coeffs, int m, std::vector<bool>& need)
+{
+    const int deg = static_cast<int>(coeffs.size()) - 1;
+    if (deg < m) {
+        for (int j = 1; j <= deg; ++j) {
+            if (coeffs[j] != 0.0) need[j] = true;
+        }
+        return;
+    }
+    const int g = giant_for(deg, m);
+    need[g] = true;
+    std::vector<double> quotient, remainder;
+    chebyshev_divmod(coeffs, g, quotient, remainder);
+    mark_powers(quotient, m, need);
+    mark_powers(remainder, m, need);
+}
+
+} // namespace
+
 ChebyshevEvaluator::PowerBasis
-ChebyshevEvaluator::build_power_basis(const Ciphertext& y, int degree,
+ChebyshevEvaluator::build_power_basis(const Ciphertext& y,
+                                      const std::vector<double>& coeffs,
                                       const EvalKey& mult_key) const
 {
+    const int degree = static_cast<int>(coeffs.size()) - 1;
     const int m = baby_step_count(degree);
-    int top = m;
-    while (2 * top <= degree) top *= 2;
+    const int top = giant_for(degree, m);
 
     PowerBasis basis;
     basis.m = m;
@@ -166,8 +218,13 @@ ChebyshevEvaluator::build_power_basis(const Ciphertext& y, int degree,
         return basis.t[j];
     };
 
-    for (int j = 2; j <= m; ++j) get(j);
-    for (int g = 2 * m; g <= top; g *= 2) get(g);
+    // Only the powers the evaluation reads; get() builds their
+    // T_{floor(j/2)} and T_{ceil(j/2)} dependencies on the way.
+    std::vector<bool> need(top + 1, false);
+    mark_powers(coeffs, m, need);
+    for (int j = 2; j <= top; ++j) {
+        if (need[j]) get(j);
+    }
     return basis;
 }
 
@@ -177,12 +234,14 @@ ChebyshevEvaluator::level_of(const std::vector<double>& coeffs,
 {
     const int deg = static_cast<int>(coeffs.size()) - 1;
     if (deg < basis.m) {
+        // The leaf reads the T_j with c_j != 0 and rescales once.
         int lvl = basis.t[1].level;
-        for (int j = 2; j <= deg; ++j) lvl = std::min(lvl, basis.t[j].level);
-        return lvl - 1; // leaf spends one level on mult_const_to_scale
+        for (int j = 1; j <= deg; ++j) {
+            if (coeffs[j] != 0.0) lvl = std::min(lvl, basis.t[j].level);
+        }
+        return lvl - 1;
     }
-    int g = basis.m;
-    while (2 * g <= deg) g *= 2;
+    const int g = giant_for(deg, basis.m);
     std::vector<double> quotient, remainder;
     chebyshev_divmod(coeffs, g, quotient, remainder);
     const int lq = level_of(quotient, basis);
@@ -198,41 +257,48 @@ ChebyshevEvaluator::eval_recurse(const std::vector<double>& coeffs,
     const int deg = static_cast<int>(coeffs.size()) - 1;
 
     if (deg < basis.m) {
-        // Leaf: sum_j c_j T_j, every term steered EXACTLY to
-        // target_scale at a common level via mult_const_to_scale.
+        // Leaf: sum_j c_j T_j with ONE rescale. Term j is multiplied by
+        // the integer iv_j = round(c_j * target * q / scale(T_j)), q the
+        // prime just above the leaf's level, so every iv_j T_j sits at
+        // the raw scale target * q; the terms accumulate at level
+        // lvl + 1, reading each T_j's limbs in place, and the rescale
+        // lands the sum on target. A term whose iv_j rounds to 0
+        // contributes exactly nothing and is skipped.
         const int lvl = level_of(coeffs, basis);
         BTS_CHECK(lvl >= 0, "ran out of levels in Chebyshev leaf");
+        const CkksContext& ctx = eval_.context();
+        const std::vector<u64> primes = ctx.level_primes(lvl + 1);
+        const double q_top = static_cast<double>(primes.back());
 
         Ciphertext acc;
-        bool acc_set = false;
+        acc.b = RnsPoly(ctx.n(), primes, Domain::kNtt);
+        acc.a = RnsPoly(ctx.n(), primes, Domain::kNtt);
+        acc.level = lvl + 1;
+        acc.scale = target_scale * q_top;
+        acc.slots = basis.t[1].slots;
+        std::vector<u64> scalars(primes.size());
         for (int j = 1; j <= deg; ++j) {
-            if (std::abs(coeffs[j]) < 1e-300) continue;
-            Ciphertext term = basis.t[j];
-            eval_.drop_level_inplace(term, lvl + 1);
-            term = eval_.mult_const_to_scale(term, coeffs[j], target_scale);
-            if (!acc_set) {
-                acc = std::move(term);
-                acc_set = true;
-            } else {
-                acc.b.add_inplace(term.b);
-                acc.a.add_inplace(term.a);
+            if (coeffs[j] == 0.0) continue; // T_j was not built
+            const Ciphertext& t = basis.t[j];
+            const double scaled =
+                coeffs[j] * (target_scale * q_top / t.scale);
+            BTS_CHECK(std::abs(scaled) < 0x1.0p62,
+                      "constant overflows 62 bits");
+            const i64 iv = static_cast<i64>(std::llround(scaled));
+            if (iv == 0) continue;
+            for (std::size_t i = 0; i < primes.size(); ++i) {
+                scalars[i] = signed_to_mod(iv, primes[i]);
             }
+            acc.b.add_mul_scalar_inplace(t.b, scalars);
+            acc.a.add_mul_scalar_inplace(t.a, scalars);
         }
-        if (!acc_set) {
-            // Constant-only leaf: materialize a zero at the right level.
-            Ciphertext zero = basis.t[1];
-            eval_.drop_level_inplace(zero, lvl + 1);
-            zero = eval_.mult_const_to_scale(zero, 0.0, target_scale);
-            acc = std::move(zero);
-        }
+        eval_.rescale_inplace(acc);
+        acc.scale = target_scale; // exact by construction
         eval_.add_const_inplace(acc, Complex(coeffs[0], 0.0));
         return acc;
     }
 
-    // Find the largest giant power <= deg.
-    int g = basis.m;
-    while (2 * g <= deg) g *= 2;
-
+    const int g = giant_for(deg, basis.m);
     std::vector<double> quotient, remainder;
     chebyshev_divmod(coeffs, g, quotient, remainder);
 
@@ -277,7 +343,7 @@ ChebyshevEvaluator::evaluate(const Ciphertext& ct,
     }
 
     const PowerBasis basis =
-        build_power_basis(y, series.degree(), mult_key);
+        build_power_basis(y, series.coeffs(), mult_key);
     return eval_recurse(series.coeffs(), basis, mult_key, delta);
 }
 

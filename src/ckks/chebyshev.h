@@ -28,7 +28,10 @@ class ChebyshevSeries
 
     /**
      * Interpolate @p f at the degree+1 Chebyshev nodes of [a, b]
-     * (discrete cosine transform of the samples).
+     * (discrete cosine transform of the samples). Mirror nodes are
+     * sampled at exactly mid +- half * x, so an odd (even) function on
+     * a symmetric interval gets exactly 0.0 in its even (odd)
+     * coefficients, which the evaluator then skips.
      */
     static ChebyshevSeries interpolate(const std::function<double(double)>& f,
                                        double a, double b, int degree);
@@ -58,17 +61,29 @@ void chebyshev_divmod(const std::vector<double>& f, int g,
                       std::vector<double>& quotient,
                       std::vector<double>& remainder);
 
-/** Homomorphic evaluator for Chebyshev series. */
+/**
+ * Homomorphic evaluator for Chebyshev series.
+ *
+ * Paterson-Stockmeyer: the series is divided recursively by giant
+ * powers T_{2^k m} down to leaves of degree < m (the baby-step count).
+ * A leaf sum_j c_j T_j costs one rescale: each term is scaled by an
+ * integer constant that puts it on the leaf's common raw scale, the
+ * terms accumulate unrescaled at one level above the leaf's, and one
+ * rescale lands the sum exactly on the requested scale. Terms with
+ * c_j == 0, or whose constant rounds to 0, are skipped, and only the
+ * powers some leaf or division reads are built.
+ */
 class ChebyshevEvaluator
 {
   public:
     explicit ChebyshevEvaluator(const Evaluator& eval) : eval_(eval) {}
 
     /**
-     * Evaluate @p series on @p ct homomorphically. Consumes
+     * Evaluate @p series on @p ct homomorphically. Consumes at most
      * depth(series.degree()) + 1 levels (one for the affine
-     * normalization onto [-1, 1]). The result is reported at the
-     * context's canonical scale.
+     * normalization onto [-1, 1]); fewer when the powers the series
+     * reads sit higher. The result is reported at the context's
+     * canonical scale.
      */
     Ciphertext evaluate(const Ciphertext& ct, const ChebyshevSeries& series,
                         const EvalKey& mult_key) const;
@@ -88,7 +103,10 @@ class ChebyshevEvaluator
         int m;
     };
 
-    PowerBasis build_power_basis(const Ciphertext& y, int degree,
+    /** Build the T_j the evaluation of @p coeffs reads (and their
+     *  dependencies): nonzero leaf terms and the giant divisors. */
+    PowerBasis build_power_basis(const Ciphertext& y,
+                                 const std::vector<double>& coeffs,
                                  const EvalKey& mult_key) const;
 
     /** Level the evaluation of @p coeffs will land on (dry run). */

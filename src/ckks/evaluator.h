@@ -142,8 +142,12 @@ class Evaluator
     /**
      * Multiply by a real constant with the encode scale chosen so that
      * the product, after one rescale, lands exactly on
-     * @p target_scale_after_rescale. The workhorse for scale-aligned
-     * linear combinations (Chebyshev evaluation, linear transforms).
+     * @p target_scale_after_rescale. Serves input normalization (the
+     * Chebyshev evaluator's affine map onto [-1, 1]) and output-scale
+     * normalization (the bootstrap's final step onto Delta). Linear
+     * combinations of many terms should not call it per term: each call
+     * pays its own rescale, where the Chebyshev leaves accumulate at the
+     * raw scale and rescale once.
      */
     Ciphertext mult_const_to_scale(const Ciphertext& ct, double c,
                                    double target_scale_after_rescale) const;

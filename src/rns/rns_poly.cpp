@@ -319,6 +319,30 @@ RnsPoly::sub_mul_scalar_inplace(const RnsPoly& other,
 }
 
 void
+RnsPoly::add_mul_scalar_inplace(const RnsPoly& other,
+                                const std::vector<u64>& scalars)
+{
+    check_compatible(*this, other);
+    BTS_CHECK(scalars.size() >= num_primes(), "scalar count mismatch");
+    const std::size_t count = num_primes();
+    ReducerArray<ShoupMul> shoup(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        shoup[i] = ShoupMul(scalars[i], primes_[i]);
+    }
+    parallel_for_2d(
+        count, n_,
+        [&](std::size_t i, std::size_t c0, std::size_t c1) {
+            const ShoupMul& s = shoup[i];
+            const u64 q = primes_[i];
+            const u64* src = other.component(i).data();
+            u64* dst = data_.data() + i * n_;
+            for (std::size_t c = c0; c < c1; ++c) {
+                dst[c] = add_mod(dst[c], s.mul(src[c], q), q);
+            }
+        });
+}
+
+void
 RnsPoly::to_ntt(const std::vector<const NttTables*>& tables)
 {
     BTS_TRACE_SPAN_VAR(trace_span, kKernel, "ntt.fwd");

@@ -146,6 +146,11 @@ class RnsPoly
     void sub_mul_scalar_inplace(const RnsPoly& other,
                                 const std::vector<u64>& scalars,
                                 Residues form = Residues::kCanonical);
+    /** this += other * scalars[i] per limb, one fused pass that reads
+     *  @p other's first num_primes() rows in place (a multiply-
+     *  accumulate of constant-scaled terms needs no per-term copy). */
+    void add_mul_scalar_inplace(const RnsPoly& other,
+                                const std::vector<u64>& scalars);
 
     // ----- domain changes (batch NTT over the flat buffer) -----
     /** Forward NTT on all rows using matching @p tables. */

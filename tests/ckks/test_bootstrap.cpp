@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
+#include "runtime/telemetry/trace.h"
 #include "test_utils.h"
 
 namespace bts {
@@ -234,6 +238,75 @@ TEST(Bootstrap, RejectsMixedDenseFactoredConfig)
         Bootstrapper(env.ctx, env.encoder, env.evaluator, cfg),
         std::invalid_argument);
     (void)be;
+}
+
+/** Key-switch and rescale spans @p fn emits, with only the evaluator's
+ *  telemetry category enabled. */
+std::pair<int, int>
+count_keyswitch_and_rescale(const std::function<void()>& fn)
+{
+    namespace tel = runtime::telemetry;
+    tel::set_enabled(0);
+    tel::reset_trace();
+    tel::set_enabled(static_cast<u32>(tel::Category::kEvaluator));
+    fn();
+    tel::set_enabled(0);
+    const tel::Trace trace = tel::collect_trace();
+    tel::reset_trace();
+    EXPECT_EQ(trace.total_dropped(), 0u);
+    int keyswitch = 0, rescale = 0;
+    for (const tel::ThreadTrace& th : trace.threads) {
+        for (const tel::TraceEvent& ev : th.events) {
+            keyswitch += std::strcmp(ev.name, "keyswitch") == 0;
+            rescale += std::strcmp(ev.name, "rescale") == 0;
+        }
+    }
+    return {keyswitch, rescale};
+}
+
+TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
+{
+    // The degree-119 sine costs 14 power-basis products (T_10, T_12 and
+    // T_14 are never read: the odd series has exact-zero even
+    // coefficients) plus 7 Paterson-Stockmeyer products, and 30
+    // rescales: the normalization, the 21 products and one per leaf
+    // (8 leaves). Every bootstrap runs EvalMod twice.
+#if !defined(BTS_TELEMETRY)
+    GTEST_SKIP() << "built without BTS_TELEMETRY";
+#endif
+    testing::BootTestEnv be(31);
+    auto& env = be.env;
+    const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
+    const Ciphertext raised = be.boot->stage_raise_and_subsum(ct);
+    const auto [u_re, u_im] = be.boot->stage_coeff_to_slot(raised);
+
+    Ciphertext v;
+    EXPECT_EQ(count_keyswitch_and_rescale(
+                  [&] { v = be.boot->stage_eval_mod(u_re); }),
+              std::make_pair(21, 30));
+    EXPECT_EQ(v.level, be.boot->stc_input_level());
+
+    EXPECT_EQ(count_keyswitch_and_rescale(
+                  [&] { (void)be.boot->bootstrap(ct); }),
+              std::make_pair(52, 65));
+}
+
+TEST(Bootstrap, PrecisionHoldsAcrossDraws)
+{
+    // Refresh precision against the plaintext on the apps' instance
+    // (N=2^8, L=20, slots 64, degree-119 sine): 12 seeded draws in
+    // [-0.3, 0.3], each encrypted fresh, every refreshed slot compared
+    // with its input. The worst draw's max slot error measures 3.26e-4
+    // (draw 6; none garbles); the bound adds a ~20% margin.
+    constexpr double kBound = 4e-4;
+    testing::BootTestEnv be(7321, {}, 20);
+    auto& env = be.env;
+    for (u64 draw = 0; draw < 12; ++draw) {
+        const auto z = env.random_message(64, 0.3, 500 + draw);
+        const Ciphertext fresh = be.boot->bootstrap(env.encrypt(z, 0));
+        EXPECT_LT(TestEnv::max_err(z, env.decrypt(fresh)), kBound)
+            << "draw " << draw;
+    }
 }
 
 TEST(Bootstrap, SineSeriesIsAccurate)

@@ -2,12 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "test_utils.h"
 
 namespace bts {
 namespace {
 
 using testing::TestEnv;
+
+double
+sigmoid(double x)
+{
+    return 1.0 / (1.0 + std::exp(-4 * x));
+}
+
+double
+sin3(double x)
+{
+    return std::sin(3 * x);
+}
+
+double
+cos3(double x)
+{
+    return std::cos(3 * x);
+}
 
 TEST(ChebyshevSeries, InterpolatesSmoothFunctions)
 {
@@ -50,6 +71,38 @@ TEST(ChebyshevSeries, LowDegreeSineIsInaccurate)
               1e-3);
 }
 
+TEST(ChebyshevSeries, ParityGivesExactZeroCoefficients)
+{
+    // Mirror nodes are sampled at exactly mid +- half * x and the DCT
+    // folds over the pairs, so on a symmetric interval an odd function
+    // gets exactly 0.0 in its even coefficients and an even function in
+    // its odd ones: the evaluator skips those terms, and the powers only
+    // they would read. Odd and even degrees cover both node-count
+    // parities (an odd count has a middle node at x = 0).
+    const auto check = [](const ChebyshevSeries& series, int zero_parity,
+                          const char* what) {
+        for (int j = 0; j <= series.degree(); ++j) {
+            const double c = series.coeffs()[j];
+            if (j % 2 == zero_parity) {
+                EXPECT_EQ(c, 0.0) << what << " c_" << j;
+            } else {
+                EXPECT_NE(c, 0.0) << what << " c_" << j;
+            }
+        }
+    };
+    for (int degree : {23, 24}) {
+        check(ChebyshevSeries::interpolate(sin3, -1, 1, degree), 0,
+              "sin(3x)");
+        check(ChebyshevSeries::interpolate(cos3, -1, 1, degree), 1,
+              "cos(3x)");
+    }
+    // The bootstrap's EvalMod sine.
+    check(ChebyshevSeries::interpolate(
+              [](double u) { return std::sin(2 * M_PI * u) / (2 * M_PI); },
+              -12, 12, 119),
+          0, "sine");
+}
+
 TEST(ChebyshevDivmod, ReconstructsOriginal)
 {
     // f == q * T_g + r must hold as functions.
@@ -84,25 +137,42 @@ TEST(ChebyshevEvaluator, DepthFormula)
     EXPECT_LE(ChebyshevEvaluator::depth(159), 9);
 }
 
-class HomomorphicChebyTest : public ::testing::TestWithParam<int>
+/** One homomorphic-evaluation case on [-1, 1]. */
+struct ChebyCase
+{
+    const char* function;
+    double (*f)(double);
+    int degree;
+};
+
+/** The case's label in test listings (ctest names the cases by it). The
+ *  sigmoid cases keep their bare-degree labels. */
+void
+PrintTo(const ChebyCase& c, std::ostream* os)
+{
+    if (std::string(c.function) != "sigmoid") *os << c.function << "_";
+    *os << c.degree;
+}
+
+class HomomorphicChebyTest : public ::testing::TestWithParam<ChebyCase>
 {};
 
 TEST_P(HomomorphicChebyTest, MatchesClenshaw)
 {
     // Evaluate a Chebyshev series homomorphically and compare against
-    // the numeric Clenshaw evaluation slot by slot.
+    // the numeric Clenshaw evaluation slot by slot. The odd sin(3x) and
+    // even cos(3x) have exact-zero coefficients of the other parity, so
+    // their evaluations skip those terms and the powers only they read.
     CkksParams params = testing::small_params();
     params.max_level = 8;
     auto& env = testing::cached_env("cheby", params);
 
-    const int degree = GetParam();
-    const auto series = ChebyshevSeries::interpolate(
-        [](double x) { return 1.0 / (1.0 + std::exp(-4 * x)); }, -1, 1,
-        degree);
+    const ChebyCase& c = GetParam();
+    const auto series = ChebyshevSeries::interpolate(c.f, -1, 1, c.degree);
 
     const std::size_t slots = 64;
     std::vector<Complex> z(slots);
-    Xoshiro256 rng(degree);
+    Xoshiro256 rng(c.degree);
     for (auto& v : z) v = Complex(2 * rng.uniform_real() - 1, 0);
 
     const ChebyshevEvaluator cheby(env.evaluator);
@@ -116,8 +186,18 @@ TEST_P(HomomorphicChebyTest, MatchesClenshaw)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Degrees, HomomorphicChebyTest,
-                         ::testing::Values(7, 15, 31, 63));
+INSTANTIATE_TEST_SUITE_P(
+    Degrees, HomomorphicChebyTest,
+    ::testing::Values(ChebyCase{"sigmoid", sigmoid, 7},
+                      ChebyCase{"sigmoid", sigmoid, 15},
+                      ChebyCase{"sigmoid", sigmoid, 31},
+                      ChebyCase{"sigmoid", sigmoid, 63},
+                      ChebyCase{"sin3x", sin3, 15},
+                      ChebyCase{"sin3x", sin3, 31},
+                      ChebyCase{"sin3x", sin3, 63},
+                      ChebyCase{"cos3x", cos3, 15},
+                      ChebyCase{"cos3x", cos3, 31},
+                      ChebyCase{"cos3x", cos3, 63}));
 
 TEST(ChebyshevEvaluator, AsymmetricInterval)
 {

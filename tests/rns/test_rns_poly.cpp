@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/random.h"
+#include "common/thread_guard.h"
 #include "math/mod_arith.h"
 #include "math/prime_gen.h"
 
@@ -116,6 +117,43 @@ TEST_F(RnsPolyTest, SubMulScalarFusedMatchesSeparateOps)
     acc3.sub_mul_scalar_inplace(src_lazy, scalars,
                                 RnsPoly::Residues::kLazy2q);
     EXPECT_TRUE(acc3.equals(acc1));
+}
+
+TEST_F(RnsPolyTest, AddMulScalarFusedMatchesSeparateOps)
+{
+    // this += other * s must equal a copy of other scaled by
+    // mul_scalar_inplace, then add_inplace, bit for bit: with other over
+    // more primes than this (its first rows read in place), with
+    // negative constants mapped by signed_to_mod, and on 1 and 4 lanes.
+    // 2^13 coefficients over 2 limbs split into coefficient tiles at 4.
+    testing::ThreadGuard guard;
+    const std::size_t n = std::size_t{1} << 13;
+    Sampler s(47);
+    RnsPoly other(n, primes_, Domain::kNtt);
+    for (std::size_t i = 0; i < primes_.size(); ++i) {
+        other.component(i).copy_from(s.uniform_poly(n, primes_[i]));
+    }
+    RnsPoly acc = other;
+    acc.truncate(2);
+    for (std::size_t i = 0; i < acc.num_primes(); ++i) {
+        acc.component(i).copy_from(s.uniform_poly(n, primes_[i]));
+    }
+
+    for (const i64 c : {i64{3}, i64{-5}, i64{1} << 61, -(i64{1} << 61)}) {
+        std::vector<u64> scalars;
+        for (u64 q : primes_) scalars.push_back(signed_to_mod(c, q));
+        RnsPoly term = other;
+        term.mul_scalar_inplace(scalars);
+        RnsPoly expect = acc;
+        expect.add_inplace(term);
+        for (int threads : {1, 4}) {
+            set_num_threads(threads);
+            RnsPoly got = acc;
+            got.add_mul_scalar_inplace(other, scalars);
+            EXPECT_TRUE(got.equals(expect))
+                << "c=" << c << " threads=" << threads;
+        }
+    }
 }
 
 TEST_F(RnsPolyTest, AddSubInverse)
