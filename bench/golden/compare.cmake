@@ -1,9 +1,14 @@
-# Runs BIN and compares its stdout byte for byte with GOLDEN; on a
-# mismatch the observed stdout is written to ACTUAL for diffing.
-# Usage: cmake -DBIN=<exe> -DGOLDEN=<file> -DACTUAL=<file> -P compare.cmake
+# Runs BIN with ARGS and compares its stdout byte for byte with GOLDEN;
+# on a mismatch the observed stdout is written to ACTUAL for diffing.
+# Usage: cmake -DBIN=<exe> [-DARGS=<a>|<b>|...] -DGOLDEN=<file>
+#              -DACTUAL=<file> -P compare.cmake
+# ARGS separates arguments with "|" (a ";" list would split on the
+# cmake command line).
 cmake_minimum_required(VERSION 3.24)
 
-execute_process(COMMAND "${BIN}" OUTPUT_VARIABLE out RESULT_VARIABLE rc)
+string(REPLACE "|" ";" args "${ARGS}")
+execute_process(COMMAND "${BIN}" ${args} OUTPUT_VARIABLE out
+                RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${BIN} exited with ${rc}")
 endif()

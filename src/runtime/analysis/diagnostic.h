@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured diagnostics for the runtime IR: the shared currency of
- * the graph builder's validation errors (BTS_NODE_CHECK), the static
+ * the graph builder's validation errors (Graph::append), the static
  * verifier (runtime/analysis/verifier.h), the pass pipeline's
  * inter-pass checks and the `bts_lint` tool. One Diagnostic names the
  * violated rule, the severity, the offending node (index + op kind)

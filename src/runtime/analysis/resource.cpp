@@ -78,18 +78,14 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
 std::size_t
 node_evk_ops(const Node& n)
 {
-    switch (n.kind) {
-    case OpKind::kHMult:
-    case OpKind::kHMultRescale:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kBootstrap:
-        return 1;
-    case OpKind::kHRotHoisted:
-        return n.outputs.size();
-    default:
-        return 0;
+    switch (op_info(n.kind).key) {
+    case KeyClass::kNone: return 0;
+    case KeyClass::kRotation: return node_rotations(n).size();
+    case KeyClass::kMult:
+    case KeyClass::kConj:
+    case KeyClass::kBootstrap: return 1;
     }
+    return 0;
 }
 
 /**

@@ -1,6 +1,7 @@
 #include "runtime/analysis/verifier.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -9,44 +10,13 @@ namespace bts::runtime::analysis {
 namespace {
 
 /** Relative scale agreement for re-derived vs stored metadata. The
- *  verifier recomputes the exact expressions the builder evaluated,
- *  so honest graphs agree to the last bit; the loose bound only
- *  exists to keep the check robust under -ffast-math-style reassoc. */
+ *  verifier applies the builder's own rule (infer_metadata), so honest
+ *  graphs agree to the last bit; the loose bound only exists to keep
+ *  the check robust under -ffast-math-style reassoc. */
 bool
 scales_equal(double a, double b)
 {
     return a > 0.0 && b > 0.0 && std::abs(a / b - 1.0) < 1e-9;
-}
-
-/** The builder's add/sub operand agreement bound (graph.cpp). */
-bool
-scales_compatible(double a, double b)
-{
-    return a > 0.0 && b > 0.0 && std::abs(a / b - 1.0) < 1e-3;
-}
-
-bool
-is_binary(OpKind k)
-{
-    switch (k) {
-    case OpKind::kHMult:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-        return true;
-    default: return false;
-    }
-}
-
-/** Does operand slot @p slot of kind @p k take a plaintext? */
-bool
-slot_is_plain(OpKind k, std::size_t slot)
-{
-    return slot == 1 && (k == OpKind::kPMult || k == OpKind::kPAdd ||
-                         k == OpKind::kPMultRescale);
 }
 
 class Verifier
@@ -172,21 +142,24 @@ class Verifier
         return result_.diags.size() == before;
     }
 
+    // The structure checks read the op table's signature: operand
+    // count, the plaintext slot and the parameters.
     void
     check_node_arity(int i, const Node& n)
     {
-        const std::size_t want = is_binary(n.kind) ? 2 : 1;
+        const OpInfo& op = op_info(n.kind);
+        const std::size_t want = static_cast<std::size_t>(op.arity());
         if (n.inputs.size() != want) {
             emit("structure-arity", Severity::kError, i, -1,
-                 std::string(op_name(n.kind)) + " has " +
+                 std::string(op.name) + " has " +
                      std::to_string(n.inputs.size()) +
                      " operand(s), expected " + std::to_string(want));
         }
-        if (n.kind == OpKind::kHRot && n.rot_amount == 0) {
+        if (op.params == OpParams::kRotation && n.rot_amount == 0) {
             emit("structure-arity", Severity::kError, i, -1,
                  "rotation amount is zero");
         }
-        if (n.kind == OpKind::kHRotHoisted) {
+        if (op.params == OpParams::kRotations) {
             if (n.amounts.empty()) {
                 emit("structure-arity", Severity::kError, i, -1,
                      "hoisted rotation group has no amounts");
@@ -203,6 +176,7 @@ class Verifier
     void
     check_node_operands(int i, const Node& n)
     {
+        const int plain_slot = op_info(n.kind).plain_slot;
         for (std::size_t s = 0; s < n.inputs.size(); ++s) {
             const int in = n.inputs[s];
             if (!value_ok(in)) {
@@ -217,13 +191,13 @@ class Verifier
                          std::to_string(info.producer) +
                          ", at or after its use");
             }
-            if (info.is_plain != slot_is_plain(n.kind, s)) {
+            const bool want_plain = static_cast<int>(s) == plain_slot;
+            if (info.is_plain != want_plain) {
                 emit("structure-arity", Severity::kError, i, in,
                      std::string("operand ") + std::to_string(s) +
                          " is " + (info.is_plain ? "plain" : "cipher") +
                          ", " + op_name(n.kind) + " expects " +
-                         (slot_is_plain(n.kind, s) ? "plain"
-                                                   : "cipher"));
+                         (want_plain ? "plain" : "cipher"));
             }
         }
     }
@@ -241,7 +215,9 @@ class Verifier
                  "node.output disagrees with node.outputs[0]");
         }
         const std::size_t want =
-            n.kind == OpKind::kHRotHoisted ? n.amounts.size() : 1;
+            op_info(n.kind).params == OpParams::kRotations
+                ? n.amounts.size()
+                : 1;
         if (n.outputs.size() != want) {
             emit("structure-producer", Severity::kError, i, -1,
                  "node defines " + std::to_string(n.outputs.size()) +
@@ -290,12 +266,12 @@ class Verifier
     }
 
     // ---------------------------------------------------------------
-    // Metadata re-inference: derive every defined value's level and
-    // scale from its operands' STORED metadata with the exact builder
-    // rules, and flag disagreement. Local derivation (stored operands,
-    // not derived ones) pins the first corrupted link in a chain
-    // instead of cascading one bad value into errors on everything
-    // downstream.
+    // Metadata re-inference: apply the builder's rule (infer_metadata)
+    // to every node's operands' STORED metadata and flag disagreement
+    // with the stored outputs. Local derivation (stored operands, not
+    // derived ones) pins the first corrupted link in a chain instead of
+    // cascading one bad value into errors on everything downstream; a
+    // failed precondition reports itself and derives nothing.
     // ---------------------------------------------------------------
     void
     check_metadata()
@@ -324,150 +300,36 @@ class Verifier
     void
     check_node_metadata(int i, const Node& n)
     {
-        const GraphTraits& t = g_.traits();
-        const auto in = [&](std::size_t s) -> const ValueInfo& {
-            return g_.value(n.inputs[s]);
-        };
-        int level = 0;
-        double scale = 1.0;
-        switch (n.kind) {
-        case OpKind::kHMult:
-            level = std::min(in(0).level, in(1).level);
-            scale = in(0).scale * in(1).scale;
-            break;
-        case OpKind::kHAdd:
-        case OpKind::kHSub:
-            level = std::min(in(0).level, in(1).level);
-            scale = in(0).scale;
-            if (!scales_compatible(in(0).scale, in(1).scale)) {
-                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
-                     "add/sub operands at scales " +
-                         std::to_string(in(0).scale) + " vs " +
-                         std::to_string(in(1).scale),
-                     "rescale the larger operand first");
-            }
-            break;
-        case OpKind::kPMult:
-            level = in(0).level;
-            scale = in(0).scale * in(1).scale;
-            check_plain_covers(i, n);
-            break;
-        case OpKind::kPAdd:
-            level = in(0).level;
-            scale = in(0).scale;
-            check_plain_covers(i, n);
-            if (!scales_compatible(in(0).scale, in(1).scale)) {
-                emit("scale-mismatch", Severity::kError, i, n.inputs[1],
-                     "plaintext addend scale " +
-                         std::to_string(in(1).scale) +
-                         " != ciphertext scale " +
-                         std::to_string(in(0).scale),
-                     "encode the plaintext at the ciphertext's scale");
-            }
-            break;
-        case OpKind::kHRot:
-        case OpKind::kConj:
-        case OpKind::kHRotHoisted:
-            level = in(0).level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kHRescale:
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "rescale of a level-0 operand",
-                     "bootstrap before this point");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale / t.delta;
-            break;
-        case OpKind::kCMult:
-            level = in(0).level;
-            scale = in(0).scale * t.delta;
-            break;
-        case OpKind::kCAdd:
-            level = in(0).level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kModRaise:
-            if (in(0).level != 0) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "ModRaise of a non-exhausted (level " +
-                         std::to_string(in(0).level) + ") value");
-            }
-            level = t.max_level;
-            scale = in(0).scale;
-            break;
-        case OpKind::kBootstrap:
-            level = t.bootstrap_out_level;
-            scale = t.delta;
-            break;
-        case OpKind::kHMultRescale:
-            if (std::min(in(0).level, in(1).level) < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = std::min(in(0).level, in(1).level) - 1;
-            scale = in(0).scale * in(1).scale / t.delta;
-            break;
-        case OpKind::kPMultRescale:
-            check_plain_covers(i, n);
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale * in(1).scale / t.delta;
-            break;
-        case OpKind::kCMultRescale:
-            if (in(0).level < 1) {
-                emit("meta-level", Severity::kError, i, n.inputs[0],
-                     "fused mult+rescale at level 0");
-                return;
-            }
-            level = in(0).level - 1;
-            scale = in(0).scale;
-            break;
-        case OpKind::kCMultAdd:
-            level = in(0).level;
-            scale = in(0).scale * t.delta;
-            break;
+        std::array<const ValueInfo*, 2> operands{};
+        for (std::size_t s = 0; s < n.inputs.size(); ++s) {
+            operands[s] = &g_.value(n.inputs[s]);
+        }
+        const MetaResult m = infer_metadata(
+            n.kind, std::span(operands.data(), n.inputs.size()),
+            g_.traits());
+        if (!m.ok()) {
+            emit(m.rule, Severity::kError, i, n.inputs[m.operand],
+                 m.message, m.hint);
+            return;
         }
         for (const int out : n.outputs) {
             const ValueInfo& stored = g_.value(out);
-            result_.values[out].level = level;
-            result_.values[out].scale = scale;
-            if (stored.level != level) {
+            result_.values[out].level = m.level;
+            result_.values[out].scale = m.scale;
+            if (stored.level != m.level) {
                 emit("meta-level", Severity::kError, i, out,
                      "stored level " + std::to_string(stored.level) +
-                         ", re-derived " + std::to_string(level),
+                         ", re-derived " + std::to_string(m.level),
                      "a pass corrupted the metadata; rebuild the graph "
                      "through the builder API");
             }
-            if (!scales_equal(stored.scale, scale)) {
+            if (!scales_equal(stored.scale, m.scale)) {
                 emit("meta-scale", Severity::kError, i, out,
                      "stored scale " + std::to_string(stored.scale) +
-                         ", re-derived " + std::to_string(scale),
+                         ", re-derived " + std::to_string(m.scale),
                      "a pass corrupted the metadata; rebuild the graph "
                      "through the builder API");
             }
-        }
-    }
-
-    void
-    check_plain_covers(int i, const Node& n)
-    {
-        const ValueInfo& ct = g_.value(n.inputs[0]);
-        const ValueInfo& pt = g_.value(n.inputs[1]);
-        if (pt.level < ct.level) {
-            emit("meta-level", Severity::kError, i, n.inputs[1],
-                 "plaintext level " + std::to_string(pt.level) +
-                     " below the ciphertext's " +
-                     std::to_string(ct.level),
-                 "encode the plaintext at (or above) the ciphertext "
-                 "level");
         }
     }
 
@@ -665,7 +527,7 @@ class Verifier
             const Node& n = g_.node(i);
             if (!n.lazy) continue;
             const int node = static_cast<int>(i);
-            if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) {
+            if (!op_info(n.kind).lazy_output) {
                 emit("lazy-contract", Severity::kError, node, n.output,
                      "lazy mark on a non-add/sub node");
                 continue;
@@ -704,25 +566,19 @@ class Verifier
         for (std::size_t i = 0; i < g_.num_nodes(); ++i) {
             const Node& n = g_.node(i);
             const int node = static_cast<int>(i);
-            switch (n.kind) {
-            case OpKind::kHMult:
-            case OpKind::kHMultRescale:
+            switch (op_info(n.kind).key) {
+            case KeyClass::kNone: break;
+            case KeyClass::kMult:
                 if (first_mult < 0) first_mult = node;
                 break;
-            case OpKind::kConj:
+            case KeyClass::kConj:
                 if (first_conj < 0) first_conj = node;
                 break;
-            case OpKind::kBootstrap:
+            case KeyClass::kBootstrap:
                 if (first_boot < 0) first_boot = node;
                 break;
-            case OpKind::kHRot:
-                if (!keys.rotations.count(n.rot_amount)) {
-                    missing_rots.insert(n.rot_amount);
-                    if (first_missing_rot < 0) first_missing_rot = node;
-                }
-                break;
-            case OpKind::kHRotHoisted:
-                for (const int r : n.amounts) {
+            case KeyClass::kRotation:
+                for (const int r : node_rotations(n)) {
                     if (!keys.rotations.count(r)) {
                         missing_rots.insert(r);
                         if (first_missing_rot < 0) {
@@ -731,7 +587,6 @@ class Verifier
                     }
                 }
                 break;
-            default: break;
             }
         }
         if (first_mult >= 0 && !keys.mult) {

@@ -8,8 +8,11 @@
  * execution — so a bad graph should be rejected at registration time
  * with a diagnostic, not discovered as a worker-thread exception under
  * load. analyze() re-derives every value's metadata from the graph
- * structure alone and checks it against what the builder stored
- * (catching pass-manager corruption by construction), runs a
+ * structure alone — applying the builder's own rule, infer_metadata
+ * (runtime/graph.h), to each node's stored operand metadata — and
+ * checks it against what the builder stored (catching pass-manager
+ * corruption by construction); the structure checks read the same op
+ * table's signatures and the key check its key classes. It runs a
  * worst-case noise-budget estimator over the dataflow, checks the
  * lazy-residue and evaluation-key contracts, predicts level-budget
  * exhaustion, and applies the lint rules. Rule catalog, severities and
@@ -23,7 +26,8 @@
  *   meta-level          stored level != re-derived level
  *   meta-scale          stored scale != re-derived scale
  *   scale-mismatch      add/sub operands at visibly different scales
- *   level-budget        value needs more rescale levels than remain
+ *   level-budget        rescale of a level-0 operand, or a value needs
+ *                       more rescale levels than remain
  *   noise-budget        worst-case noise exhausts the precision budget
  *   lazy-contract       lazy mark on an illegal node / consumer
  *   missing-mult-key    graph multiplies, key set has no mult key

@@ -7,6 +7,7 @@
 #include <tuple>
 
 #include "common/check.h"
+#include "runtime/analysis/resource.h"
 #include "runtime/telemetry/metrics.h"
 #include "runtime/telemetry/trace.h"
 
@@ -16,9 +17,10 @@ namespace bts::runtime {
  *  CMult plaintext cache shared across run() calls. */
 struct Executor::Plan
 {
-    std::vector<const EvalKey*> evk; //!< per node; null when unused
-    /** kHRotHoisted only: the resolved rotation key per amount. */
-    std::vector<std::vector<const EvalKey*>> hoisted;
+    /** Per node: the mult or conjugation key; null otherwise. */
+    std::vector<const EvalKey*> evk;
+    /** Per node: the rotation key of each of node_rotations(node). */
+    std::vector<std::vector<const EvalKey*>> rot;
 
     using PlainKey = std::tuple<std::size_t, std::size_t, int>;
     mutable std::mutex plain_mutex;
@@ -50,10 +52,10 @@ struct Executor::Sched
     std::size_t window = 1;
     ExecStats stats;
     std::exception_ptr error;
-    /** Predicted per-node cost (telemetry span tags); null when no
-     *  prediction was installed for this graph. Immutable during the
-     *  run, so read without sched.m. */
-    const std::vector<double>* node_costs = nullptr;
+    /** The run's static resource analysis (telemetry span cost tags);
+     *  null when none was passed. Immutable during the run, so read
+     *  without sched.m. */
+    const analysis::ResourceSummary* predicted = nullptr;
 
     /** Drop a ciphertext value whose last consumer finished; its
      *  backing buffers return to the workspace pool immediately. */
@@ -117,29 +119,6 @@ Executor::Executor(EvalResources res, ExecOptions opts)
 
 Executor::~Executor() = default;
 
-void
-Executor::clear_plan_cache() const
-{
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    plans_.clear();
-    node_costs_.clear();
-}
-
-void
-Executor::set_node_costs(const Graph& g, std::vector<double> cost_s) const
-{
-    BTS_CHECK(cost_s.size() == g.num_nodes(),
-              g.name() << ": node cost vector has " << cost_s.size()
-                       << " entries for " << g.num_nodes() << " nodes");
-    std::lock_guard<std::mutex> lock(plans_mutex_);
-    // Same retention policy as the plan cache: uids are never reused,
-    // so stale entries only waste memory — drop everything at the cap.
-    constexpr std::size_t kMaxCachedCosts = 64;
-    if (node_costs_.size() >= kMaxCachedCosts) node_costs_.clear();
-    node_costs_[g.uid()] =
-        std::make_shared<const std::vector<double>>(std::move(cost_s));
-}
-
 std::shared_ptr<const Executor::Plan>
 Executor::plan_for(const Graph& g) const
 {
@@ -151,59 +130,34 @@ Executor::plan_for(const Graph& g) const
     // key fails here, before any node has executed.
     auto plan = std::make_unique<Plan>();
     plan->evk.assign(g.num_nodes(), nullptr);
-    plan->hoisted.assign(g.num_nodes(), {});
+    plan->rot.assign(g.num_nodes(), {});
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        switch (n.kind) {
-        case OpKind::kHMult:
-        case OpKind::kHMultRescale:
+        switch (op_info(n.kind).key) {
+        case KeyClass::kNone: break;
+        case KeyClass::kMult:
             BTS_CHECK(res_.mult_key != nullptr && !res_.mult_key->empty(),
                       g.name() << ": graph needs a mult key");
             plan->evk[i] = res_.mult_key;
             break;
-        case OpKind::kHRot: {
+        case KeyClass::kRotation:
             BTS_CHECK(res_.rot_keys != nullptr,
                       g.name() << ": graph needs rotation keys");
-            const auto key = res_.rot_keys->find(n.rot_amount);
-            BTS_CHECK(key != res_.rot_keys->end(),
-                      g.name() << ": missing rotation key "
-                               << n.rot_amount);
-            plan->evk[i] = &key->second;
-            break;
-        }
-        case OpKind::kHRotHoisted: {
-            BTS_CHECK(res_.rot_keys != nullptr,
-                      g.name() << ": graph needs rotation keys");
-            std::vector<const EvalKey*>& keys = plan->hoisted[i];
-            keys.reserve(n.amounts.size());
-            for (const int r : n.amounts) {
+            for (const int r : node_rotations(n)) {
                 const auto key = res_.rot_keys->find(r);
                 BTS_CHECK(key != res_.rot_keys->end(),
                           g.name() << ": missing rotation key " << r);
-                keys.push_back(&key->second);
+                plan->rot[i].push_back(&key->second);
             }
             break;
-        }
-        case OpKind::kConj:
+        case KeyClass::kConj:
             BTS_CHECK(res_.conj_key != nullptr && !res_.conj_key->empty(),
                       g.name() << ": graph needs a conjugation key");
             plan->evk[i] = res_.conj_key;
             break;
-        case OpKind::kBootstrap:
+        case KeyClass::kBootstrap:
             BTS_CHECK(res_.bootstrapper != nullptr,
                       g.name() << ": graph needs a bootstrapper");
-            break;
-        case OpKind::kPMult:
-        case OpKind::kPMultRescale:
-        case OpKind::kPAdd:
-        case OpKind::kHAdd:
-        case OpKind::kHSub:
-        case OpKind::kHRescale:
-        case OpKind::kCMult:
-        case OpKind::kCMultRescale:
-        case OpKind::kCMultAdd:
-        case OpKind::kCAdd:
-        case OpKind::kModRaise:
             break;
         }
     }
@@ -247,13 +201,14 @@ Executor::exec_node(const Graph& g, const Plan& plan,
 {
     const Node& n = g.node(node_idx);
     // One span per dispatched node, tagged with the output value id and
-    // the statically predicted cost (when installed): the raw material
-    // for the predicted-vs-measured closure in telemetry/profile.h.
+    // the statically predicted cost (when the run has one): the raw
+    // material for the predicted-vs-measured closure in
+    // telemetry/profile.h.
     BTS_TRACE_SPAN_VAR(node_span, kNode, op_name(n.kind));
     node_span.set_level(g.value(n.output).level);
     node_span.set_arg(n.output);
-    if (sched.node_costs != nullptr) {
-        node_span.set_cost((*sched.node_costs)[node_idx]);
+    if (sched.predicted != nullptr) {
+        node_span.set_cost(sched.predicted->nodes[node_idx].cost_s);
     }
     const auto in_ct = [&](std::size_t slot) -> const Ciphertext& {
         const std::optional<Ciphertext>& v = sched.values[n.inputs[slot]];
@@ -327,18 +282,15 @@ Executor::exec_node(const Graph& g, const Plan& plan,
         // grouped amount produces the identical ciphertext a lone
         // kHRot would have.
         std::vector<Ciphertext> r = eval.rotate_hoisted(
-            in_ct(0), {n.rot_amount}, {plan.evk[node_idx]});
+            in_ct(0), {n.rot_amount}, plan.rot[node_idx]);
         out = std::move(r[0]);
         break;
     }
     case OpKind::kHRotHoisted: {
         std::vector<Ciphertext> outs = eval.rotate_hoisted(
-            in_ct(0), n.amounts, plan.hoisted[node_idx]);
-        if (opts_.check_metadata) {
-            for (std::size_t k = 0; k < outs.size(); ++k) {
-                check_executed_metadata(g, n, g.value(n.outputs[k]),
-                                        outs[k]);
-            }
+            in_ct(0), n.amounts, plan.rot[node_idx]);
+        for (std::size_t k = 0; k < outs.size(); ++k) {
+            check_executed_metadata(g, n, g.value(n.outputs[k]), outs[k]);
         }
         return outs;
     }
@@ -393,9 +345,7 @@ Executor::exec_node(const Graph& g, const Plan& plan,
         break;
     }
 
-    if (opts_.check_metadata) {
-        check_executed_metadata(g, n, g.value(n.output), out);
-    }
+    check_executed_metadata(g, n, g.value(n.output), out);
     std::vector<Ciphertext> outs;
     outs.push_back(std::move(out));
     return outs;
@@ -454,7 +404,6 @@ Executor::collect_outputs(const Graph& g, Sched& sched) const
 void
 Executor::init_sched(const Graph& g, Binding& inputs, Sched& sched) const
 {
-    const bool check_metadata = opts_.check_metadata;
     const std::size_t num_values = g.num_values();
     sched.num_nodes = g.num_nodes();
     sched.values.resize(num_values);
@@ -477,13 +426,10 @@ Executor::init_sched(const Graph& g, Binding& inputs, Sched& sched) const
             BTS_CHECK(it != inputs.plains.end(),
                       g.name() << ": missing plaintext binding for input "
                                << id);
-            if (check_metadata) {
-                BTS_CHECK(it->second.level >= info.level,
-                          g.name() << ": plaintext input " << id
-                                   << " bound at level "
-                                   << it->second.level
-                                   << ", graph needs >= " << info.level);
-            }
+            BTS_CHECK(it->second.level >= info.level,
+                      g.name() << ": plaintext input " << id
+                               << " bound at level " << it->second.level
+                               << ", graph needs >= " << info.level);
             sched.plains[id] = &it->second;
             // Plaintexts are borrowed, never refcounted.
             sched.uses_left[id] = 0;
@@ -492,12 +438,10 @@ Executor::init_sched(const Graph& g, Binding& inputs, Sched& sched) const
             BTS_CHECK(it != inputs.ciphers.end(),
                       g.name() << ": missing ciphertext binding for input "
                                << id);
-            if (check_metadata) {
-                BTS_CHECK(it->second.level == info.level,
-                          g.name() << ": input " << id << " bound at level "
-                                   << it->second.level
-                                   << ", graph declares " << info.level);
-            }
+            BTS_CHECK(it->second.level == info.level,
+                      g.name() << ": input " << id << " bound at level "
+                               << it->second.level << ", graph declares "
+                               << info.level);
             sched.value_bytes[id] = ciphertext_bytes(it->second);
             sched.live_bytes += sched.value_bytes[id];
             sched.values[id] = std::move(it->second);
@@ -526,18 +470,18 @@ Executor::init_sched(const Graph& g, Binding& inputs, Sched& sched) const
 }
 
 std::vector<Ciphertext>
-Executor::run(const Graph& g, Binding inputs, ExecStats* stats) const
+Executor::run(const Graph& g, Binding inputs, ExecStats* stats,
+              const analysis::ResourceSummary* predicted) const
 {
+    BTS_CHECK(predicted == nullptr ||
+                  predicted->nodes.size() == g.num_nodes(),
+              g.name() << ": predicted costs cover "
+                       << predicted->nodes.size() << " nodes of "
+                       << g.num_nodes());
     const std::shared_ptr<const Plan> plan_owner = plan_for(g);
     const Plan& plan = *plan_owner;
-    std::shared_ptr<const std::vector<double>> costs_owner;
-    {
-        std::lock_guard<std::mutex> lock(plans_mutex_);
-        auto it = node_costs_.find(g.uid());
-        if (it != node_costs_.end()) costs_owner = it->second;
-    }
     Sched sched;
-    sched.node_costs = costs_owner.get();
+    sched.predicted = predicted;
     init_sched(g, inputs, sched);
     sched.window = opts_.max_in_flight > 0
                        ? static_cast<std::size_t>(opts_.max_in_flight)
@@ -603,14 +547,7 @@ Executor::run_serial(const Graph& g, Binding inputs,
 {
     const std::shared_ptr<const Plan> plan_owner = plan_for(g);
     const Plan& plan = *plan_owner;
-    std::shared_ptr<const std::vector<double>> costs_owner;
-    {
-        std::lock_guard<std::mutex> lock(plans_mutex_);
-        auto it = node_costs_.find(g.uid());
-        if (it != node_costs_.end()) costs_owner = it->second;
-    }
     Sched sched;
-    sched.node_costs = costs_owner.get();
     init_sched(g, inputs, sched);
     sched.window = 1;
 

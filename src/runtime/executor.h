@@ -45,6 +45,10 @@
 
 namespace bts::runtime {
 
+namespace analysis {
+struct ResourceSummary;
+} // namespace analysis
+
 /** Borrowed library objects + key material a graph executes against.
  *  Everything is optional except eval/encoder; execution fails loudly
  *  at resolve time if a graph needs a resource that is null. */
@@ -66,8 +70,6 @@ struct ExecOptions
     /** Max concurrently-executing nodes; 0 = lanes. Bounding below
      *  lanes trades parallelism for a smaller live working set. */
     int max_in_flight = 0;
-    /** Check executed levels/scales against the graph metadata. */
-    bool check_metadata = true;
 };
 
 /** Observability for tests and the serving harness. nodes and the
@@ -123,31 +125,21 @@ class Executor
      * Execute @p g with @p inputs on the configured lanes; returns the
      * marked outputs in mark order. Rethrows the first node failure
      * after in-flight nodes quiesce. Bit-identical to run_serial().
+     *
+     * @p predicted, when given, is @p g's static resource analysis.
+     * Telemetry only: each node's dispatch span is tagged with its
+     * predicted cost (ResourceSummary::nodes[i].cost_s), closing the
+     * predicted-vs-measured loop in runtime/telemetry/profile.h.
+     * GraphServer passes each job's cached summary; without one,
+     * spans carry a zero cost tag.
      */
-    std::vector<Ciphertext> run(const Graph& g, Binding inputs,
-                                ExecStats* stats = nullptr) const;
+    std::vector<Ciphertext>
+    run(const Graph& g, Binding inputs, ExecStats* stats = nullptr,
+        const analysis::ResourceSummary* predicted = nullptr) const;
 
     /** Reference backend: same per-node execution, program order. */
     std::vector<Ciphertext> run_serial(const Graph& g, Binding inputs,
                                        ExecStats* stats = nullptr) const;
-
-    /** Drop cached per-graph plans (evk handles, CMult plaintexts).
-     *  Purely a memory release: plans are keyed by Graph::uid(), so a
-     *  new Graph can never hit a stale plan, and in-flight runs keep
-     *  their plan alive through a shared_ptr. */
-    void clear_plan_cache() const;
-
-    /**
-     * Install the statically predicted per-node costs for @p g (one
-     * entry per node, in node order — ResourceSummary::nodes'
-     * cost_s). Telemetry only: each node's dispatch span is tagged
-     * with its prediction, closing the predicted-vs-measured loop in
-     * runtime/telemetry/profile.h. GraphServer::register_graph calls
-     * this on every lane executor; uninstalled graphs trace with a
-     * zero cost tag. Keyed by Graph::uid(), so costs can never attach
-     * to the wrong graph.
-     */
-    void set_node_costs(const Graph& g, std::vector<double> cost_s) const;
 
   private:
     struct Plan;   // resolved evk handles + plaintext cache, per graph
@@ -170,11 +162,8 @@ class Executor
     EvalResources res_;
     ExecOptions opts_;
     std::unique_ptr<ThreadPool> pool_; //!< lanes > 1 only
-    mutable std::mutex plans_mutex_;   //!< guards plans_, node_costs_
+    mutable std::mutex plans_mutex_;   //!< guards plans_
     mutable std::map<u64, std::shared_ptr<const Plan>> plans_;
-    /** Predicted per-node costs (set_node_costs), by graph uid. */
-    mutable std::map<u64, std::shared_ptr<const std::vector<double>>>
-        node_costs_;
 };
 
 } // namespace bts::runtime

@@ -1,8 +1,10 @@
 #include "runtime/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <sstream>
 
 #include "common/check.h"
@@ -10,153 +12,261 @@
 
 namespace bts::runtime {
 
+namespace {
+
+using K = OpKind;
+using P = OpParams;
+using Key = KeyClass;
+
+// The op table: one row per OpKind, in enumerator order. Columns:
+// kind, name, builder name, ciphertext operands, plaintext slot,
+// parameters, key class, tolerates lazy inputs, may be lazy,
+// composite, fused parts. Lazy tolerance: add_mod debug-asserts
+// canonical inputs (HAdd/HSub/PAdd), add_const_inplace adds on raw
+// residues (CAdd) and the rescale's centered lift reads canonical
+// residues (HRescale); the rest reduce mod q first or are linear.
+// clang-format off
+constexpr OpInfo kOpTable[] = {
+    {K::kHMult,        "HMult",        "hmult",         2, -1, P::kNone,      Key::kMult,      true,  false, false, std::nullopt},
+    {K::kHRot,         "HRot",         "hrot",          1, -1, P::kRotation,  Key::kRotation,  true,  false, false, std::nullopt},
+    {K::kConj,         "Conj",         "conj",          1, -1, P::kNone,      Key::kConj,      true,  false, false, std::nullopt},
+    {K::kPMult,        "PMult",        "pmult",         1,  1, P::kNone,      Key::kNone,      true,  false, false, std::nullopt},
+    {K::kPAdd,         "PAdd",         "padd",          1,  1, P::kNone,      Key::kNone,      false, false, false, std::nullopt},
+    {K::kHAdd,         "HAdd",         "hadd",          2, -1, P::kNone,      Key::kNone,      false, true,  false, std::nullopt},
+    {K::kHSub,         "HSub",         "hsub",          2, -1, P::kNone,      Key::kNone,      false, true,  false, std::nullopt},
+    {K::kHRescale,     "HRescale",     "hrescale",      1, -1, P::kNone,      Key::kNone,      false, false, false, std::nullopt},
+    {K::kCMult,        "CMult",        "cmult",         1, -1, P::kConstant,  Key::kNone,      true,  false, false, std::nullopt},
+    {K::kCAdd,         "CAdd",         "cadd",          1, -1, P::kConstant,  Key::kNone,      false, false, false, std::nullopt},
+    {K::kModRaise,     "ModRaise",     "mod_raise",     1, -1, P::kNone,      Key::kNone,      true,  false, false, std::nullopt},
+    {K::kBootstrap,    "Bootstrap",    "bootstrap",     1, -1, P::kNone,      Key::kBootstrap, false, false, false, std::nullopt},
+    {K::kHRotHoisted,  "HRotHoisted",  "hrot_hoisted",  1, -1, P::kRotations, Key::kRotation,  true,  false, true,  std::nullopt},
+    {K::kHMultRescale, "HMultRescale", "hmult_rescale", 2, -1, P::kNone,      Key::kMult,      true,  false, true,  OpParts{K::kHMult, K::kHRescale}},
+    {K::kPMultRescale, "PMultRescale", "pmult_rescale", 1,  1, P::kNone,      Key::kNone,      true,  false, true,  OpParts{K::kPMult, K::kHRescale}},
+    {K::kCMultRescale, "CMultRescale", "cmult_rescale", 1, -1, P::kConstant,  Key::kNone,      true,  false, true,  OpParts{K::kCMult, K::kHRescale}},
+    {K::kCMultAdd,     "CMultAdd",     "cmult_add",     1, -1, P::kConstants, Key::kNone,      true,  false, true,  OpParts{K::kCMult, K::kCAdd}},
+};
+// clang-format on
+static_assert(std::size(kOpTable) == kNumOpKinds,
+              "the op table needs one row per OpKind");
+
+constexpr bool
+rows_in_kind_order()
+{
+    for (int i = 0; i < kNumOpKinds; ++i) {
+        if (kOpTable[i].kind != static_cast<OpKind>(i)) return false;
+        if (kOpTable[i].arity() > 2) return false;
+    }
+    return true;
+}
+static_assert(rows_in_kind_order(),
+              "row i must describe kind i and take at most two operands");
+
+} // namespace
+
+const OpInfo&
+op_info(OpKind kind)
+{
+    const int i = static_cast<int>(kind);
+    if (i < 0 || i >= kNumOpKinds) panic("unknown OpKind");
+    return kOpTable[i];
+}
+
 const char*
 op_name(OpKind kind)
 {
-    // Exhaustive switch, no default: adding an OpKind without updating
-    // this (and kNumOpKinds) is a -Wswitch error under -Werror.
-    switch (kind) {
-    case OpKind::kHMult: return "HMult";
-    case OpKind::kHRot: return "HRot";
-    case OpKind::kConj: return "Conj";
-    case OpKind::kPMult: return "PMult";
-    case OpKind::kPAdd: return "PAdd";
-    case OpKind::kHAdd: return "HAdd";
-    case OpKind::kHSub: return "HSub";
-    case OpKind::kHRescale: return "HRescale";
-    case OpKind::kCMult: return "CMult";
-    case OpKind::kCAdd: return "CAdd";
-    case OpKind::kModRaise: return "ModRaise";
-    case OpKind::kBootstrap: return "Bootstrap";
-    case OpKind::kHRotHoisted: return "HRotHoisted";
-    case OpKind::kHMultRescale: return "HMultRescale";
-    case OpKind::kPMultRescale: return "PMultRescale";
-    case OpKind::kCMultRescale: return "CMultRescale";
-    case OpKind::kCMultAdd: return "CMultAdd";
-    }
-    panic("unknown OpKind");
+    return op_info(kind).name;
 }
 
 bool
 op_needs_evk(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHMult:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kBootstrap: // streams many evks via its expansion
-    case OpKind::kHRotHoisted:
-    case OpKind::kHMultRescale:
-        return true;
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kHRescale:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-        return false;
-    }
-    panic("unknown OpKind");
+    return op_info(kind).key != KeyClass::kNone;
 }
 
 bool
 op_tolerates_lazy_input(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHMult:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMult:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMult:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-    case OpKind::kHRot:
-    case OpKind::kHRotHoisted:
-    case OpKind::kConj:
-    case OpKind::kModRaise:
-        return true;
-    case OpKind::kHAdd: // add_mod debug-asserts canonical inputs
-    case OpKind::kHSub:
-    case OpKind::kPAdd:
-    case OpKind::kCAdd:     // add_const_inplace adds on raw residues
-    case OpKind::kHRescale: // centered lift reads canonical residues
-    case OpKind::kBootstrap:
-        return false;
-    }
-    panic("unknown OpKind");
+    return op_info(kind).tolerates_lazy;
 }
 
 bool
 op_is_composite(OpKind kind)
 {
-    switch (kind) {
-    case OpKind::kHRotHoisted:
-    case OpKind::kHMultRescale:
-    case OpKind::kPMultRescale:
-    case OpKind::kCMultRescale:
-    case OpKind::kCMultAdd:
-        return true;
-    case OpKind::kHMult:
-    case OpKind::kHRot:
-    case OpKind::kConj:
-    case OpKind::kPMult:
-    case OpKind::kPAdd:
-    case OpKind::kHAdd:
-    case OpKind::kHSub:
-    case OpKind::kHRescale:
-    case OpKind::kCMult:
-    case OpKind::kCAdd:
-    case OpKind::kModRaise:
-    case OpKind::kBootstrap:
-        return false;
+    return op_info(kind).composite;
+}
+
+std::span<const int>
+node_rotations(const Node& n)
+{
+    switch (op_info(n.kind).params) {
+    case OpParams::kRotation: return {&n.rot_amount, 1};
+    case OpParams::kRotations: return n.amounts;
+    default: return {};
     }
-    panic("unknown OpKind");
 }
 
 namespace {
 
-/** Throw a builder validation failure as the same Diagnostic currency
- *  the static verifier emits (rule id, node index, op kind), so "node
- *  231 (hrescale): ..." reads identically whether it was raised while
- *  building the graph or while analyzing it. */
-[[noreturn]] void
-throw_node_error(const std::string& graph, std::size_t node_idx,
-                 const char* rule, const char* op, std::string msg)
+/** Fail @p r with a precondition: rule id, operand slot, message. */
+void
+fail(MetaResult& r, const char* rule, int operand, std::string message,
+     const char* hint)
 {
-    analysis::Diagnostic d;
-    d.rule = rule;
-    d.severity = analysis::Severity::kError;
-    d.node = static_cast<int>(node_idx);
-    d.op = op;
-    d.message = std::move(msg);
-    analysis::throw_diagnostic(graph, std::move(d));
+    r.rule = rule;
+    r.operand = operand;
+    r.message = std::move(message);
+    r.hint = hint;
 }
 
-/** Loose build-time scale agreement (the evaluator enforces the exact
- *  kScaleTolerance at run time; metadata is approximate bookkeeping). */
-void
-check_scales_close(const std::string& graph, double a, double b,
-                   const char* op, std::size_t node_idx)
+/** Operand scales must be positive and agree to kScaleAgreement
+ *  (loose: the evaluator enforces the exact kScaleTolerance at run
+ *  time; metadata is approximate bookkeeping). */
+bool
+scales_agree(MetaResult& r, double a, double b, const char* hint)
 {
     if (!(a > 0.0 && b > 0.0)) {
-        throw_node_error(graph, node_idx, "meta-scale", op,
-                         "operand scales must be positive");
+        fail(r, "meta-scale", 1, "operand scales must be positive", hint);
+        return false;
     }
-    if (!(std::abs(a / b - 1.0) < 1e-3)) {
+    if (!(std::abs(a / b - 1.0) < kScaleAgreement)) {
         std::ostringstream os;
         os << "operand scale metadata differs (" << a << " vs " << b
            << ")";
-        throw_node_error(graph, node_idx, "scale-mismatch", op,
-                         os.str());
+        fail(r, "scale-mismatch", 1, os.str(), hint);
+        return false;
     }
+    return true;
+}
+
+/** A plaintext operand (slot 1) must sit at or above the ciphertext's
+ *  level. */
+bool
+plain_covers(MetaResult& r, const ValueInfo& ct, const ValueInfo& pt)
+{
+    if (pt.level >= ct.level) return true;
+    fail(r, "meta-level", 1,
+         "plaintext level " + std::to_string(pt.level) +
+             " below the ciphertext's " + std::to_string(ct.level),
+         "encode the plaintext at (or above) the ciphertext level");
+    return false;
+}
+
+/** A rescale (or fused rescale) needs a prime left to drop: the
+ *  graph-level image of TraceBuilder's level-underflow guard. */
+bool
+can_drop(MetaResult& r, int level)
+{
+    if (level >= 1) return true;
+    fail(r, "level-budget", 0, "operand already at level 0",
+         "bootstrap before this point");
+    return false;
+}
+
+// Forced inline so Graph::append, which builds every node, pays no
+// call or result copy for it (graph building is sim-paper's set-up).
+[[gnu::always_inline]] inline MetaResult
+infer(OpKind kind, std::span<const ValueInfo* const> operands,
+      const GraphTraits& t)
+{
+    MetaResult r;
+    const ValueInfo& a = *operands[0];
+    // The second operand, for the binary kinds.
+    const auto b = [&]() -> const ValueInfo& { return *operands[1]; };
+    switch (kind) {
+    case OpKind::kHMult:
+        r.level = std::min(a.level, b().level);
+        r.scale = a.scale * b().scale;
+        break;
+    case OpKind::kHAdd:
+    case OpKind::kHSub:
+        if (!scales_agree(r, a.scale, b().scale,
+                          "rescale the larger operand first")) {
+            break;
+        }
+        r.level = std::min(a.level, b().level);
+        r.scale = a.scale;
+        break;
+    case OpKind::kPMult:
+        if (!plain_covers(r, a, b())) break;
+        r.level = a.level;
+        r.scale = a.scale * b().scale;
+        break;
+    case OpKind::kPAdd:
+        if (!plain_covers(r, a, b()) ||
+            !scales_agree(r, a.scale, b().scale,
+                          "encode the plaintext at the ciphertext's "
+                          "scale")) {
+            break;
+        }
+        r.level = a.level;
+        r.scale = a.scale;
+        break;
+    case OpKind::kHRot:
+    case OpKind::kConj:
+    case OpKind::kCAdd:
+    case OpKind::kHRotHoisted:
+        r.level = a.level;
+        r.scale = a.scale;
+        break;
+    case OpKind::kHRescale:
+        if (!can_drop(r, a.level)) break;
+        r.level = a.level - 1;
+        r.scale = a.scale / t.delta;
+        break;
+    case OpKind::kCMult:
+    case OpKind::kCMultAdd:
+        r.level = a.level;
+        r.scale = a.scale * t.delta;
+        break;
+    case OpKind::kModRaise:
+        if (a.level != 0) {
+            fail(r, "meta-level", 0,
+                 "expects an exhausted (level-0) value, got level " +
+                     std::to_string(a.level),
+                 "");
+            break;
+        }
+        r.level = t.max_level;
+        r.scale = a.scale;
+        break;
+    case OpKind::kBootstrap:
+        // Any input level: the refresh discards whatever levels remain
+        // (the Executor drops to level 0 first; the lowering expands
+        // the identical plan either way). Application graphs rely on
+        // this to refresh mid-circuit the moment their level budget
+        // runs short.
+        r.level = t.bootstrap_out_level;
+        r.scale = t.delta; // refresh lands on the canonical scale
+        break;
+    case OpKind::kHMultRescale:
+        r.level = std::min(a.level, b().level);
+        if (!can_drop(r, r.level)) break;
+        r.level -= 1;
+        r.scale = a.scale * b().scale / t.delta;
+        break;
+    case OpKind::kPMultRescale:
+        if (!plain_covers(r, a, b()) || !can_drop(r, a.level)) break;
+        r.level = a.level - 1;
+        r.scale = a.scale * b().scale / t.delta;
+        break;
+    case OpKind::kCMultRescale:
+        if (!can_drop(r, a.level)) break;
+        r.level = a.level - 1;
+        r.scale = a.scale; // * delta from the CMult, / delta from the
+                           // rescale
+        break;
+    }
+    return r;
 }
 
 } // namespace
+
+MetaResult
+infer_metadata(OpKind kind, std::span<const ValueInfo* const> operands,
+               const GraphTraits& t)
+{
+    return infer(kind, operands, t);
+}
 
 u64
 GraphUid::next()
@@ -214,351 +324,233 @@ Graph::plain_input(int level, double scale)
     return v;
 }
 
-// Every builder validation failure names the node being built — its
-// index and op kind — and carries the violated analysis rule id, so an
-// error deep inside a multi-hundred-node application graph reads like
-// a verifier diagnostic ("node 231 (hrescale): ..." instead of
-// "hrescale: ..."), and catch sites can recover the structured form
-// from analysis::VerifyError::diagnostics().
-#define BTS_NODE_CHECK(cond, rule, op, msg)                                 \
-    do {                                                                    \
-        if (!(cond)) {                                                      \
-            std::ostringstream bts_node_msg_;                               \
-            bts_node_msg_ << msg;                                           \
-            throw_node_error(name_, nodes_.size(), (rule), (op),            \
-                             bts_node_msg_.str());                          \
-        }                                                                   \
-    } while (0)
+namespace {
 
-const ValueInfo&
-Graph::use_cipher(Value v, const char* op)
+/** Throw a builder validation failure as the same Diagnostic currency
+ *  the static verifier emits (rule id, node index, op kind), so "node
+ *  231 (hrescale): ..." reads identically whether it was raised while
+ *  building the graph or while analyzing it, and catch sites can
+ *  recover the structured form from VerifyError::diagnostics(). */
+[[noreturn]] void
+throw_node_error(const std::string& graph, std::size_t node_idx,
+                 const char* rule, const char* op, std::string msg)
 {
-    BTS_NODE_CHECK(v.valid() && v.id < static_cast<int>(values_.size()),
-                   "structure-operand", op,
-                   "operand is not a value of this graph");
-    ValueInfo& info = values_[v.id];
-    BTS_NODE_CHECK(!info.is_plain, "structure-arity", op,
-                   "expected a ciphertext operand, value " << v.id
-                                                           << " is plain");
-    info.num_uses += 1;
-    return info;
+    analysis::Diagnostic d;
+    d.rule = rule;
+    d.severity = analysis::Severity::kError;
+    d.node = static_cast<int>(node_idx);
+    d.op = op;
+    d.message = std::move(msg);
+    analysis::throw_diagnostic(graph, std::move(d));
 }
 
-const ValueInfo&
-Graph::use_plain(Value v, const char* op)
-{
-    BTS_NODE_CHECK(v.valid() && v.id < static_cast<int>(values_.size()),
-                   "structure-operand", op,
-                   "operand is not a value of this graph");
-    ValueInfo& info = values_[v.id];
-    BTS_NODE_CHECK(info.is_plain, "structure-arity", op,
-                   "expected a plaintext operand, value "
-                       << v.id << " is a ciphertext");
-    info.num_uses += 1;
-    return info;
-}
+} // namespace
 
 Value
-Graph::append(Node node, ValueInfo out_info)
+Graph::append(Node n)
 {
-    out_info.producer = static_cast<int>(nodes_.size());
-    const Value out = fresh_value(out_info);
-    node.output = out.id;
-    node.outputs = {out.id};
-    nodes_.push_back(std::move(node));
-    return out;
+    const OpInfo& op = op_info(n.kind);
+    // Every failure names the node being built by its index and the
+    // op's builder spelling.
+    const auto reject = [&](const char* rule, std::string msg) {
+        throw_node_error(name_, nodes_.size(), rule, op.builder_name,
+                         std::move(msg));
+    };
+    if (static_cast<int>(n.inputs.size()) != op.arity()) {
+        reject("structure-arity", "takes " + std::to_string(op.arity()) +
+                                      " operand(s), got " +
+                                      std::to_string(n.inputs.size()));
+    }
+    std::array<const ValueInfo*, 2> operands{};
+    for (std::size_t s = 0; s < n.inputs.size(); ++s) {
+        const int id = n.inputs[s];
+        if (id < 0 || id >= static_cast<int>(values_.size())) {
+            reject("structure-operand",
+                   "operand is not a value of this graph");
+        }
+        const ValueInfo& info = values_[id];
+        if (info.is_plain != (static_cast<int>(s) == op.plain_slot)) {
+            reject("structure-arity",
+                   info.is_plain ? "expected a ciphertext operand, value " +
+                                       std::to_string(id) + " is plain"
+                                 : "expected a plaintext operand, value " +
+                                       std::to_string(id) +
+                                       " is a ciphertext");
+        }
+        operands[s] = &info;
+    }
+    if (op.params == OpParams::kRotation && n.rot_amount == 0) {
+        reject("structure-arity", "rotation amount must be nonzero");
+    }
+    if (op.params == OpParams::kRotations) {
+        if (n.amounts.empty()) {
+            reject("structure-arity", "needs at least one rotation amount");
+        }
+        for (const int r : n.amounts) {
+            if (r == 0) {
+                reject("structure-arity", "rotation amount must be nonzero");
+            }
+        }
+    }
+    if (n.lazy && !op.lazy_output) {
+        reject("lazy-contract", "only HAdd/HSub can produce lazy residues");
+    }
+    MetaResult meta =
+        infer(n.kind, std::span(operands.data(), n.inputs.size()), traits_);
+    if (!meta.ok()) {
+        reject(meta.rule, std::move(meta.message));
+    }
+
+    for (const int id : n.inputs) values_[id].num_uses += 1;
+    uses_conj_ = uses_conj_ || op.key == KeyClass::kConj;
+    uses_bootstrap_ = uses_bootstrap_ || op.key == KeyClass::kBootstrap;
+    ValueInfo out;
+    out.level = meta.level;
+    out.scale = meta.scale;
+    out.producer = static_cast<int>(nodes_.size());
+    const std::size_t count =
+        op.params == OpParams::kRotations ? n.amounts.size() : 1;
+    n.outputs.clear();
+    n.outputs.reserve(count);
+    for (std::size_t k = 0; k < count; ++k) {
+        n.outputs.push_back(fresh_value(out).id);
+    }
+    n.output = n.outputs[0];
+    nodes_.push_back(std::move(n));
+    return Value{nodes_.back().output};
 }
+
+namespace {
+
+Node
+op_node(OpKind kind, std::initializer_list<int> inputs)
+{
+    Node n;
+    n.kind = kind;
+    n.inputs = inputs;
+    return n;
+}
+
+Node
+const_node(OpKind kind, Value ct, Complex c, Complex c2 = {})
+{
+    Node n = op_node(kind, {ct.id});
+    n.constant = c;
+    n.constant2 = c2;
+    return n;
+}
+
+} // namespace
 
 Value
 Graph::hmult(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hmult");
-    const ValueInfo& ib = use_cipher(b, "hmult");
-    Node n;
-    n.kind = OpKind::kHMult;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale * ib.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kHMult, {a.id, b.id}));
 }
 
 Value
 Graph::hadd(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hadd");
-    const ValueInfo& ib = use_cipher(b, "hadd");
-    check_scales_close(name_, ia.scale, ib.scale, "hadd", nodes_.size());
-    Node n;
-    n.kind = OpKind::kHAdd;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kHAdd, {a.id, b.id}));
 }
 
 Value
 Graph::hsub(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hsub");
-    const ValueInfo& ib = use_cipher(b, "hsub");
-    check_scales_close(name_, ia.scale, ib.scale, "hsub", nodes_.size());
-    Node n;
-    n.kind = OpKind::kHSub;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = std::min(ia.level, ib.level);
-    out.scale = ia.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kHSub, {a.id, b.id}));
 }
 
 Value
 Graph::pmult(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "pmult");
-    const ValueInfo& ip = use_plain(pt, "pmult");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "pmult",
-                   "plaintext level " << ip.level
-                                      << " below the ciphertext's "
-                                      << ic.level);
-    Node n;
-    n.kind = OpKind::kPMult;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * ip.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kPMult, {ct.id, pt.id}));
 }
 
 Value
 Graph::padd(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "padd");
-    const ValueInfo& ip = use_plain(pt, "padd");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "padd",
-                   "plaintext level below the ciphertext's");
-    check_scales_close(name_, ic.scale, ip.scale, "padd", nodes_.size());
-    Node n;
-    n.kind = OpKind::kPAdd;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kPAdd, {ct.id, pt.id}));
 }
 
 Value
 Graph::hrot(Value ct, int amount)
 {
-    const ValueInfo& ic = use_cipher(ct, "hrot");
-    BTS_NODE_CHECK(amount != 0, "structure-arity", "hrot",
-                   "rotation amount must be nonzero");
-    Node n;
-    n.kind = OpKind::kHRot;
-    n.inputs = {ct.id};
+    Node n = op_node(OpKind::kHRot, {ct.id});
     n.rot_amount = amount;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return append(std::move(n));
 }
 
 Value
 Graph::conj(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "conj");
-    uses_conj_ = true;
-    Node n;
-    n.kind = OpKind::kConj;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kConj, {ct.id}));
 }
 
 Value
 Graph::hrescale(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "hrescale");
-    // The graph-level image of TraceBuilder's level-underflow guard:
-    // rescaling a level-0 value has no prime left to drop.
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "hrescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kHRescale;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale / traits_.delta;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kHRescale, {ct.id}));
 }
 
 Value
 Graph::cmult(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult");
-    Node n;
-    n.kind = OpKind::kCMult;
-    n.inputs = {ct.id};
-    n.constant = c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * traits_.delta;
-    return append(std::move(n), out);
+    return append(const_node(OpKind::kCMult, ct, c));
 }
 
 Value
 Graph::cadd(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cadd");
-    Node n;
-    n.kind = OpKind::kCAdd;
-    n.inputs = {ct.id};
-    n.constant = c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return append(const_node(OpKind::kCAdd, ct, c));
 }
 
 Value
 Graph::mod_raise(Value ct)
 {
-    const ValueInfo& ic = use_cipher(ct, "mod_raise");
-    BTS_NODE_CHECK(ic.level == 0, "meta-level", "mod_raise",
-                   "expects an exhausted (level-0) value, got level "
-                       << ic.level);
-    Node n;
-    n.kind = OpKind::kModRaise;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = traits_.max_level;
-    out.scale = ic.scale;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kModRaise, {ct.id}));
 }
 
 Value
 Graph::bootstrap(Value ct)
 {
-    // Unlike mod_raise, bootstrap accepts ANY input level: the refresh
-    // discards whatever levels remain (the Executor drops to level 0
-    // first; the lowering expands the identical plan either way).
-    // Application graphs rely on this to refresh mid-circuit the
-    // moment their level budget runs short.
-    use_cipher(ct, "bootstrap");
-    uses_bootstrap_ = true;
-    Node n;
-    n.kind = OpKind::kBootstrap;
-    n.inputs = {ct.id};
-    ValueInfo out;
-    out.level = traits_.bootstrap_out_level;
-    out.scale = traits_.delta; // refresh lands on the canonical scale
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kBootstrap, {ct.id}));
 }
 
 std::vector<Value>
 Graph::hrot_hoisted(Value ct, const std::vector<int>& amounts)
 {
-    // Copy, not reference: fresh_value() below grows the value table,
-    // which would invalidate a reference into it mid-loop.
-    const ValueInfo ic = use_cipher(ct, "hrot_hoisted");
-    BTS_NODE_CHECK(!amounts.empty(), "structure-arity", "hrot_hoisted",
-                   "needs at least one rotation amount");
-    for (const int r : amounts) {
-        BTS_NODE_CHECK(r != 0, "structure-arity", "hrot_hoisted",
-                       "rotation amount must be nonzero");
-    }
-    Node n;
-    n.kind = OpKind::kHRotHoisted;
-    n.inputs = {ct.id};
+    Node n = op_node(OpKind::kHRotHoisted, {ct.id});
     n.amounts = amounts;
-    n.output = -1;
-    const int producer = static_cast<int>(nodes_.size());
+    append(std::move(n));
+    const std::vector<int>& ids = nodes_.back().outputs;
     std::vector<Value> outs;
-    outs.reserve(amounts.size());
-    for (std::size_t k = 0; k < amounts.size(); ++k) {
-        ValueInfo out;
-        out.level = ic.level;
-        out.scale = ic.scale;
-        out.producer = producer;
-        const Value v = fresh_value(out);
-        n.outputs.push_back(v.id);
-        outs.push_back(v);
-    }
-    n.output = n.outputs[0];
-    nodes_.push_back(std::move(n));
+    outs.reserve(ids.size());
+    for (const int id : ids) outs.push_back(Value{id});
     return outs;
 }
 
 Value
 Graph::hmult_rescale(Value a, Value b)
 {
-    const ValueInfo& ia = use_cipher(a, "hmult_rescale");
-    const ValueInfo& ib = use_cipher(b, "hmult_rescale");
-    const int level = std::min(ia.level, ib.level);
-    BTS_NODE_CHECK(level >= 1, "level-budget", "hmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kHMultRescale;
-    n.inputs = {a.id, b.id};
-    ValueInfo out;
-    out.level = level - 1;
-    out.scale = ia.scale * ib.scale / traits_.delta;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kHMultRescale, {a.id, b.id}));
 }
 
 Value
 Graph::pmult_rescale(Value ct, Value pt)
 {
-    const ValueInfo& ic = use_cipher(ct, "pmult_rescale");
-    const ValueInfo& ip = use_plain(pt, "pmult_rescale");
-    BTS_NODE_CHECK(ip.level >= ic.level, "meta-level", "pmult_rescale",
-                   "plaintext level " << ip.level
-                                      << " below the ciphertext's "
-                                      << ic.level);
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "pmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kPMultRescale;
-    n.inputs = {ct.id, pt.id};
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale * ip.scale / traits_.delta;
-    return append(std::move(n), out);
+    return append(op_node(OpKind::kPMultRescale, {ct.id, pt.id}));
 }
 
 Value
 Graph::cmult_rescale(Value ct, Complex c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult_rescale");
-    BTS_NODE_CHECK(ic.level >= 1, "level-budget", "cmult_rescale",
-                   "operand already at level 0");
-    Node n;
-    n.kind = OpKind::kCMultRescale;
-    n.inputs = {ct.id};
-    n.constant = c;
-    ValueInfo out;
-    out.level = ic.level - 1;
-    out.scale = ic.scale; // * delta from the CMult, / delta from the
-                          // rescale
-    return append(std::move(n), out);
+    return append(const_node(OpKind::kCMultRescale, ct, c));
 }
 
 Value
 Graph::cmult_add(Value ct, Complex mul_c, Complex add_c)
 {
-    const ValueInfo& ic = use_cipher(ct, "cmult_add");
-    Node n;
-    n.kind = OpKind::kCMultAdd;
-    n.inputs = {ct.id};
-    n.constant = mul_c;
-    n.constant2 = add_c;
-    ValueInfo out;
-    out.level = ic.level;
-    out.scale = ic.scale * traits_.delta;
-    return append(std::move(n), out);
+    return append(const_node(OpKind::kCMultAdd, ct, mul_c, add_c));
 }
 
 void
@@ -581,7 +573,7 @@ Graph::mark_lazy(std::size_t node_idx)
     BTS_CHECK(node_idx < nodes_.size(),
               "mark_lazy: node index out of range");
     Node& n = nodes_[node_idx];
-    if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) {
+    if (!op_info(n.kind).lazy_output) {
         throw_node_error(name_, node_idx, "lazy-contract",
                          op_name(n.kind),
                          "only HAdd/HSub can produce lazy residues");
@@ -602,11 +594,8 @@ Graph::required_rotations() const
 {
     std::vector<int> amounts;
     for (const Node& n : nodes_) {
-        if (n.kind == OpKind::kHRot) amounts.push_back(n.rot_amount);
-        if (n.kind == OpKind::kHRotHoisted) {
-            amounts.insert(amounts.end(), n.amounts.begin(),
-                           n.amounts.end());
-        }
+        const std::span<const int> rots = node_rotations(n);
+        amounts.insert(amounts.end(), rots.begin(), rots.end());
     }
     std::sort(amounts.begin(), amounts.end());
     amounts.erase(std::unique(amounts.begin(), amounts.end()),
@@ -645,9 +634,10 @@ Graph::debug_string() const
     }
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const Node& n = nodes_[i];
+        const OpParams params = op_info(n.kind).params;
         oss << "n" << i << ": " << op_name(n.kind);
         if (n.lazy) oss << "[lazy]";
-        if (n.kind == OpKind::kHRot) oss << " by " << n.rot_amount;
+        if (params == OpParams::kRotation) oss << " by " << n.rot_amount;
         if (!n.amounts.empty()) {
             oss << " by {";
             for (std::size_t k = 0; k < n.amounts.size(); ++k) {
@@ -655,13 +645,12 @@ Graph::debug_string() const
             }
             oss << "}";
         }
-        if (n.kind == OpKind::kCMult || n.kind == OpKind::kCAdd ||
-            n.kind == OpKind::kCMultRescale ||
-            n.kind == OpKind::kCMultAdd) {
+        if (params == OpParams::kConstant ||
+            params == OpParams::kConstants) {
             oss << " c=(" << n.constant.real() << ","
                 << n.constant.imag() << ")";
         }
-        if (n.kind == OpKind::kCMultAdd) {
+        if (params == OpParams::kConstants) {
             oss << " c2=(" << n.constant2.real() << ","
                 << n.constant2.imag() << ")";
         }

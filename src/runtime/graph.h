@@ -16,10 +16,19 @@
  * (the same set sim::HeOpKind schedules) plus one composite:
  * kBootstrap, which the Executor runs via a Bootstrapper and the
  * lowering expands into the full ModRaise/CtS/EvalMod/StC plan.
+ *
+ * Every per-kind fact lives here once: the op table (op_info: names,
+ * operand signature, key class, lazy tolerance, a fused kind's parts)
+ * and the metadata rule (infer_metadata: output level and scale, or
+ * the first failed precondition). The builder, the static verifier,
+ * the pass pipeline, the Executor's key resolution, the resource
+ * analyzer and lower_to_trace all read them.
  */
 #pragma once
 
 #include <complex>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,7 +68,69 @@ enum class OpKind {
 
 inline constexpr int kNumOpKinds = 17;
 
-/** Human-readable kind name (exhaustive; never returns null). */
+/** The evaluation key (or refresh machinery) an op streams. */
+enum class KeyClass {
+    kNone,
+    kMult,      //!< the relinearization key
+    kRotation,  //!< one rotation key per amount (node_rotations)
+    kConj,      //!< the conjugation key
+    kBootstrap, //!< a bound Bootstrapper
+};
+
+/** The node parameters an op reads besides its operands. */
+enum class OpParams {
+    kNone,
+    kRotation,  //!< Node::rot_amount, nonzero
+    kRotations, //!< Node::amounts, nonempty and all nonzero; the node
+                //!< defines one output per amount
+    kConstant,  //!< Node::constant
+    kConstants, //!< Node::constant, then Node::constant2
+};
+
+/** The primitive pair a fused kind collapses: @p first runs on the
+ *  node's operands and @p second consumes its single result. */
+struct OpParts
+{
+    OpKind first;
+    OpKind second;
+};
+
+/** One OpKind's row of the op table. */
+struct OpInfo
+{
+    OpKind kind;              //!< row i describes kind i
+    const char* name;         //!< op_name spelling, e.g. "HRescale"
+    const char* builder_name; //!< builder diagnostics, e.g. "hrescale"
+    // ----- signature -----
+    int ciphers;    //!< ciphertext operands
+    int plain_slot; //!< operand slot that takes a plaintext; -1: none
+    OpParams params;
+    KeyClass key;
+    /** Can consume a lazy [0, 2q) residue operand without
+     *  canonicalization first: ops whose first step reduces mod q
+     *  anyway, or whose math is linear in the residue representation. */
+    bool tolerates_lazy;
+    /** May itself carry a lazy mark (Node::lazy). */
+    bool lazy_output;
+    /** Only the pass pipeline emits it (legal to build directly);
+     *  lowering expands it back to primitives. */
+    bool composite;
+    /** The four fused kinds only: the primitives they fuse. */
+    std::optional<OpParts> parts;
+
+    /** Operand count: the ciphertexts plus the plaintext, if any. */
+    constexpr int
+    arity() const
+    {
+        return ciphers + (plain_slot >= 0 ? 1 : 0);
+    }
+};
+
+/** @p kind's row of the op table; throws std::logic_error for a value
+ *  outside the enumerators. */
+const OpInfo& op_info(OpKind kind);
+
+/** Human-readable kind name (never returns null). */
 const char* op_name(OpKind kind);
 
 /** @return true if the op streams an evaluation key. */
@@ -71,10 +142,9 @@ bool op_needs_evk(OpKind kind);
 bool op_is_composite(OpKind kind);
 
 /** @return true if the op can consume a lazy [0, 2q) residue operand
- *  without canonicalization first: ops whose first step reduces mod q
- *  anyway, or whose math is linear in the residue representation. The
- *  lazy-residue pass plants marks under this predicate and the static
- *  verifier's lazy-contract rule re-checks them (docs/PASSES.md). */
+ *  without canonicalization first. The lazy-residue pass plants marks
+ *  under this predicate and the static verifier's lazy-contract rule
+ *  re-checks them (docs/PASSES.md). */
 bool op_tolerates_lazy_input(OpKind kind);
 
 /**
@@ -167,12 +237,50 @@ struct Node
     bool lazy = false;
 };
 
+/** The rotation amounts a kRotation-class node needs keys for:
+ *  {rot_amount} for kHRot, amounts for kHRotHoisted, empty otherwise. */
+std::span<const int> node_rotations(const Node& n);
+
+/**
+ * The metadata rule's verdict for one node: the output level and
+ * scale (every output of a multi-output node shares them), or the
+ * first failed precondition.
+ */
+struct MetaResult
+{
+    int level = 0;
+    double scale = 1.0;
+    /** Failed precondition: its rule id (null when the node is valid),
+     *  the offending operand slot, the message and a fix hint. */
+    const char* rule = nullptr;
+    int operand = -1;
+    std::string message;
+    const char* hint = "";
+
+    bool ok() const { return rule == nullptr; }
+};
+
+/** The relative operand-scale agreement add, sub and PAdd require. */
+inline constexpr double kScaleAgreement = 1e-3;
+
+/**
+ * Apply @p kind's metadata rule to its operands' stored metadata
+ * (@p operands, one per operand slot, signature already checked) under
+ * @p traits. The builder stores the result; the verifier re-applies
+ * the rule to stored metadata and compares. Builds no string unless a
+ * precondition fails.
+ */
+MetaResult infer_metadata(OpKind kind,
+                          std::span<const ValueInfo* const> operands,
+                          const GraphTraits& traits);
+
 /**
  * The computation graph. Build by declaring inputs and appending ops;
- * every builder method validates operand kinds/levels and infers the
- * output metadata, so malformed programs (rescale below level 0,
- * ModRaise of a non-exhausted ciphertext, plaintext level too low for
- * its consumer) fail at construction, not mid-execution.
+ * every builder method is one call into append(), which checks the
+ * node against its op-table signature and applies the metadata rule,
+ * so malformed programs (rescale below level 0, ModRaise of a
+ * non-exhausted ciphertext, plaintext level too low for its consumer)
+ * fail at construction, not mid-execution.
  *
  * Nodes are stored in creation order, which is a topological order by
  * construction (operands must already exist).
@@ -242,6 +350,18 @@ class Graph
     /** Fused CMult+CAdd: ct * mul_c + add_c (scale grows by delta). */
     Value cmult_add(Value ct, Complex mul_c, Complex add_c);
 
+    /**
+     * The one validating append behind every builder method and the
+     * pass pipeline's replay. @p n supplies the kind, operand ids,
+     * parameters and lazy mark; its output fields are assigned here,
+     * one fresh value per output. Checks the op-table signature and
+     * the lazy mark, applies infer_metadata and throws the first
+     * violation as a single-diagnostic analysis::VerifyError naming
+     * the node ("node 231 (hrescale): ..."); on success counts the
+     * operand uses and returns the first output.
+     */
+    Value append(Node n);
+
     /** Mark @p v as a graph output (kept live; returned by the
      *  executor in mark order). A value can be marked only once. */
     void mark_output(Value v);
@@ -290,10 +410,6 @@ class Graph
 
   private:
     Value fresh_value(ValueInfo info);
-    /** Validate a ciphertext operand and count the use. */
-    const ValueInfo& use_cipher(Value v, const char* op);
-    const ValueInfo& use_plain(Value v, const char* op);
-    Value append(Node node, ValueInfo out_info);
 
     GraphUid uid_;
     std::string name_;

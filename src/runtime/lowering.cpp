@@ -88,27 +88,20 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
             }
             return;
         }
-        if (op_is_composite(n.kind)) {
-            const sim::HeOpKind first =
-                n.kind == OpKind::kHMultRescale ? sim::HeOpKind::kHMult
-                : n.kind == OpKind::kPMultRescale
-                    ? sim::HeOpKind::kPMult
-                    : sim::HeOpKind::kCMult;
-            const sim::HeOpKind second = n.kind == OpKind::kCMultAdd
-                                             ? sim::HeOpKind::kCAdd
-                                             : sim::HeOpKind::kHRescale;
+        if (const std::optional<OpParts>& parts = op_info(n.kind).parts) {
             // Both primitives execute at the pre-drop level: output
-            // level + 1 for the rescale fusions (CMult+CAdd is
-            // level-preserving).
+            // level + 1 when the second part is the rescale (CMult+CAdd
+            // is level-preserving).
             const int mid_level =
                 g.value(n.output).level +
-                (n.kind == OpKind::kCMultAdd ? 0 : 1);
+                (parts->second == OpKind::kHRescale ? 1 : 0);
             std::vector<int> inputs;
             inputs.reserve(n.inputs.size());
             for (const int in : n.inputs) inputs.push_back(obj(in));
-            const int mid =
-                b.add(first, mid_level, std::move(inputs), 0);
-            object[n.output] = b.add(second, mid_level, {mid}, 0);
+            const int mid = b.add(to_sim_kind(parts->first), mid_level,
+                                  std::move(inputs), 0);
+            object[n.output] =
+                b.add(to_sim_kind(parts->second), mid_level, {mid}, 0);
             return;
         }
         // The level an op *executes at*: HRescale still holds the

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <ostream>
+#include <utility>
 
 #include "common/check.h"
 #include "runtime/analysis/verifier.h"
@@ -60,55 +62,37 @@ replay(const Graph& g, EmitNode&& emit_node)
     return rw;
 }
 
-/** Re-emit node @p idx of @p g unchanged (operands translated through
- *  @p map), filling the map entries for its outputs. */
+/** A copy of @p n with its operands translated through @p map. */
+Node
+remapped(const Node& n, const std::vector<int>& map)
+{
+    Node copy = n;
+    for (int& in : copy.inputs) {
+        in = map[in];
+        BTS_ASSERT(in >= 0, "operand of a live node was eliminated");
+    }
+    return copy;
+}
+
+/** Append @p copy (operands already translated) through the validating
+ *  builder and map @p n's outputs to the new node's, in order. */
+void
+emit(Graph& out, Node copy, const Node& n, std::vector<int>& map)
+{
+    out.append(std::move(copy));
+    const std::vector<int>& made = out.nodes().back().outputs;
+    for (std::size_t k = 0; k < n.outputs.size(); ++k) {
+        map[n.outputs[k]] = made[k];
+    }
+}
+
+/** Re-emit node @p idx of @p g unchanged, lazy mark included. */
 void
 emit_same(Graph& out, const Graph& g, std::size_t idx,
           std::vector<int>& map)
 {
     const Node& n = g.node(idx);
-    const auto in = [&](std::size_t slot) {
-        const int mapped = map[n.inputs[slot]];
-        BTS_ASSERT(mapped >= 0, "operand of a live node was eliminated");
-        return Value{mapped};
-    };
-    Value v;
-    switch (n.kind) {
-    case OpKind::kHMult: v = out.hmult(in(0), in(1)); break;
-    case OpKind::kHAdd: v = out.hadd(in(0), in(1)); break;
-    case OpKind::kHSub: v = out.hsub(in(0), in(1)); break;
-    case OpKind::kPMult: v = out.pmult(in(0), in(1)); break;
-    case OpKind::kPAdd: v = out.padd(in(0), in(1)); break;
-    case OpKind::kHRot: v = out.hrot(in(0), n.rot_amount); break;
-    case OpKind::kConj: v = out.conj(in(0)); break;
-    case OpKind::kHRescale: v = out.hrescale(in(0)); break;
-    case OpKind::kCMult: v = out.cmult(in(0), n.constant); break;
-    case OpKind::kCAdd: v = out.cadd(in(0), n.constant); break;
-    case OpKind::kModRaise: v = out.mod_raise(in(0)); break;
-    case OpKind::kBootstrap: v = out.bootstrap(in(0)); break;
-    case OpKind::kHMultRescale:
-        v = out.hmult_rescale(in(0), in(1));
-        break;
-    case OpKind::kPMultRescale:
-        v = out.pmult_rescale(in(0), in(1));
-        break;
-    case OpKind::kCMultRescale:
-        v = out.cmult_rescale(in(0), n.constant);
-        break;
-    case OpKind::kCMultAdd:
-        v = out.cmult_add(in(0), n.constant, n.constant2);
-        break;
-    case OpKind::kHRotHoisted: {
-        const std::vector<Value> outs =
-            out.hrot_hoisted(in(0), n.amounts);
-        for (std::size_t k = 0; k < outs.size(); ++k) {
-            map[n.outputs[k]] = outs[k].id;
-        }
-        return;
-    }
-    }
-    if (n.lazy) out.mark_lazy(out.num_nodes() - 1);
-    map[n.output] = v.id;
+    emit(out, remapped(n, map), n, map);
 }
 
 // --------------------------------------------------------------------
@@ -122,6 +106,19 @@ emit_same(Graph& out, const Graph& g, std::size_t idx,
 // hand placements stay authoritative — the pass exists so builders
 // can stop writing them at all.
 // --------------------------------------------------------------------
+
+/** The waterline rule's consumers: ops that multiply ciphertexts,
+ *  read an operand encoded at delta (a plaintext or a constant) or
+ *  refresh need their ciphertext operands at reduced scale. Rotation,
+ *  conjugation, rescale and ModRaise are scale-agnostic, and add/sub
+ *  only needs its operands to agree. */
+bool
+needs_reduced_operands(const OpInfo& op)
+{
+    return op.key == KeyClass::kMult || op.key == KeyClass::kBootstrap ||
+           op.plain_slot >= 0 || op.params == OpParams::kConstant ||
+           op.params == OpParams::kConstants;
+}
 
 Rewrite
 place_rescales(const Graph& g, PassStats& stats)
@@ -148,79 +145,33 @@ place_rescales(const Graph& g, PassStats& stats)
             memo.emplace(new_id, r.id);
             return r.id;
         };
-        const auto in_id = [&](std::size_t slot) {
-            const int mapped = map[n.inputs[slot]];
-            BTS_ASSERT(mapped >= 0, "operand eliminated");
-            return mapped;
-        };
 
-        Value v;
-        switch (n.kind) {
-        case OpKind::kHMult:
-            v = out.hmult(Value{reduced(in_id(0))},
-                          Value{reduced(in_id(1))});
-            break;
-        case OpKind::kHMultRescale:
-            v = out.hmult_rescale(Value{reduced(in_id(0))},
-                                  Value{reduced(in_id(1))});
-            break;
-        case OpKind::kPMult:
-            v = out.pmult(Value{reduced(in_id(0))}, Value{in_id(1)});
-            break;
-        case OpKind::kPMultRescale:
-            v = out.pmult_rescale(Value{reduced(in_id(0))},
-                                  Value{in_id(1)});
-            break;
-        case OpKind::kCMult:
-            v = out.cmult(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kCMultRescale:
-            v = out.cmult_rescale(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kCMultAdd:
-            v = out.cmult_add(Value{reduced(in_id(0))}, n.constant,
-                              n.constant2);
-            break;
-        case OpKind::kCAdd:
-            v = out.cadd(Value{reduced(in_id(0))}, n.constant);
-            break;
-        case OpKind::kPAdd:
-            v = out.padd(Value{reduced(in_id(0))}, Value{in_id(1)});
-            break;
-        case OpKind::kBootstrap:
-            v = out.bootstrap(Value{reduced(in_id(0))});
-            break;
-        case OpKind::kHAdd:
-        case OpKind::kHSub: {
+        Node copy = remapped(n, map);
+        const OpInfo& op = op_info(n.kind);
+        if (needs_reduced_operands(op)) {
+            for (std::size_t s = 0; s < copy.inputs.size(); ++s) {
+                if (static_cast<int>(s) != op.plain_slot) {
+                    copy.inputs[s] = reduced(copy.inputs[s]);
+                }
+            }
+        } else if (n.kind == OpKind::kHAdd || n.kind == OpKind::kHSub) {
             // Scale-preserving, but a mismatch (one operand still at
             // delta^2, the other already rescaled) must be repaired by
             // rescaling the larger side — otherwise pass through and
             // defer any shared obligation to the consumers.
-            int a = in_id(0), b = in_id(1);
+            int& a = copy.inputs[0];
+            int& b = copy.inputs[1];
             const double sa = out.value(a).scale;
             const double sb = out.value(b).scale;
-            if (std::abs(sa / sb - 1.0) >= 1e-3) {
+            if (std::abs(sa / sb - 1.0) >= kScaleAgreement) {
                 if (sa > sb) {
                     a = reduced(a);
                 } else {
                     b = reduced(b);
                 }
             }
-            v = n.kind == OpKind::kHAdd ? out.hadd(Value{a}, Value{b})
-                                        : out.hsub(Value{a}, Value{b});
-            if (n.lazy) out.mark_lazy(out.num_nodes() - 1);
-            map[n.output] = v.id;
-            return;
         }
-        case OpKind::kHRot:
-        case OpKind::kConj:
-        case OpKind::kHRescale:
-        case OpKind::kModRaise:
-        case OpKind::kHRotHoisted:
-            emit_same(out, g, idx, map);
-            return;
-        }
-        map[n.output] = v.id;
+        emit(out, std::move(copy), n, map);
     });
 }
 
@@ -333,13 +284,34 @@ group_rotations(const Graph& g, PassStats& stats)
 }
 
 // --------------------------------------------------------------------
-// Pass 4: fusion. A multiplication whose single consumer is the
-// matching follow-up op — HRescale after HMult/PMult/CMult, CAdd
-// after CMult — collapses with it into one fused node dispatched as a
+// Pass 4: fusion. A producer whose single consumer completes one of
+// the op table's fused pairs — HRescale after HMult/PMult/CMult, CAdd
+// after CMult — collapses with it into the fused kind, dispatched as a
 // single evaluator call (one scheduler hop, no intermediate value).
-// Legal only when the intermediate has exactly one consumer and is
-// not itself a graph output.
+// Legal only when the intermediate has exactly one consumer and is not
+// itself a graph output.
 // --------------------------------------------------------------------
+
+/** The fused kind whose parts are (@p first, @p second), if any. */
+std::optional<OpKind>
+fused_kind(OpKind first, OpKind second)
+{
+    // Gathered once from the op table's parts columns.
+    static const std::map<std::pair<OpKind, OpKind>, OpKind> fusions = [] {
+        std::map<std::pair<OpKind, OpKind>, OpKind> m;
+        for (int k = 0; k < kNumOpKinds; ++k) {
+            const OpInfo& op = op_info(static_cast<OpKind>(k));
+            if (op.parts) {
+                m.emplace(std::pair(op.parts->first, op.parts->second),
+                          op.kind);
+            }
+        }
+        return m;
+    }();
+    const auto it = fusions.find({first, second});
+    if (it == fusions.end()) return std::nullopt;
+    return it->second;
+}
 
 Rewrite
 fuse_pairs(const Graph& g, PassStats& stats)
@@ -348,23 +320,18 @@ fuse_pairs(const Graph& g, PassStats& stats)
     std::vector<char> is_out(g.num_values(), 0);
     for (const int id : g.outputs()) is_out[id] = 1;
 
-    // fused_consumer[i] = j: producer node i absorbs consumer node j.
+    // fused_consumer[i] = j: producer node i absorbs consumer node j
+    // into the kind fused_as[i].
     std::vector<int> fused_consumer(g.num_nodes(), -1);
+    std::vector<std::optional<OpKind>> fused_as(g.num_nodes());
     std::vector<char> absorbed(g.num_nodes(), 0);
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        if (n.kind != OpKind::kHMult && n.kind != OpKind::kPMult &&
-            n.kind != OpKind::kCMult) {
-            continue;
-        }
         if (is_out[n.output] || users[n.output].size() != 1) continue;
         const std::size_t j =
             static_cast<std::size_t>(users[n.output][0]);
-        const OpKind ck = g.node(j).kind;
-        const bool match =
-            (ck == OpKind::kHRescale) ||
-            (n.kind == OpKind::kCMult && ck == OpKind::kCAdd);
-        if (!match) continue;
+        fused_as[i] = fused_kind(n.kind, g.node(j).kind);
+        if (!fused_as[i]) continue;
         fused_consumer[i] = static_cast<int>(j);
         absorbed[j] = 1;
         ++stats.ops_fused;
@@ -380,23 +347,15 @@ fuse_pairs(const Graph& g, PassStats& stats)
         }
         const Node& c =
             g.node(static_cast<std::size_t>(fused_consumer[idx]));
-        const auto in = [&](std::size_t slot) {
-            const int mapped = map[n.inputs[slot]];
-            BTS_ASSERT(mapped >= 0, "operand eliminated");
-            return Value{mapped};
-        };
-        Value v;
-        if (n.kind == OpKind::kHMult) {
-            v = out.hmult_rescale(in(0), in(1));
-        } else if (n.kind == OpKind::kPMult) {
-            v = out.pmult_rescale(in(0), in(1));
-        } else if (c.kind == OpKind::kHRescale) {
-            v = out.cmult_rescale(in(0), n.constant);
-        } else {
-            v = out.cmult_add(in(0), n.constant, c.constant);
+        // The producer's operands and constant; a consumer constant
+        // (CAdd's) becomes the fused node's second constant.
+        Node fused = remapped(n, map);
+        fused.kind = *fused_as[idx];
+        if (op_info(c.kind).params == OpParams::kConstant) {
+            fused.constant2 = c.constant;
         }
         map[n.output] = -1; // the intermediate no longer exists
-        map[c.output] = v.id;
+        map[c.output] = out.append(std::move(fused)).id;
     });
 }
 
@@ -418,8 +377,7 @@ propagate_lazy(Graph& g, PassStats& stats)
     for (const int id : g.outputs()) is_out[id] = 1;
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
-        if (n.kind != OpKind::kHAdd && n.kind != OpKind::kHSub) continue;
-        if (n.lazy) continue;
+        if (!op_info(n.kind).lazy_output || n.lazy) continue;
         if (is_out[n.output] || users[n.output].empty()) continue;
         bool ok = true;
         for (const int u : users[n.output]) {

@@ -140,8 +140,10 @@ GraphServer::register_graph(const Graph& g, const passes::PassOptions& opts)
         passes::PassManager(opts).optimize(g));
     // Price the optimized graph once (also outside the lock): the
     // summary feeds cost-aware admission for every job submitted
-    // against it. A graph the serving context's level geometry cannot
-    // express (the analyzer throws) is served without an estimate.
+    // against it, and its per-node costs travel with each job to tag
+    // the node spans bts_profile closes the loop against. A graph the
+    // serving context's level geometry cannot express (the analyzer
+    // throws) is served without an estimate.
     bool have_summary = false;
     analysis::ResourceSummary summary;
     try {
@@ -150,20 +152,6 @@ GraphServer::register_graph(const Graph& g, const passes::PassOptions& opts)
             serving_instance(res_.eval->context(), result->graph));
         have_summary = true;
     } catch (const std::exception&) {
-    }
-    if (have_summary) {
-        // Hand the per-node predictions to every lane executor: each
-        // node's telemetry span carries its predicted cost, which is
-        // what bts_profile closes the loop against. Keyed by graph uid
-        // on the executor side, so pre-registration is race-free.
-        std::vector<double> costs;
-        costs.reserve(summary.nodes.size());
-        for (const auto& node : summary.nodes) {
-            costs.push_back(node.cost_s);
-        }
-        for (const auto& exec : executors_) {
-            exec->set_node_costs(result->graph, costs);
-        }
     }
     MutexLock lock(mutex_);
     const auto [it, inserted] = registered_.emplace(g.uid(),
@@ -194,11 +182,9 @@ GraphServer::submit(JobRequest req)
     {
         MutexLock lock(mutex_);
         const auto est = summaries_.find(job.req.graph->uid());
-        if (est != summaries_.end()) {
-            job.est_cost_s = est->second.total_work_s;
-        }
+        if (est != summaries_.end()) job.summary = &est->second;
         // Charged to the cost budget only when there IS an estimate.
-        const double charge = std::max(job.est_cost_s, 0.0);
+        const double charge = std::max(job.est_cost_s(), 0.0);
         // stop_ must be part of the wait predicate: a submitter blocked
         // on a full queue can otherwise wake after the lanes exited and
         // enqueue a job nobody will ever pop (broken promise). The cost
@@ -253,9 +239,9 @@ GraphServer::pick_job() const
     // orders as infinitely expensive), then FIFO. O(queue) per pickup,
     // bounded by queue_capacity.
     const auto cost_key = [](const Job& j) {
-        return j.est_cost_s < 0
+        return j.summary == nullptr
                    ? std::numeric_limits<double>::infinity()
-                   : j.est_cost_s;
+                   : j.est_cost_s();
     };
     const auto better = [&](const Job& a, const Job& b) {
         if (a.req.priority != b.req.priority) {
@@ -292,7 +278,7 @@ GraphServer::lane_loop(int lane_idx)
             job = std::move(queue_[idx]);
             queue_.erase(queue_.begin() +
                          static_cast<std::ptrdiff_t>(idx));
-            queued_cost_s_ -= std::max(job.est_cost_s, 0.0);
+            queued_cost_s_ -= std::max(job.est_cost_s(), 0.0);
             ++active_;
             BTS_TRACE_INSTANT(kServer, "job.scheduled",
                               job.req.graph->uid());
@@ -309,7 +295,7 @@ GraphServer::lane_loop(int lane_idx)
         const Clock::time_point start = Clock::now();
         JobResult result;
         result.queue_s = seconds(start - job.submitted);
-        result.est_cost_s = std::max(job.est_cost_s, 0.0);
+        result.est_cost_s = std::max(job.est_cost_s(), 0.0);
         bool ok = true;
         {
             BTS_TRACE_SPAN_VAR(job_span, kServer, "job");
@@ -317,8 +303,9 @@ GraphServer::lane_loop(int lane_idx)
                 static_cast<i64>(job.req.graph->uid()));
             job_span.set_cost(result.est_cost_s);
             try {
-                result.outputs =
-                    exec.run(*job.req.graph, std::move(job.req.inputs));
+                result.outputs = exec.run(*job.req.graph,
+                                          std::move(job.req.inputs),
+                                          nullptr, job.summary);
             } catch (...) {
                 ok = false;
                 job.promise.set_exception(std::current_exception());

@@ -176,9 +176,17 @@ class GraphServer
         Clock::time_point submitted;
         Clock::time_point deadline{}; //!< absolute; valid iff has_deadline
         bool has_deadline = false;
-        /** Estimated cost; negative = no estimate (ordered as
-         *  infinitely expensive, charged 0 to the cost backpressure). */
-        double est_cost_s = -1;
+        /** The graph's cached resource analysis (an entry of
+         *  summaries_, which outlives every job); null = no estimate
+         *  (ordered as infinitely expensive, charged 0 to the cost
+         *  backpressure, node spans tagged with zero cost). */
+        const analysis::ResourceSummary* summary = nullptr;
+
+        double
+        est_cost_s() const
+        {
+            return summary != nullptr ? summary->total_work_s : -1.0;
+        }
     };
 
     void lane_loop(int lane_idx);

@@ -5,10 +5,11 @@
  * ResourceSummary prediction (runtime/analysis/resource.h).
  *
  * Each kNode span carries the node's statically predicted cost (the
- * Executor tags spans from the per-node cost vector GraphServer
- * installs at register_graph time), so a single traced run yields the
- * table the paper's methodology implies: per op kind, how many ran,
- * how long they measured, what the model predicted, and the ratio.
+ * Executor tags spans from the ResourceSummary GraphServer caches at
+ * register_graph time and hands each job), so a single traced run
+ * yields the table the paper's methodology implies: per op kind, how
+ * many ran, how long they measured, what the model predicted, and the
+ * ratio.
  * The predicted column is a *relative* cost on the serving
  * pseudo-instance — the accelerator model's seconds, not host
  * wall-clock — so the interesting quantity is the per-kind share

@@ -219,6 +219,85 @@ TEST(VerifierFixture, MetaLevelMidChainStaysLocal)
     }
 }
 
+TEST(VerifierFixture, LevelZeroRescaleReportsLevelBudget)
+{
+    // The verifier applies the builder's rule, so a rescale whose
+    // stored operand sits at level 0 reports the builder's rule id.
+    Graph g = healthy();
+    const int operand = g.node(1).output;
+    g.mutable_value(operand).level = 0;
+    const Analysis a = analysis::analyze(g, AnalysisOptions::wellformed());
+    EXPECT_EQ(count_rule(a.diags, "level-budget"), 1u)
+        << analysis::render_text("fixture", a.diags);
+    for (const Diagnostic& d : a.diags) {
+        if (d.node != 2) continue;
+        EXPECT_EQ(d.rule, "level-budget") << analysis::to_text(d);
+        EXPECT_EQ(d.value, operand);
+    }
+}
+
+/** A one-node graph of @p kind through the typed builder method, over
+ *  fresh inputs at a level every kind accepts, every result marked. */
+Graph
+one_node_graph(OpKind kind)
+{
+    const GraphTraits t = small_traits();
+    Graph g(op_name(kind), t);
+    const Value ct = g.input(kind == OpKind::kModRaise ? 0 : 4, t.delta);
+    const Value ct2 = g.input(4, t.delta);
+    const auto pt = [&] { return g.plain_input(4, t.delta); };
+    const Complex c(0.5, 0.0);
+    std::vector<Value> outs;
+    switch (kind) {
+    case OpKind::kHMult: outs = {g.hmult(ct, ct2)}; break;
+    case OpKind::kHRot: outs = {g.hrot(ct, 3)}; break;
+    case OpKind::kConj: outs = {g.conj(ct)}; break;
+    case OpKind::kPMult: outs = {g.pmult(ct, pt())}; break;
+    case OpKind::kPAdd: outs = {g.padd(ct, pt())}; break;
+    case OpKind::kHAdd: outs = {g.hadd(ct, ct2)}; break;
+    case OpKind::kHSub: outs = {g.hsub(ct, ct2)}; break;
+    case OpKind::kHRescale: outs = {g.hrescale(ct)}; break;
+    case OpKind::kCMult: outs = {g.cmult(ct, c)}; break;
+    case OpKind::kCAdd: outs = {g.cadd(ct, c)}; break;
+    case OpKind::kModRaise: outs = {g.mod_raise(ct)}; break;
+    case OpKind::kBootstrap: outs = {g.bootstrap(ct)}; break;
+    case OpKind::kHRotHoisted: outs = g.hrot_hoisted(ct, {1, -2}); break;
+    case OpKind::kHMultRescale: outs = {g.hmult_rescale(ct, ct2)}; break;
+    case OpKind::kPMultRescale: outs = {g.pmult_rescale(ct, pt())}; break;
+    case OpKind::kCMultRescale: outs = {g.cmult_rescale(ct, c)}; break;
+    case OpKind::kCMultAdd: outs = {g.cmult_add(ct, c, c)}; break;
+    }
+    for (const Value v : outs) g.mark_output(v);
+    return g;
+}
+
+TEST(VerifierFixture, EveryOpKindAgreesWithTheBuilderRule)
+{
+    // Covers the kinds no builtin graph emits (Conj, PAdd, ModRaise,
+    // CMultAdd): the builder's stored metadata re-derives cleanly, and
+    // a bumped output level is caught at exactly that node.
+    for (int k = 0; k < kNumOpKinds; ++k) {
+        const OpKind kind = static_cast<OpKind>(k);
+        SCOPED_TRACE(op_name(kind));
+        const Graph g = one_node_graph(kind);
+        ASSERT_EQ(g.num_nodes(), 1u);
+        EXPECT_EQ(g.node(0).kind, kind);
+        const Analysis clean =
+            analysis::analyze(g, AnalysisOptions::wellformed());
+        EXPECT_TRUE(clean.diags.empty())
+            << analysis::render_text(g.name(), clean.diags);
+
+        Graph bumped = g;
+        bumped.mutable_value(bumped.node(0).output).level += 1;
+        const Analysis a =
+            analysis::analyze(bumped, AnalysisOptions::wellformed());
+        ASSERT_EQ(a.diags.size(), 1u)
+            << analysis::render_text(g.name(), a.diags);
+        EXPECT_EQ(a.diags[0].rule, "meta-level");
+        EXPECT_EQ(a.diags[0].node, 0);
+    }
+}
+
 TEST(VerifierFixture, MetaScaleCorrupted)
 {
     Graph g = healthy();
@@ -627,8 +706,8 @@ TEST(DiagnosticRender, VerifyOrThrowCarriesStructuredDiags)
 
 TEST(DiagnosticRender, BuilderErrorsShareTheDiagnosticShape)
 {
-    // Satellite (f): BTS_NODE_CHECK failures throw the same
-    // VerifyError the analyzer throws, with one structured diagnostic.
+    // Graph::append failures throw the same VerifyError the analyzer
+    // throws, with one structured diagnostic.
     const GraphTraits t = small_traits();
     Graph g("builder", t);
     const Value x = g.input(0, t.delta);

@@ -9,12 +9,16 @@
  * exact) and a digest of the whole op stream (kind, level, rotation,
  * inputs, output, bootstrap tag). The tmult rows are op for op the
  * traces of the hand-written microbenchmark generator these graphs
- * replaced. A change that moves a row must say why; the failure
- * message prints the observed row.
+ * replaced. kMetaGolden pins, per bts_lint builtin, instance and form
+ * (raw or optimized), a digest of every stored value's metadata and
+ * every node's fields — the builder's and the pass pipeline's output
+ * before any lowering. A change that moves a row must say why; the
+ * failure message prints the observed row.
  */
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <ostream>
 #include <string>
@@ -137,6 +141,160 @@ TEST_P(TraceGolden, LoweringMatchesFixture)
 }
 
 INSTANTIATE_TEST_SUITE_P(Paper, TraceGolden, ::testing::ValuesIn(kGolden));
+
+struct MetaGolden
+{
+    const char* triple; //!< "<bts_lint builtin>/<instance name>/raw|opt"
+    u64 digest;         //!< graph_digest() of the built graph
+};
+
+// One row per bts_lint builtin, Table 4 instance and form: the
+// builder's and the pass pipeline's stored metadata, value for value.
+// clang-format off
+const MetaGolden kMetaGolden[] = {
+    {"tmult/INS-1/raw", 0xe5a11d8bb9b50573ull},
+    {"dot_product/INS-1/raw", 0x5927e132ea2edd3eull},
+    {"poly_eval/INS-1/raw", 0x7d720703337d1c2cull},
+    {"bootstrap_refresh/INS-1/raw", 0xc920afc530962709ull},
+    {"helr/INS-1/raw", 0x4861e24eaaf04ce6ull},
+    {"resnet/INS-1/raw", 0xd21e11b0e09fe08dull},
+    {"sort/INS-1/raw", 0x2a3adeabc95c8936ull},
+    {"tmult/INS-1/opt", 0x4f6d5761e885ccebull},
+    {"dot_product/INS-1/opt", 0x526a0a11f31afe8aull},
+    {"poly_eval/INS-1/opt", 0x670d1c3ea2ca8369ull},
+    {"bootstrap_refresh/INS-1/opt", 0xc920afc530962709ull},
+    {"helr/INS-1/opt", 0x8be8af8d1f7ac4deull},
+    {"resnet/INS-1/opt", 0x6c3fdde38fe32a54ull},
+    {"sort/INS-1/opt", 0x5d27f4845cca5a12ull},
+    {"tmult/INS-2/raw", 0x108f5acc1bf0af13ull},
+    {"dot_product/INS-2/raw", 0xe41d0ba86797547eull},
+    {"poly_eval/INS-2/raw", 0x123ad8b3b5662080ull},
+    {"bootstrap_refresh/INS-2/raw", 0x8924e74163041165ull},
+    {"helr/INS-2/raw", 0xcb23898d5b73877aull},
+    {"resnet/INS-2/raw", 0xc8a4cd0f05c69ae8ull},
+    {"sort/INS-2/raw", 0xf7f2da61ff01e24dull},
+    {"tmult/INS-2/opt", 0x3ec961d457771cdbull},
+    {"dot_product/INS-2/opt", 0x9b9b4950e882122eull},
+    {"poly_eval/INS-2/opt", 0x005434601ed938a5ull},
+    {"bootstrap_refresh/INS-2/opt", 0x8924e74163041165ull},
+    {"helr/INS-2/opt", 0xb95371086832c4f6ull},
+    {"resnet/INS-2/opt", 0x5095e16f13d1e700ull},
+    {"sort/INS-2/opt", 0xd121d7933cec5035ull},
+    {"tmult/INS-3/raw", 0xc1a342c56f3c8dd8ull},
+    {"dot_product/INS-3/raw", 0x61a95b4d03ff9964ull},
+    {"poly_eval/INS-3/raw", 0xcaf1e81e2c52e279ull},
+    {"bootstrap_refresh/INS-3/raw", 0x6895a410e286c508ull},
+    {"helr/INS-3/raw", 0xd56eaa3da1456ccbull},
+    {"resnet/INS-3/raw", 0x4bbd5aaecd3f22e8ull},
+    {"sort/INS-3/raw", 0x456d90b26e0614d8ull},
+    {"tmult/INS-3/opt", 0x3b3fe8cac97292d6ull},
+    {"dot_product/INS-3/opt", 0x1bff6ae1bef8455full},
+    {"poly_eval/INS-3/opt", 0x01ee19542970b898ull},
+    {"bootstrap_refresh/INS-3/opt", 0x6895a410e286c508ull},
+    {"helr/INS-3/opt", 0x6cba9ac5754d9597ull},
+    {"resnet/INS-3/opt", 0xe8a635fee231d6deull},
+    {"sort/INS-3/opt", 0xa96657ace0e4c22bull},
+};
+// clang-format on
+
+/** FNV-1a over every value's metadata and every node's fields. */
+u64
+graph_digest(const Graph& g)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](u64 v) { h = (h ^ v) * 0x100000001b3ull; };
+    const auto mix_int = [&mix](long long v) { mix(static_cast<u64>(v)); };
+    const auto mix_list = [&mix_int](const std::vector<int>& list) {
+        mix_int(static_cast<long long>(list.size()));
+        for (const int x : list) mix_int(x);
+    };
+    for (std::size_t id = 0; id < g.num_values(); ++id) {
+        const ValueInfo& v = g.value(static_cast<int>(id));
+        mix_int(v.is_plain ? 1 : 0);
+        mix_int(v.is_input ? 1 : 0);
+        mix_int(v.level);
+        mix(std::bit_cast<u64>(v.scale));
+        mix_int(v.producer);
+        mix_int(v.num_uses);
+    }
+    for (const Node& n : g.nodes()) {
+        mix_int(static_cast<int>(n.kind));
+        mix_list(n.inputs);
+        mix_list(n.outputs);
+        mix_int(n.rot_amount);
+        mix_list(n.amounts);
+        mix(std::bit_cast<u64>(n.constant.real()));
+        mix(std::bit_cast<u64>(n.constant.imag()));
+        mix(std::bit_cast<u64>(n.constant2.real()));
+        mix(std::bit_cast<u64>(n.constant2.imag()));
+        mix_int(n.lazy ? 1 : 0);
+    }
+    mix_list(g.outputs());
+    return h;
+}
+
+/** The bts_lint builtin @p name on @p inst, raw or optimized (the same
+ *  construction as tools/bts_lint.cpp). */
+Graph
+lint_builtin(const std::string& name, const hw::CkksInstance& inst,
+             bool raw)
+{
+    const GraphTraits t = traits_for(inst);
+    const passes::PassOptions opts =
+        raw ? passes::PassOptions::none() : passes::PassOptions{};
+    if (name == "tmult") return tmult_graph(inst, opts);
+    if (name == "dot_product") {
+        return dot_product_graph(t, t.bootstrap_out_level, 8, opts);
+    }
+    if (name == "poly_eval") {
+        return poly_eval_graph(t, t.bootstrap_out_level,
+                               {0.3, -1.0, 0.5, 0.25}, opts);
+    }
+    if (name == "bootstrap_refresh") return bootstrap_refresh_graph(t, opts);
+    if (name == "helr") {
+        HelrConfig cfg = HelrConfig::paper();
+        cfg.optimize = !raw;
+        return std::move(build_helr(cfg, t).graph);
+    }
+    if (name == "resnet") {
+        ResnetConfig cfg = ResnetConfig::paper();
+        cfg.optimize = !raw;
+        return std::move(build_resnet(cfg, t).graph);
+    }
+    SortConfig cfg = SortConfig::paper();
+    cfg.optimize = !raw;
+    EXPECT_EQ(name, "sort") << "unknown builtin";
+    return std::move(build_sort(cfg, t).graph);
+}
+
+void
+PrintTo(const MetaGolden& g, std::ostream* os)
+{
+    *os << g.triple;
+}
+
+class MetadataGolden : public ::testing::TestWithParam<MetaGolden>
+{};
+
+TEST_P(MetadataGolden, GraphMatchesFixture)
+{
+    const MetaGolden& want = GetParam();
+    const std::string triple = want.triple;
+    const std::size_t a = triple.find('/');
+    const std::size_t b = triple.rfind('/');
+    const hw::CkksInstance inst =
+        instance_named(triple.substr(a + 1, b - a - 1));
+    const Graph g = lint_builtin(triple.substr(0, a), inst,
+                                 triple.substr(b + 1) == "raw");
+    char row[160];
+    std::snprintf(row, sizeof row, "{\"%s\", 0x%016llxull},", want.triple,
+                  static_cast<unsigned long long>(graph_digest(g)));
+    SCOPED_TRACE(std::string("observed row: ") + row);
+    EXPECT_EQ(graph_digest(g), want.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(Builtin, MetadataGolden,
+                         ::testing::ValuesIn(kMetaGolden));
 
 class AppPin : public ::testing::TestWithParam<int>
 {

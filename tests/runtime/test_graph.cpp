@@ -2,7 +2,9 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
+#include "runtime/analysis/diagnostic.h"
 #include "runtime/graph.h"
 #include "runtime/graph_workloads.h"
 
@@ -173,6 +175,86 @@ TEST(Graph, OpNamesExhaustiveAndUnique)
                  std::logic_error);
     EXPECT_THROW(op_needs_evk(static_cast<OpKind>(kNumOpKinds)),
                  std::logic_error);
+}
+
+TEST(Graph, OpTableRowsDescribeTheirKind)
+{
+    // The table replaces the exhaustive per-kind switches: row i must
+    // describe kind i, every builder spelling must be unique, and the
+    // four fused kinds (and only they) name their primitive parts.
+    std::set<std::string> builder_names;
+    int fused = 0;
+    for (int i = 0; i < kNumOpKinds; ++i) {
+        const OpKind kind = static_cast<OpKind>(i);
+        const OpInfo& op = op_info(kind);
+        EXPECT_EQ(op.kind, kind) << "row " << i;
+        EXPECT_STREQ(op.name, op_name(kind));
+        ASSERT_NE(op.builder_name, nullptr);
+        EXPECT_TRUE(builder_names.insert(op.builder_name).second)
+            << "duplicate builder spelling " << op.builder_name;
+        EXPECT_GE(op.ciphers, 1) << op.name;
+        EXPECT_LE(op.arity(), 2) << op.name;
+        EXPECT_TRUE(op.plain_slot == -1 || op.plain_slot == 1) << op.name;
+        if (op.parts) {
+            ++fused;
+            EXPECT_TRUE(op.composite) << op.name;
+            EXPECT_FALSE(op_is_composite(op.parts->first)) << op.name;
+            EXPECT_FALSE(op_is_composite(op.parts->second)) << op.name;
+        }
+    }
+    EXPECT_EQ(fused, 4);
+    EXPECT_THROW(op_info(static_cast<OpKind>(kNumOpKinds)),
+                 std::logic_error);
+}
+
+TEST(Graph, AppendRejectsSignatureViolationsWithoutSideEffects)
+{
+    // The validating append behind every builder method and the pass
+    // replay: a node that breaks its op-table signature or carries an
+    // illegal lazy mark is rejected before anything is counted.
+    const GraphTraits t = small_traits();
+    Graph g("append", t);
+    const Value x = g.input(4, t.delta);
+    const Value p = g.plain_input(4, t.delta);
+    const auto rejected_rule = [&](Node n) -> std::string {
+        try {
+            g.append(std::move(n));
+        } catch (const analysis::VerifyError& e) {
+            return e.diagnostics().at(0).rule;
+        }
+        return "accepted";
+    };
+    Node one_operand_add;
+    one_operand_add.kind = OpKind::kHAdd;
+    one_operand_add.inputs = {x.id};
+    EXPECT_EQ(rejected_rule(one_operand_add), "structure-arity");
+    Node cipher_in_plain_slot;
+    cipher_in_plain_slot.kind = OpKind::kPMult;
+    cipher_in_plain_slot.inputs = {x.id, x.id};
+    EXPECT_EQ(rejected_rule(cipher_in_plain_slot), "structure-arity");
+    Node empty_group;
+    empty_group.kind = OpKind::kHRotHoisted;
+    empty_group.inputs = {x.id};
+    EXPECT_EQ(rejected_rule(empty_group), "structure-arity");
+    Node lazy_mult;
+    lazy_mult.kind = OpKind::kHMult;
+    lazy_mult.inputs = {x.id, x.id};
+    lazy_mult.lazy = true;
+    EXPECT_EQ(rejected_rule(lazy_mult), "lazy-contract");
+    EXPECT_EQ(g.num_nodes(), 0u);
+    EXPECT_EQ(g.num_values(), 2u);
+    EXPECT_EQ(g.value(x.id).num_uses, 0);
+    EXPECT_EQ(g.value(p.id).num_uses, 0);
+
+    Node pmult;
+    pmult.kind = OpKind::kPMult;
+    pmult.inputs = {x.id, p.id};
+    pmult.output = 99; // output fields are assigned by append
+    const Value v = g.append(pmult);
+    EXPECT_EQ(v.id, 2);
+    EXPECT_EQ(g.node(0).outputs, std::vector<int>{2});
+    EXPECT_EQ(g.value(x.id).num_uses, 1);
+    EXPECT_EQ(g.value(p.id).num_uses, 1);
 }
 
 TEST(Graph, EvkClassification)

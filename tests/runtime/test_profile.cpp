@@ -111,17 +111,15 @@ kind_histogram(const Graph& g)
     return h;
 }
 
-TEST(ProfileClosure, TracedRunReproducesSummarySlices)
+/** Serve one traced job of @p reg on @p server: its kNode spans must
+ *  reproduce the executed graph's node histogram and the per-kind
+ *  predicted slices of the summary the server cached for it. */
+void
+expect_traced_run_reproduces_summary(GraphServer& server,
+                                     const passes::OptimizeResult* reg,
+                                     u64 seed)
 {
-    BTS_SKIP_WITHOUT_TELEMETRY();
     auto& e = penv();
-    const Graph g =
-        dot_product_graph(e.traits, e.traits.max_level, 3);
-
-    ServerOptions opts;
-    opts.lanes = 1;
-    GraphServer server(e.resources(), opts);
-    const passes::OptimizeResult* reg = server.register_graph(g);
     const analysis::ResourceSummary* summary =
         server.resource_summary(reg->graph);
     ASSERT_NE(summary, nullptr)
@@ -131,7 +129,7 @@ TEST(ProfileClosure, TracedRunReproducesSummarySlices)
     set_enabled(static_cast<u32>(Category::kNode));
     JobRequest req;
     req.graph = &reg->graph;
-    req.inputs = e.make_binding(reg->graph, 501);
+    req.inputs = e.make_binding(reg->graph, seed);
     server.submit(std::move(req)).get();
     server.drain();
     set_enabled(0);
@@ -169,11 +167,46 @@ TEST(ProfileClosure, TracedRunReproducesSummarySlices)
     EXPECT_GT(report.measured_total_s, 0.0);
 }
 
+TEST(ProfileClosure, TracedRunReproducesSummarySlices)
+{
+    BTS_SKIP_WITHOUT_TELEMETRY();
+    auto& e = penv();
+    const Graph g =
+        dot_product_graph(e.traits, e.traits.max_level, 3);
+
+    ServerOptions opts;
+    opts.lanes = 1;
+    GraphServer server(e.resources(), opts);
+    const passes::OptimizeResult* reg = server.register_graph(g);
+    expect_traced_run_reproduces_summary(server, reg, 501);
+}
+
+TEST(ProfileClosure, PredictionsSurviveManyRegistrations)
+{
+    BTS_SKIP_WITHOUT_TELEMETRY();
+    // Each job carries its graph's predicted costs, so no number of
+    // later registrations can evict the profiled graph's predictions.
+    auto& e = penv();
+    const Graph g =
+        dot_product_graph(e.traits, e.traits.max_level, 3);
+
+    ServerOptions opts;
+    opts.lanes = 1;
+    GraphServer server(e.resources(), opts);
+    const passes::OptimizeResult* reg = server.register_graph(g);
+    for (int i = 0; i < 64; ++i) {
+        const Graph other =
+            dot_product_graph(e.traits, e.traits.max_level, 1 + i % 3);
+        ASSERT_NE(server.register_graph(other), nullptr);
+    }
+    expect_traced_run_reproduces_summary(server, reg, 502);
+}
+
 TEST(ProfileClosure, UnregisteredGraphTracesWithZeroPrediction)
 {
     BTS_SKIP_WITHOUT_TELEMETRY();
     // A graph run through a bare Executor (no register_graph, so no
-    // installed costs) still traces; the predicted column is zero.
+    // predicted costs) still traces; the predicted column is zero.
     auto& e = penv();
     const Graph g = poly_eval_graph(e.traits, e.traits.max_level,
                                     {1.0, 0.5, 0.25});

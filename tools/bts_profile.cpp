@@ -303,9 +303,9 @@ run(const Args& args)
     ServerOptions opts;
     opts.lanes = args.lanes;
     GraphServer server(env.resources(), opts);
-    // register_graph verifies, optimizes, prices the graph AND installs
-    // the per-node predicted costs on every lane executor — jobs must
-    // submit against the optimized form for the spans to carry them.
+    // register_graph verifies, optimizes and prices the graph; each job
+    // submitted against the optimized form carries that summary, whose
+    // per-node predicted costs tag the spans.
     const passes::OptimizeResult* reg = server.register_graph(g);
     const analysis::ResourceSummary* summary =
         server.resource_summary(reg->graph);
