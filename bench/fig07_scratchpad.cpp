@@ -8,12 +8,15 @@
  * Expected shape: 2GB recovers the minimum bound (ct caches mostly
  * hit); INS-2 is best at the bound; bootstrapping dominates every
  * app. The paper's Fig. 7(b) has ResNet-20 with the smallest share,
- * and the closing "paper shape" line restates that. This model
- * measures a different order on INS-1: Sorting highest, then the
- * T_mult microbenchmark, ResNet-20, and HELR lowest (see
- * docs/APPLICATIONS.md).
+ * and the "paper shape" line restates that. The line after it prints
+ * this model's order, sorted from the rows above: on INS-1 Sorting is
+ * highest, then the T_mult microbenchmark, ResNet-20, and HELR lowest
+ * (see docs/APPLICATIONS.md).
  */
+#include <algorithm>
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "hwparams/explorer.h"
 #include "runtime/apps/paper.h"
@@ -55,13 +58,24 @@ main()
     };
     printf("%-14s %12s %12s %10s\n", "app", "total", "bootstrap",
            "boot%");
+    std::vector<std::pair<double, const char*>> shares;
     for (auto& row : rows) {
         const auto r = s.run(row.trace);
+        const double share = 100.0 * r.boot_s / r.total_s;
         printf("%-14s %10.1fms %10.1fms %9.1f%%\n", row.name,
-               r.total_s * 1e3, r.boot_s * 1e3,
-               100.0 * r.boot_s / r.total_s);
+               r.total_s * 1e3, r.boot_s * 1e3, share);
+        shares.emplace_back(share, row.name);
     }
     printf("\npaper shape: bootstrap dominates the microbenchmark and "
            "sorting;\nResNet-20 has the smallest bootstrap share.\n");
+    std::stable_sort(shares.begin(), shares.end(),
+                     [](const auto& x, const auto& y) {
+                         return x.first > y.first;
+                     });
+    printf("model order, largest share first:");
+    for (std::size_t i = 0; i < shares.size(); ++i) {
+        printf("%s %s", i == 0 ? "" : " >", shares[i].second);
+    }
+    printf("\n");
     return 0;
 }

@@ -161,6 +161,22 @@ CkksContext::num_slices(int level) const
 }
 
 u64
+CkksContext::galois_exp_for_rotation(int r) const
+{
+    const u64 two_n = 2 * static_cast<u64>(n());
+    const u64 order = n() / 2; // order of 5 in Z_2N^* / {+-1}
+    const u64 amount =
+        ((static_cast<i64>(r) % static_cast<i64>(order)) + order) % order;
+    return pow_mod(5, amount, two_n);
+}
+
+u64
+CkksContext::galois_exp_conjugation() const
+{
+    return 2 * static_cast<u64>(n()) - 1;
+}
+
+u64
 CkksContext::rescale_q_mod(int top, int i) const
 {
     BTS_CHECK(top >= 1 && top <= params_.max_level && i >= 0 && i < top,

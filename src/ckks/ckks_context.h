@@ -104,6 +104,13 @@ class CkksContext
     /** Number of key-switching slices at level l. */
     int num_slices(int level) const;
 
+    /** Galois exponent 5^r mod 2N of a rotation by @p r slots (Eq. 5);
+     *  negative r rotates right. */
+    u64 galois_exp_for_rotation(int r) const;
+
+    /** Galois exponent 2N-1 of complex conjugation. */
+    u64 galois_exp_conjugation() const;
+
     /**
      * [q_top]_{q_i}, precomputed for rescaling away the prime at chain
      * index @p top (1 <= top <= L, i < top) — the hottest CKKS path

@@ -122,12 +122,15 @@ Evaluator::negate(const Ciphertext& a) const
 void
 Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
                                   const RnsPoly& f, const RnsPoly& key_b,
-                                  const RnsPoly& key_a, int level) const
+                                  const RnsPoly& key_a, int level,
+                                  const std::vector<u32>* index) const
 {
     // evk polynomials live over {q_0..q_L, p_0..p_{k-1}}; f and the
     // accumulators over {q_0..q_l, p_0..p_{k-1}}. Index ext limb i to
     // key limb i (q part) or L+1+(i-level-1) (special part) and fuse
-    // multiply and accumulate in a single tiled pass.
+    // multiply and accumulate in a single tiled pass. With an @p index
+    // map, f is read through it: the product is that of f's
+    // automorphism image, which is never built.
     //
     // f may carry LAZY residues in [0, 2q) (from to_ntt_lazy): the
     // Barrett product of a [0, 2q) value with a canonical key residue
@@ -139,6 +142,8 @@ Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
     BTS_ASSERT(f.domain() == Domain::kNtt &&
                    acc_b.num_primes() == count && acc_a.num_primes() == count,
                "evk accumulate operands mismatch");
+    BTS_ASSERT(index == nullptr || index->size() == n,
+               "evk accumulate index map size mismatch");
 
     std::vector<Barrett> barrett(count);
     std::vector<const u64*> kb(count), ka(count);
@@ -152,6 +157,7 @@ Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
         ka[i] = key_a.component(ki).data();
     }
     const u64* const fp = f.data();
+    const u32* const ix = index == nullptr ? nullptr : index->data();
     u64* const ab = acc_b.data();
     u64* const aa = acc_a.data();
     parallel_for_2d(
@@ -165,10 +171,53 @@ Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
             u64* abc = ab + i * n;
             u64* aac = aa + i * n;
             for (std::size_t c = c0; c < c1; ++c) {
-                abc[c] = add_mod(abc[c], br.mul(fc[c], kbc[c]), q);
-                aac[c] = add_mod(aac[c], br.mul(fc[c], kac[c]), q);
+                const u64 fv = ix == nullptr ? fc[c] : fc[ix[c]];
+                abc[c] = add_mod(abc[c], br.mul(fv, kbc[c]), q);
+                aac[c] = add_mod(aac[c], br.mul(fv, kac[c]), q);
             }
         });
+}
+
+RnsPoly
+Evaluator::mod_up(const RnsPoly& d, int slice, int level) const
+{
+    BTS_CHECK(d.domain() == Domain::kNtt, "ModUp expects NTT domain");
+    const auto ext = ctx_.extended_primes(level);
+    const auto q_primes = ctx_.level_primes(level);
+    const auto [begin, end] = ctx_.slice_range(slice, level);
+
+    // ModUp: iNTT the slice, base-convert to the complement + P, NTT.
+    std::vector<u64> src(q_primes.begin() + begin, q_primes.begin() + end);
+    std::vector<u64> tgt;
+    for (int i = 0; i <= level; ++i) {
+        if (i < begin || i >= end) tgt.push_back(q_primes[i]);
+    }
+    tgt.insert(tgt.end(), ctx_.p_primes().begin(), ctx_.p_primes().end());
+
+    RnsPoly d_slice(ctx_.n(), src, Domain::kNtt, RnsPoly::Uninit{});
+    for (int i = begin; i < end; ++i) {
+        d_slice.component(i - begin).copy_from(d.component(i));
+    }
+    d_slice.to_coeff(ctx_.tables_for(src));
+
+    // Lazy forward transform: the only reader is the Barrett inner
+    // product, which tolerates [0, 2q) inputs.
+    RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
+    converted.to_ntt_lazy(ctx_.tables_for(tgt));
+
+    // Reassemble the extended polynomial: slice components stay in the
+    // NTT domain untouched; converted components fill the rest.
+    RnsPoly f(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
+    std::size_t conv_idx = 0;
+    for (std::size_t i = 0; i < ext.size(); ++i) {
+        const int ii = static_cast<int>(i);
+        if (ii >= begin && ii < end && ii <= level) {
+            f.component(i).copy_from(d.component(i));
+        } else {
+            f.component(i).copy_from(converted.component(conv_idx++));
+        }
+    }
+    return f;
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -176,63 +225,22 @@ Evaluator::key_switch(const RnsPoly& d, const EvalKey& evk, int level) const
 {
     BTS_TRACE_SPAN_VAR(trace_span, kEvaluator, "keyswitch");
     trace_span.set_level(level);
-    BTS_CHECK(d.domain() == Domain::kNtt, "key_switch expects NTT domain");
     BTS_CHECK(static_cast<int>(d.num_primes()) == level + 1,
               "polynomial does not match the stated level");
     BTS_CHECK(!evk.empty(), "evaluation key is empty");
-
-    const auto ext = ctx_.extended_primes(level);
-    const auto q_primes = ctx_.level_primes(level);
-
-    RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
-    RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
-
     const int slices = ctx_.num_slices(level);
     BTS_CHECK(slices <= static_cast<int>(evk.slices.size()),
               "evaluation key has too few slices");
 
+    const auto ext = ctx_.extended_primes(level);
+    RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
+    RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
+    // Slice by slice: one extended polynomial is alive at a time.
     for (int j = 0; j < slices; ++j) {
-        const auto [begin, end] = ctx_.slice_range(j, level);
-
-        // ModUp: iNTT the slice, base-convert to the complement + P, NTT.
-        std::vector<u64> src(q_primes.begin() + begin,
-                             q_primes.begin() + end);
-        std::vector<u64> tgt;
-        for (int i = 0; i <= level; ++i) {
-            if (i < begin || i >= end) tgt.push_back(q_primes[i]);
-        }
-        tgt.insert(tgt.end(), ctx_.p_primes().begin(),
-                   ctx_.p_primes().end());
-
-        RnsPoly d_slice(ctx_.n(), src, Domain::kNtt, RnsPoly::Uninit{});
-        for (int i = begin; i < end; ++i) {
-            d_slice.component(i - begin).copy_from(d.component(i));
-        }
-        d_slice.to_coeff(ctx_.tables_for(src));
-
-        // Lazy forward transform: the only reader is the Barrett inner
-        // product below, which tolerates [0, 2q) inputs.
-        RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
-        converted.to_ntt_lazy(ctx_.tables_for(tgt));
-
-        // Reassemble the extended polynomial: slice components stay in
-        // the NTT domain untouched; converted components fill the rest.
-        RnsPoly f(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
-        std::size_t conv_idx = 0;
-        for (std::size_t i = 0; i < ext.size(); ++i) {
-            const int ii = static_cast<int>(i);
-            if (ii >= begin && ii < end && ii <= level) {
-                f.component(i).copy_from(d.component(i));
-            } else {
-                f.component(i).copy_from(converted.component(conv_idx++));
-            }
-        }
-
-        // Inner product with the key slice (read in place, fused).
-        accumulate_evk_product(acc_b, acc_a, f, evk.slices[j].first,
-                               evk.slices[j].second, level);
+        accumulate_evk_product(acc_b, acc_a, mod_up(d, j, level),
+                               evk.slices[j].first, evk.slices[j].second,
+                               level);
     }
-
     mod_down_inplace(acc_b, level);
     mod_down_inplace(acc_a, level);
     return {std::move(acc_b), std::move(acc_a)};
@@ -266,51 +274,6 @@ Evaluator::mod_down_inplace(RnsPoly& acc, int level) const
     acc.sub_mul_scalar_inplace(lifted, p_inv, RnsPoly::Residues::kLazy2q);
 }
 
-std::vector<RnsPoly>
-Evaluator::mod_up_slices(const RnsPoly& d_ntt, int level) const
-{
-    BTS_CHECK(d_ntt.domain() == Domain::kNtt, "expects NTT input");
-    const auto ext = ctx_.extended_primes(level);
-    const auto q_primes = ctx_.level_primes(level);
-
-    RnsPoly d = d_ntt;
-    d.to_coeff(ctx_.tables_for(d));
-
-    std::vector<RnsPoly> slices;
-    const int count = ctx_.num_slices(level);
-    for (int j = 0; j < count; ++j) {
-        const auto [begin, end] = ctx_.slice_range(j, level);
-        std::vector<u64> src(q_primes.begin() + begin,
-                             q_primes.begin() + end);
-        std::vector<u64> tgt;
-        for (int i = 0; i <= level; ++i) {
-            if (i < begin || i >= end) tgt.push_back(q_primes[i]);
-        }
-        tgt.insert(tgt.end(), ctx_.p_primes().begin(),
-                   ctx_.p_primes().end());
-
-        RnsPoly d_slice(ctx_.n(), src, Domain::kCoeff,
-                        RnsPoly::Uninit{});
-        for (int i = begin; i < end; ++i) {
-            d_slice.component(i - begin).copy_from(d.component(i));
-        }
-        RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
-
-        RnsPoly f(ctx_.n(), ext, Domain::kCoeff, RnsPoly::Uninit{});
-        std::size_t conv_idx = 0;
-        for (std::size_t i = 0; i < ext.size(); ++i) {
-            const int ii = static_cast<int>(i);
-            if (ii >= begin && ii < end && ii <= level) {
-                f.component(i).copy_from(d.component(i));
-            } else {
-                f.component(i).copy_from(converted.component(conv_idx++));
-            }
-        }
-        slices.push_back(std::move(f));
-    }
-    return slices;
-}
-
 std::vector<Ciphertext>
 Evaluator::rotate_hoisted(const Ciphertext& ct,
                           const std::vector<int>& amounts,
@@ -342,16 +305,15 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
               "one key per rotation amount expected");
     const int level = ct.level;
     const auto ext = ctx_.extended_primes(level);
-    const auto ext_tables = ctx_.tables_for(ext);
-    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
-    const u64 order = ctx_.n() / 2;
 
-    // Shared prefix: one decompose + ModUp of the mask polynomial (the
-    // automorphism commutes with BConv because base conversion is
-    // coefficient-wise).
-    const std::vector<RnsPoly> slices = mod_up_slices(ct.a, level);
-    RnsPoly b_coeff = ct.b;
-    b_coeff.to_coeff(ctx_.tables_for(b_coeff));
+    // Shared prefix: one decompose + ModUp of the mask polynomial. The
+    // automorphism commutes with BConv (base conversion is coefficient-
+    // wise), so every amount reads these slices through its own NTT
+    // index map.
+    std::vector<RnsPoly> slices;
+    for (int j = 0; j < ctx_.num_slices(level); ++j) {
+        slices.push_back(mod_up(ct.a, j, level));
+    }
 
     std::vector<Ciphertext> out;
     out.reserve(amounts.size());
@@ -361,39 +323,28 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
             out.push_back(ct);
             continue;
         }
-        const u64 amount =
-            ((static_cast<i64>(r) % static_cast<i64>(order)) + order) %
-            order;
-        const u64 exp = pow_mod(5, amount, two_n);
+        const u64 exp = ctx_.galois_exp_for_rotation(r);
         BTS_CHECK(keys[k] != nullptr, "missing rotation key " << r);
         const EvalKey& key = *keys[k];
         BTS_CHECK(key.galois_exp == exp, "rotation key mismatch");
-        BTS_CHECK(ctx_.num_slices(level) <=
-                      static_cast<int>(key.slices.size()),
+        BTS_CHECK(slices.size() <= key.slices.size(),
                   "rotation key has too few slices");
+        const std::vector<u32> index = ntt_galois_index(ctx_.n(), exp);
 
         RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
         RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
         for (std::size_t j = 0; j < slices.size(); ++j) {
-            RnsPoly f = slices[j].automorphism(exp);
-            f.to_ntt_lazy(ext_tables);
-            accumulate_evk_product(acc_b, acc_a, f, key.slices[j].first,
-                                   key.slices[j].second, level);
+            accumulate_evk_product(acc_b, acc_a, slices[j],
+                                   key.slices[j].first,
+                                   key.slices[j].second, level, &index);
         }
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
-
-        RnsPoly b_rot = b_coeff.automorphism(exp);
-        b_rot.to_ntt_lazy(ctx_.tables_for(b_rot));
-        acc_b.add_inplace(b_rot, RnsPoly::Residues::kLazy2q);
-
-        Ciphertext res;
-        res.b = std::move(acc_b);
-        res.a = std::move(acc_a);
-        res.scale = ct.scale;
-        res.level = ct.level;
-        res.slots = ct.slots;
-        out.push_back(std::move(res));
+        // ct.b may be lazy; the kLazy2q add canonicalizes it.
+        acc_b.add_inplace(ct.b.automorphism_ntt(index),
+                          RnsPoly::Residues::kLazy2q);
+        out.push_back(Ciphertext{std::move(acc_b), std::move(acc_a),
+                                 ct.scale, ct.level, ct.slots});
     }
     return out;
 }
@@ -546,69 +497,44 @@ Evaluator::rescale_inplace(Ciphertext& ct) const
 }
 
 Ciphertext
-Evaluator::apply_galois(const Ciphertext& ct, u64 galois_exp,
-                        const EvalKey& key) const
-{
-    BTS_CHECK(key.galois_exp == galois_exp,
-              "evaluation key does not match the automorphism");
-    const auto tables = ctx_.tables_for(ct.b);
-
-    RnsPoly b = ct.b;
-    b.to_coeff(tables);
-    b = b.automorphism(galois_exp);
-    b.to_ntt(tables);
-
-    RnsPoly a = ct.a;
-    a.to_coeff(tables);
-    a = a.automorphism(galois_exp);
-    // Lazy is safe here: key_switch only reads a through the inverse
-    // NTT (lazy-tolerant) and the Barrett inner product.
-    a.to_ntt_lazy(tables);
-
-    auto [kb, ka] = key_switch(a, key, ct.level);
-    b.add_inplace(kb);
-
-    Ciphertext out;
-    out.b = std::move(b);
-    out.a = std::move(ka);
-    out.scale = ct.scale;
-    out.level = ct.level;
-    out.slots = ct.slots;
-    return out;
-}
-
-Ciphertext
 Evaluator::switch_key(const Ciphertext& ct, const EvalKey& rekey_key) const
 {
     // ct = (b, a) with b + a*s_from = m; key-switch the mask so the
-    // result satisfies b' + a'*s_to = m.
+    // result satisfies b' + a'*s_to = m. b may be lazy (a rotation's
+    // permuted input); the kLazy2q add canonicalizes it.
     auto [kb, ka] = key_switch(ct.a, rekey_key, ct.level);
-    Ciphertext out;
-    kb.add_inplace(ct.b);
-    out.b = std::move(kb);
-    out.a = std::move(ka);
-    out.scale = ct.scale;
-    out.level = ct.level;
-    out.slots = ct.slots;
-    return out;
+    kb.add_inplace(ct.b, RnsPoly::Residues::kLazy2q);
+    return Ciphertext{std::move(kb), std::move(ka), ct.scale, ct.level,
+                      ct.slots};
+}
+
+Ciphertext
+Evaluator::switch_galois(const Ciphertext& ct, u64 galois_exp,
+                         const EvalKey& key) const
+{
+    // sigma before ModUp: switch_key on the NTT-slot permutation of
+    // the ciphertext. (rotate_hoisted applies sigma after its shared
+    // ModUp; the two orders differ by BConv's approximation.)
+    BTS_CHECK(key.galois_exp == galois_exp,
+              "evaluation key does not match the automorphism");
+    const std::vector<u32> index = ntt_galois_index(ctx_.n(), galois_exp);
+    return switch_key(Ciphertext{ct.b.automorphism_ntt(index),
+                                 ct.a.automorphism_ntt(index), ct.scale,
+                                 ct.level, ct.slots},
+                      key);
 }
 
 Ciphertext
 Evaluator::rotate(const Ciphertext& ct, int r, const EvalKey& rot_key) const
 {
     if (r == 0) return ct;
-    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
-    const u64 order = ctx_.n() / 2;
-    const u64 amount =
-        ((static_cast<i64>(r) % static_cast<i64>(order)) + order) % order;
-    const u64 exp = pow_mod(5, amount, two_n);
-    return apply_galois(ct, exp, rot_key);
+    return switch_galois(ct, ctx_.galois_exp_for_rotation(r), rot_key);
 }
 
 Ciphertext
 Evaluator::conjugate(const Ciphertext& ct, const EvalKey& conj_key) const
 {
-    return apply_galois(ct, 2 * static_cast<u64>(ctx_.n()) - 1, conj_key);
+    return switch_galois(ct, ctx_.galois_exp_conjugation(), conj_key);
 }
 
 Ciphertext

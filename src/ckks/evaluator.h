@@ -2,14 +2,16 @@
  * @file
  * Homomorphic evaluator: the primitive CKKS ops of Section 2.3 of the
  * paper (HAdd, HMult, HRot, HRescale, CAdd/CMult, PAdd/PMult) plus the
- * key-switching engine they share (Fig. 3a):
+ * key-switching pipeline they share (Fig. 3a):
  *
- *   iNTT -> BConv (ModUp) -> NTT -> evk inner product -> iNTT -> BConv
- *   (ModDown) -> NTT -> subtract-scale-add (SSA)
+ *   iNTT -> BConv (ModUp) -> NTT -> [slot permutation] -> evk inner
+ *   product -> iNTT -> BConv (ModDown) -> NTT -> subtract-scale-add (SSA)
  *
  * Ciphertexts and plaintexts are kept in the NTT domain at rest, exactly
- * as BTS does on-chip; only BConv and the automorphism drop back to the
- * coefficient domain (Section 4.1).
+ * as BTS does on-chip; only BConv drops back to the coefficient domain
+ * (Section 4.1). A Galois automorphism is a permutation of NTT slots
+ * (ntt_galois_index), so HRot pays exactly HMult's key-switch
+ * transforms — the NoC permutation of the paper's Section 5.5.
  */
 #pragma once
 
@@ -43,8 +45,9 @@ class Evaluator
      * canonicalization pass. Same value mod q as add()/sub(). The
      * result violates the canonical-storage invariant, so it must only
      * feed lazy-tolerant consumers (mult/mult_plain/mult_const's
-     * Barrett and Shoup products, rotations and conjugation whose
-     * key-switch starts with to_coeff, mod_raise) — never another
+     * Barrett and Shoup products; rotations and conjugation, whose
+     * ModUp starts with an iNTT and whose permuted body is added in
+     * kLazy2q form; mod_raise) — never another
      * add/sub, a rescale, or a decryption. The runtime's lazy-residue
      * pass (docs/PASSES.md) is the intended caller.
      */
@@ -88,17 +91,14 @@ class Evaluator
     Ciphertext conjugate(const Ciphertext& ct,
                          const EvalKey& conj_key) const;
 
-    /** Generic Galois automorphism + key-switch (internal to HRot). */
-    Ciphertext apply_galois(const Ciphertext& ct, u64 galois_exp,
-                            const EvalKey& key) const;
-
     /**
      * Hoisted rotations (Halevi-Shoup / Bossuat et al. [12], the trick
      * bootstrapping's rotation batteries rely on): compute the
      * decompose+ModUp of the input ONCE and share it across all
-     * @p amounts, paying only an automorphism + NTT + inner product +
-     * ModDown per rotation. Exactly equivalent to calling rotate() per
-     * amount, at a fraction of the iNTT/BConv work.
+     * @p amounts, paying only an inner product read through the
+     * amount's NTT slot permutation + ModDown per rotation. Matches
+     * rotate() up to BConv rounding (rotate permutes before its ModUp,
+     * this after), at a fraction of the iNTT/BConv work.
      */
     std::vector<Ciphertext> rotate_hoisted(const Ciphertext& ct,
                                            const std::vector<int>& amounts,
@@ -172,8 +172,9 @@ class Evaluator
     Ciphertext mod_raise(const Ciphertext& ct) const;
 
     /**
-     * Key-switch polynomial @p d (NTT domain, level-l base) with @p evk:
-     * ModUp each dnum slice, inner-product with the key, ModDown by P.
+     * Key-switch polynomial @p d (NTT domain, level-l base; [0, 2q)
+     * residues allowed) with @p evk: ModUp each dnum slice, inner-product
+     * with the key, ModDown by P — streamed one slice at a time.
      * @return the (b, a) correction pair on the level-l base.
      */
     std::pair<RnsPoly, RnsPoly> key_switch(const RnsPoly& d,
@@ -188,18 +189,23 @@ class Evaluator
      * acc_{b,a} += f * evk_slice over the level-l extended base, reading
      * the key's components in place through the {q_0..q_l, p_*} ->
      * evk-base index map. One fused pass; the key is never copied onto
-     * the extended base (the old per-rotation gather allocated and
-     * copied two full extended polynomials per slice).
+     * the extended base. With @p index (an ntt_galois_index map), f is
+     * read through it: the product of f's automorphism image, unbuilt.
      */
     void accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
                                 const RnsPoly& f, const RnsPoly& key_b,
-                                const RnsPoly& key_a, int level) const;
+                                const RnsPoly& key_a, int level,
+                                const std::vector<u32>* index = nullptr) const;
 
-    /** Decompose + ModUp: per-slice extended polynomials over
-     *  {q_0..q_l, p_*}, returned in the COEFFICIENT domain (the shared
-     *  prefix of hoisted rotations). */
-    std::vector<RnsPoly> mod_up_slices(const RnsPoly& d_ntt,
-                                       int level) const;
+    /** ModUp of dnum slice @p slice of @p d (level-l base, NTT) onto
+     *  {q_0..q_l, p_*}: the slice's limbs as stored, the rest base-
+     *  converted from its iNTT and forward-NTT'd lazily ([0, 2q)). */
+    RnsPoly mod_up(const RnsPoly& d, int slice, int level) const;
+
+    /** sigma_{galois_exp} as an NTT slot permutation of @p ct, then
+     *  switch_key with @p key (the body of rotate and conjugate). */
+    Ciphertext switch_galois(const Ciphertext& ct, u64 galois_exp,
+                             const EvalKey& key) const;
 
     /** ModDown by P: acc (extended base, NTT) -> level-l base. */
     void mod_down_inplace(RnsPoly& acc, int level) const;

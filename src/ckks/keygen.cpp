@@ -133,38 +133,24 @@ KeyGenerator::gen_mult_key(const SecretKey& sk)
     return gen_switching_key(sk, s2, 0);
 }
 
-u64
-KeyGenerator::galois_exp_for_rotation(int r) const
+EvalKey
+KeyGenerator::gen_galois_key(const SecretKey& sk, u64 galois_exp)
 {
-    const u64 two_n = 2 * static_cast<u64>(ctx_.n());
-    const u64 order = ctx_.n() / 2; // order of 5 in Z_2N^* / {+-1}
-    const u64 amount =
-        ((static_cast<i64>(r) % static_cast<i64>(order)) + order) % order;
-    return pow_mod(5, amount, two_n);
-}
-
-u64
-KeyGenerator::galois_exp_conjugation() const
-{
-    return 2 * static_cast<u64>(ctx_.n()) - 1;
+    const RnsPoly s_src =
+        sk.s_ntt.automorphism_ntt(ntt_galois_index(ctx_.n(), galois_exp));
+    return gen_switching_key(sk, s_src, galois_exp);
 }
 
 EvalKey
 KeyGenerator::gen_rotation_key(const SecretKey& sk, int r)
 {
-    const u64 exp = galois_exp_for_rotation(r);
-    RnsPoly s_rot = sk.s_coeff.automorphism(exp);
-    s_rot.to_ntt(ctx_.tables_for(s_rot));
-    return gen_switching_key(sk, s_rot, exp);
+    return gen_galois_key(sk, ctx_.galois_exp_for_rotation(r));
 }
 
 EvalKey
 KeyGenerator::gen_conjugation_key(const SecretKey& sk)
 {
-    const u64 exp = galois_exp_conjugation();
-    RnsPoly s_conj = sk.s_coeff.automorphism(exp);
-    s_conj.to_ntt(ctx_.tables_for(s_conj));
-    return gen_switching_key(sk, s_conj, exp);
+    return gen_galois_key(sk, ctx_.galois_exp_conjugation());
 }
 
 EvalKey

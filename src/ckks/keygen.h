@@ -47,12 +47,6 @@ class KeyGenerator
      */
     EvalKey gen_rekey_key(const SecretKey& sk_from, const SecretKey& sk_to);
 
-    /** Galois exponent 5^r mod 2N for a (possibly negative) rotation. */
-    u64 galois_exp_for_rotation(int r) const;
-
-    /** Galois exponent 2N-1 for conjugation. */
-    u64 galois_exp_conjugation() const;
-
   private:
     /**
      * Generalized key-switching key from source secret @p s_src to the
@@ -61,6 +55,10 @@ class KeyGenerator
      */
     EvalKey gen_switching_key(const SecretKey& sk, const RnsPoly& s_src_ntt,
                               u64 galois_exp);
+
+    /** Switching key from s(X^galois_exp) to s; the source secret is a
+     *  slot permutation of s_ntt. */
+    EvalKey gen_galois_key(const SecretKey& sk, u64 galois_exp);
 
     const CkksContext& ctx_;
     Sampler sampler_;

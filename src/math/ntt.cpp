@@ -547,6 +547,22 @@ ntt_inverse_batch(const NttTables* const* tables, u64* data,
     }
 }
 
+std::vector<u32>
+ntt_galois_index(std::size_t n, u64 galois_exp)
+{
+    BTS_CHECK(is_power_of_two(n), "degree must be a power of two");
+    BTS_CHECK((galois_exp & 1) == 1, "Galois exponent must be odd");
+    const int bits = log2_exact(n);
+    // 2N divides 2^64, so masking the wrapped 64-bit product is exact.
+    const u64 mask = 2 * static_cast<u64>(n) - 1;
+    std::vector<u32> index(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const u64 root = ((2 * bit_reverse(i, bits) + 1) * galois_exp) & mask;
+        index[i] = static_cast<u32>(bit_reverse(root >> 1, bits));
+    }
+    return index;
+}
+
 std::vector<u64>
 negacyclic_mul_reference(const std::vector<u64>& a, const std::vector<u64>& b,
                          u64 q)

@@ -177,6 +177,17 @@ ntt_inverse_batch(const std::vector<const NttTables*>& tables, u64* data,
 }
 
 /**
+ * NTT-slot index map of the Galois automorphism X -> X^galois_exp (odd
+ * exponent): for every limb, NTT(sigma(a))[i] == NTT(a)[index[i]].
+ * Forward output slot i holds a(psi^(2*brv(i)+1)) (bit-reversed
+ * order), and sigma(a) there is a(psi^((2*brv(i)+1)*galois_exp)), so
+ * index[i] = brv(((2*brv(i)+1)*galois_exp mod 2N - 1) / 2). Applying an
+ * automorphism to NTT-domain residues is then a pure gather: no
+ * transform, and lazy [0, 2q) residues stay lazy.
+ */
+std::vector<u32> ntt_galois_index(std::size_t n, u64 galois_exp);
+
+/**
  * Reference O(N^2) negacyclic convolution used by the tests to validate
  * the NTT path: out = a * b mod (X^N + 1, q).
  */

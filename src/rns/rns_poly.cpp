@@ -418,6 +418,22 @@ RnsPoly::automorphism(u64 galois_exp) const
     return out;
 }
 
+RnsPoly
+RnsPoly::automorphism_ntt(const std::vector<u32>& index) const
+{
+    BTS_CHECK(domain_ == Domain::kNtt, "automorphism_ntt expects NTT domain");
+    BTS_CHECK(index.size() == n_, "automorphism index map size mismatch");
+    RnsPoly out(n_, primes_, Domain::kNtt, Uninit{});
+    parallel_for_2d(
+        num_primes(), n_,
+        [&](std::size_t i, std::size_t c0, std::size_t c1) {
+            const u64* src = data_.data() + i * n_;
+            u64* dst = out.data_.data() + i * n_;
+            for (std::size_t c = c0; c < c1; ++c) dst[c] = src[index[c]];
+        });
+    return out;
+}
+
 bool
 RnsPoly::equals(const RnsPoly& other) const
 {

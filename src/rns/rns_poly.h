@@ -14,8 +14,8 @@
  *
  * Each polynomial tracks whether it currently lives in the coefficient
  * ("RNS") domain or the NTT domain; BTS keeps polynomials in the NTT
- * domain by default and drops back only for BConv and the automorphism
- * (Section 4.1).
+ * domain by default and drops back only for BConv (Section 4.1); the
+ * Galois automorphism has a form for each domain.
  */
 #pragma once
 
@@ -174,6 +174,12 @@ class RnsPoly
      * 5^r mod 2N; conjugation uses 2N-1).
      */
     RnsPoly automorphism(u64 galois_exp) const;
+
+    /** The same automorphism on NTT-domain residues: a gather through
+     *  @p index = ntt_galois_index(N, galois_exp), one pass per limb.
+     *  Equals to_ntt(automorphism(to_coeff(x))) with no transform;
+     *  [0, 2q) residues stay lazy and congruent mod q. */
+    RnsPoly automorphism_ntt(const std::vector<u32>& index) const;
 
     /** Deep equality (same primes, domain, and residues). */
     bool equals(const RnsPoly& other) const;

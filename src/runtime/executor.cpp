@@ -275,12 +275,12 @@ Executor::exec_node(const Graph& g, const Plan& plan,
         out = eval.mult_rescale(in_ct(0), in_ct(1), *plan.evk[node_idx]);
         break;
     case OpKind::kHRot: {
-        // Single rotations go through the hoisted entry point too:
-        // hoisted-single is slightly cheaper than the generic rotate
-        // (the decomposition happens before the automorphism), and it
-        // makes rotation-CSE grouping bit-exact by construction — a
-        // grouped amount produces the identical ciphertext a lone
-        // kHRot would have.
+        // Single rotations go through the hoisted entry point too, so
+        // rotation-CSE grouping is bit-exact by construction: a grouped
+        // amount produces the identical ciphertext a lone kHRot would
+        // have. Both entry points pay the same transforms; they differ
+        // only in BConv rounding (rotate permutes before its ModUp,
+        // the hoisted path after).
         std::vector<Ciphertext> r = eval.rotate_hoisted(
             in_ct(0), {n.rot_amount}, plan.rot[node_idx]);
         out = std::move(r[0]);

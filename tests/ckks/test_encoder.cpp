@@ -94,7 +94,7 @@ TEST(Encoder, AutomorphismRotatesSlots)
     Plaintext pt = env.encoder.encode(z, env.ctx.delta(), 1);
 
     const int r = 5;
-    const u64 exp = env.keygen.galois_exp_for_rotation(r);
+    const u64 exp = env.ctx.galois_exp_for_rotation(r);
     pt.poly.to_coeff(env.ctx.tables_for(pt.poly));
     pt.poly = pt.poly.automorphism(exp);
     pt.poly.to_ntt(env.ctx.tables_for(pt.poly));
@@ -115,7 +115,7 @@ TEST(Encoder, ConjugationAutomorphism)
     Plaintext pt = env.encoder.encode(z, env.ctx.delta(), 1);
 
     pt.poly.to_coeff(env.ctx.tables_for(pt.poly));
-    pt.poly = pt.poly.automorphism(env.keygen.galois_exp_conjugation());
+    pt.poly = pt.poly.automorphism(env.ctx.galois_exp_conjugation());
     pt.poly.to_ntt(env.ctx.tables_for(pt.poly));
 
     const auto got = env.encoder.decode(pt);

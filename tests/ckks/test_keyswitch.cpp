@@ -1,0 +1,259 @@
+/**
+ * @file
+ * Pins of the key-switch pipeline that relinearization, re-keying,
+ * rotation and conjugation share:
+ *  - KeySwitchGolden: FNV-1a digests of each op's output ciphertext
+ *    (every residue word, the scale's bits and the level). The digests
+ *    were recorded before the automorphism moved into the NTT domain;
+ *    NTT(sigma(a)) is an exact permutation of NTT(a), so any change of
+ *    a single output bit is a bug, not a new golden value.
+ *  - the lazy-input contract: rotations of an add_lazy() sum must equal
+ *    rotations of the canonical sum bit for bit;
+ *  - KeySwitch.TransformCounts: the NTT limb transforms, BConv calls
+ *    and key-switches each op pays, from the kernel and evaluator
+ *    telemetry spans.
+ */
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <functional>
+
+#include "runtime/telemetry/trace.h"
+#include "test_utils.h"
+
+namespace bts {
+namespace {
+
+using testing::ct_equal;
+using testing::TestEnv;
+
+const std::vector<int> kAmounts = {1, 3, 17, 64, -1};
+
+/** 64-bit FNV-1a over b's and a's residues, the scale bits, the level. */
+u64
+digest(const Ciphertext& ct)
+{
+    u64 h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](u64 word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const RnsPoly* poly : {&ct.b, &ct.a}) {
+        const std::size_t words = poly->num_primes() * poly->degree();
+        for (std::size_t i = 0; i < words; ++i) mix(poly->data()[i]);
+    }
+    u64 scale_bits = 0;
+    std::memcpy(&scale_bits, &ct.scale, sizeof scale_bits);
+    mix(scale_bits);
+    mix(static_cast<u64>(ct.level));
+    return h;
+}
+
+/**
+ * A fresh small_params() instance with rotation keys for kAmounts and
+ * two level-6 inputs. Not the cached default_env(): its key generator
+ * and encryptor advance with every call, and a digest must not depend
+ * on which test ran first.
+ */
+struct KeySwitchCase
+{
+    KeySwitchCase() : env(testing::small_params())
+    {
+        keys = env.keygen.gen_rotation_keys(env.sk, kAmounts);
+        x = env.encrypt(env.random_message(128, 1.0, 1601));
+        y = env.encrypt(env.random_message(128, 1.0, 1602));
+    }
+
+    TestEnv env;
+    RotationKeys keys;
+    Ciphertext x;
+    Ciphertext y;
+};
+
+TEST(KeySwitchGolden, Rotate)
+{
+    KeySwitchCase c;
+    const std::vector<u64> expected = {
+        0xbfbb909d6473f3a8ULL, 0xabf51b727b1a2501ULL, 0x72fab3667ce9ddd4ULL,
+        0xa756d415d92e23afULL, 0xddde9f97e8043fffULL,
+    };
+    for (std::size_t i = 0; i < kAmounts.size(); ++i) {
+        const int r = kAmounts[i];
+        EXPECT_EQ(digest(c.env.evaluator.rotate(c.x, r, c.keys.at(r))),
+                  expected[i])
+            << "amount " << r;
+    }
+    Ciphertext low = c.x;
+    c.env.evaluator.drop_level_inplace(low, 1);
+    EXPECT_EQ(digest(c.env.evaluator.rotate(low, 3, c.keys.at(3))),
+              0x2c58d295b3fd67f7ULL);
+}
+
+TEST(KeySwitchGolden, Conjugate)
+{
+    KeySwitchCase c;
+    EXPECT_EQ(digest(c.env.evaluator.conjugate(c.x, c.env.conj_key)),
+              0x79acceefb44e0bb8ULL);
+}
+
+TEST(KeySwitchGolden, RotateHoisted)
+{
+    KeySwitchCase c;
+    const std::vector<int> amounts = {0, 1, 3, 17, 64, -1};
+    const std::vector<u64> expected = {
+        0x78c8c37134de83ecULL, 0x1e2212f871b77ca5ULL, 0x2a9c88487e7dbbaeULL,
+        0x5df992dfca8b7ea9ULL, 0x68e9c3119e0b005cULL, 0x6bc49e828a5b7b4aULL,
+    };
+    const auto out = c.env.evaluator.rotate_hoisted(c.x, amounts, c.keys);
+    ASSERT_EQ(out.size(), amounts.size());
+    for (std::size_t i = 0; i < amounts.size(); ++i) {
+        EXPECT_EQ(digest(out[i]), expected[i]) << "amount " << amounts[i];
+    }
+}
+
+TEST(KeySwitchGolden, Mult)
+{
+    KeySwitchCase c;
+    EXPECT_EQ(digest(c.env.evaluator.mult(c.x, c.y, c.env.mult_key)),
+              0x9cf1e28e70345128ULL);
+}
+
+TEST(KeySwitchGolden, SwitchKey)
+{
+    KeySwitchCase c;
+    const SecretKey sk_to = c.env.keygen.gen_secret_key();
+    const EvalKey rekey = c.env.keygen.gen_rekey_key(c.env.sk, sk_to);
+    EXPECT_EQ(digest(c.env.evaluator.switch_key(c.x, rekey)),
+              0xbdde2cd59e2d05acULL);
+}
+
+TEST(KeySwitchGolden, Bootstrap)
+{
+    testing::BootTestEnv be(31);
+    auto& env = be.env;
+    const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
+    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0x1d9289e82cec5ae3ULL);
+}
+
+TEST(KeySwitchGolden, LazyInputsMatchCanonical)
+{
+    // HRot, Conj and HRotHoisted accept [0, 2q) residues (the runtime's
+    // lazy-residue pass feeds them add_lazy sums): the permuted b must
+    // be canonicalized by the final add, and a by the ModUp's iNTT and
+    // the Barrett inner product.
+    KeySwitchCase c;
+    const Evaluator& ev = c.env.evaluator;
+    const Ciphertext lazy = ev.add_lazy(c.x, c.y);
+    const Ciphertext canonical = ev.add(c.x, c.y);
+    ASSERT_FALSE(ct_equal(lazy, canonical)) << "no residue >= q: not lazy";
+
+    for (const int r : kAmounts) {
+        EXPECT_TRUE(ct_equal(ev.rotate(lazy, r, c.keys.at(r)),
+                             ev.rotate(canonical, r, c.keys.at(r))))
+            << "amount " << r;
+    }
+    EXPECT_TRUE(ct_equal(ev.conjugate(lazy, c.env.conj_key),
+                         ev.conjugate(canonical, c.env.conj_key)));
+    const auto lazy_out = ev.rotate_hoisted(lazy, kAmounts, c.keys);
+    const auto canonical_out = ev.rotate_hoisted(canonical, kAmounts, c.keys);
+    for (std::size_t i = 0; i < kAmounts.size(); ++i) {
+        EXPECT_TRUE(ct_equal(lazy_out[i], canonical_out[i]))
+            << "amount " << kAmounts[i];
+    }
+}
+
+/** What one traced call paid: NTT limb transforms (the limb counts the
+ *  ntt.* spans carry), BConv calls, and keyswitch and rotate.hoisted
+ *  spans. Rescale's transforms run outside any ntt.* span and are not
+ *  counted. */
+struct TransformCounts
+{
+    i64 ntt_limbs = 0;
+    int bconv = 0;
+    int keyswitch = 0;
+    int hoisted = 0;
+};
+
+TransformCounts
+count_transforms(const std::function<void()>& fn)
+{
+    namespace tel = runtime::telemetry;
+    tel::set_enabled(0);
+    tel::reset_trace();
+    tel::set_enabled(static_cast<u32>(tel::Category::kKernel) |
+                     static_cast<u32>(tel::Category::kEvaluator));
+    fn();
+    tel::set_enabled(0);
+    const tel::Trace trace = tel::collect_trace();
+    tel::reset_trace();
+    EXPECT_EQ(trace.total_dropped(), 0u);
+    TransformCounts counts;
+    for (const tel::ThreadTrace& th : trace.threads) {
+        for (const tel::TraceEvent& ev : th.events) {
+            if (std::strncmp(ev.name, "ntt.", 4) == 0) {
+                counts.ntt_limbs += ev.arg;
+            }
+            counts.bconv += std::strncmp(ev.name, "bconv", 5) == 0;
+            counts.keyswitch += std::strcmp(ev.name, "keyswitch") == 0;
+            counts.hoisted += std::strcmp(ev.name, "rotate.hoisted") == 0;
+        }
+    }
+    return counts;
+}
+
+TEST(KeySwitch, TransformCounts)
+{
+    // At small_params() level 6 (dnum 2: slices of 4 and 3 primes, 4
+    // special primes) one key-switch pays 22 limb transforms in its
+    // ModUps and 2 x 11 in its ModDowns, and 4 BConvs. A rotation or a
+    // conjugation permutes NTT slots and pays exactly that; a hoisted
+    // call pays one ModUp plus two ModDowns per amount.
+#if !defined(BTS_TELEMETRY)
+    GTEST_SKIP() << "built without BTS_TELEMETRY";
+#endif
+    KeySwitchCase c;
+    const Evaluator& ev = c.env.evaluator;
+
+    const TransformCounts mult =
+        count_transforms([&] { (void)ev.mult(c.x, c.y, c.env.mult_key); });
+    EXPECT_EQ(mult.ntt_limbs, 44);
+    EXPECT_EQ(mult.bconv, 4);
+    EXPECT_EQ(mult.keyswitch, 1);
+
+    const std::vector<std::pair<const char*, std::function<void()>>> ops = {
+        {"rotate", [&] { (void)ev.rotate(c.x, 3, c.keys.at(3)); }},
+        {"conjugate", [&] { (void)ev.conjugate(c.x, c.env.conj_key); }},
+        {"rotate_hoisted {3}",
+         [&] { (void)ev.rotate_hoisted(c.x, {3}, c.keys); }},
+    };
+    for (const auto& [name, op] : ops) {
+        const TransformCounts got = count_transforms(op);
+        EXPECT_EQ(got.ntt_limbs, mult.ntt_limbs) << name;
+        EXPECT_EQ(got.bconv, mult.bconv) << name;
+        // One evaluator span per call: keyswitch, or rotate.hoisted.
+        EXPECT_EQ(got.keyswitch + got.hoisted, 1) << name;
+    }
+
+    // Each further amount adds only its two ModDowns: 11 + 11 limb
+    // transforms and 2 BConvs.
+    const TransformCounts hoisted = count_transforms(
+        [&] { (void)ev.rotate_hoisted(c.x, {0, 1, 3, 17, 64, -1}, c.keys); });
+    EXPECT_EQ(hoisted.ntt_limbs, 132);
+    EXPECT_EQ(hoisted.bconv, 12);
+    EXPECT_EQ(hoisted.keyswitch, 0);
+    EXPECT_EQ(hoisted.hoisted, 1);
+
+    testing::BootTestEnv be(31);
+    const Ciphertext ct =
+        be.env.encrypt(be.env.random_message(64, 0.3, 32), 0);
+    const TransformCounts boot =
+        count_transforms([&] { (void)be.boot->bootstrap(ct); });
+    EXPECT_EQ(boot.ntt_limbs, 3602);
+    EXPECT_EQ(boot.bconv, 248);
+    EXPECT_EQ(boot.keyswitch, 52);
+}
+
+} // namespace
+} // namespace bts

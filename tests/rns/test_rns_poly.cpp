@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "ckks/ckks_context.h"
 #include "common/random.h"
 #include "common/thread_guard.h"
 #include "math/mod_arith.h"
@@ -393,6 +394,62 @@ TEST_F(RnsPolyTest, AutomorphismPreservesRingMultiplication)
     sa.mul_inplace(sb);
     sa.to_coeff(tables_);
     EXPECT_TRUE(lhs.equals(sa));
+}
+
+TEST(RnsPolyNttAutomorphism, MatchesCoefficientReference)
+{
+    // The NTT-domain automorphism is an exact slot permutation: over
+    // every q and p prime of a context, gathering through
+    // ntt_galois_index equals the iNTT -> automorphism -> NTT round
+    // trip, and a lazy [0, 2q) input stays lazy and congruent mod q.
+    for (const std::size_t n : {1u << 8, 1u << 10, 1u << 11}) {
+        CkksParams params;
+        params.n = n;
+        params.max_level = 4;
+        const CkksContext ctx(params);
+        const auto& primes = ctx.full_primes();
+        const auto tables = ctx.tables_for(primes);
+
+        Sampler s(n);
+        RnsPoly x(n, primes, Domain::kNtt);
+        for (std::size_t i = 0; i < primes.size(); ++i) {
+            x.component(i).copy_from(s.uniform_poly(n, primes[i]));
+        }
+        // Same residues mod q, every odd slot lifted into [q, 2q).
+        RnsPoly lazy = x;
+        for (std::size_t i = 0; i < primes.size(); ++i) {
+            for (std::size_t c = 1; c < n; c += 2) {
+                lazy.component(i)[c] += primes[i];
+            }
+        }
+
+        std::vector<u64> exps;
+        for (const int r : {1, 2, 3, 17, static_cast<int>(n / 2) - 1, -1}) {
+            exps.push_back(ctx.galois_exp_for_rotation(r));
+        }
+        exps.push_back(ctx.galois_exp_conjugation());
+        for (const u64 g : exps) {
+            RnsPoly expected = x;
+            expected.to_coeff(tables);
+            expected = expected.automorphism(g);
+            expected.to_ntt(tables);
+
+            const std::vector<u32> index = ntt_galois_index(n, g);
+            EXPECT_TRUE(x.automorphism_ntt(index).equals(expected))
+                << "N " << n << " exponent " << g;
+
+            const RnsPoly got = lazy.automorphism_ntt(index);
+            std::size_t bad = 0;
+            for (std::size_t i = 0; i < primes.size(); ++i) {
+                const u64 q = primes[i];
+                for (std::size_t c = 0; c < n; ++c) {
+                    const u64 v = got.component(i)[c];
+                    bad += v >= 2 * q || v % q != expected.component(i)[c];
+                }
+            }
+            EXPECT_EQ(bad, 0u) << "lazy input, N " << n << " exponent " << g;
+        }
+    }
 }
 
 } // namespace
