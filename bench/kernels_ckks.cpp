@@ -471,15 +471,11 @@ struct ServeBench
         conj = env.keygen.gen_conjugation_key(env.sk);
         boot->set_keys(&env.mult_key, &rot_keys, &conj);
 
-        runtime::GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
+        const runtime::GraphTraits t =
+            runtime::traits_for(env.ctx, boot.get());
         const auto z = std::vector<Complex>(64, Complex(0.2, 0.1));
         const Ciphertext exhausted = env.encryptor.encrypt_symmetric(
             env.encoder.encode(z, env.ctx.delta(), 0), env.sk);
-        // One probe refresh pins bootstrap_out_level for the graph
-        // metadata (radix-8 leaves usable levels on this budget).
-        t.bootstrap_out_level = boot->bootstrap(exhausted).level;
 
         const auto x = std::vector<Complex>(64, Complex(0.4, -0.2));
         const Ciphertext fresh = env.encryptor.encrypt_symmetric(
@@ -730,22 +726,8 @@ struct AppServeBench
         cfg.stc_radix = 8;
         boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
                                               env.eval, cfg);
-        auto amounts = boot->required_rotations();
-        // Union of the functional apps' required_rotations().
-        for (int r : {-2, -1, 1, 2, 3, 4, 5, 6, 8, 16, 32}) {
-            amounts.push_back(r);
-        }
-        rot_keys = env.keygen.gen_rotation_keys(env.sk, amounts);
-        conj = env.keygen.gen_conjugation_key(env.sk);
-        boot->set_keys(&env.mult_key, &rot_keys, &conj);
-
-        runtime::GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
-        const auto zero = std::vector<Complex>(64, Complex(0.1, 0.0));
-        const Ciphertext exhausted = env.encryptor.encrypt_symmetric(
-            env.encoder.encode(zero, env.ctx.delta(), 0), env.sk);
-        t.bootstrap_out_level = boot->bootstrap(exhausted).level;
+        const runtime::GraphTraits t =
+            runtime::traits_for(env.ctx, boot.get());
 
         using namespace runtime::apps;
         helr = std::make_unique<HelrApp>(
@@ -757,6 +739,16 @@ struct AppServeBench
             build_resnet(ResnetConfig::functional(), t));
         sort_cfg = SortConfig::functional();
         sort = std::make_unique<SortApp>(build_sort(sort_cfg, t));
+
+        auto amounts = boot->required_rotations();
+        for (const runtime::Graph* g :
+             {&helr->graph, &helr_raw->graph, &resnet->graph, &sort->graph}) {
+            const auto rots = g->required_rotations();
+            amounts.insert(amounts.end(), rots.begin(), rots.end());
+        }
+        rot_keys = env.keygen.gen_rotation_keys(env.sk, amounts);
+        conj = env.keygen.gen_conjugation_key(env.sk);
+        boot->set_keys(&env.mult_key, &rot_keys, &conj);
 
         const auto flat = [](double v) {
             return std::vector<Complex>(64, Complex(v, 0.0));

@@ -20,6 +20,7 @@
 #include "ckks/decryptor.h"
 #include "ckks/encryptor.h"
 #include "ckks/keygen.h"
+#include "runtime/graph_workloads.h"
 #include "runtime/server.h"
 
 int
@@ -56,10 +57,7 @@ main()
     // the 16-wide rotation log-tree leaves the full inner product in
     // slot 0; a Horner chain then applies the degree-3 sigmoid
     // 0.5 + 0.15 z - 0.0015 z^3. Spends 1 + 3 levels.
-    runtime::GraphTraits traits;
-    traits.max_level = ctx.max_level();
-    traits.bootstrap_out_level = ctx.max_level();
-    traits.delta = ctx.delta();
+    const runtime::GraphTraits traits = runtime::traits_for(ctx);
     runtime::Graph graph("batch_scoring", traits);
     const runtime::Value x = graph.input(traits.max_level, traits.delta);
     const runtime::Value w =

@@ -29,6 +29,7 @@
 #include "ckks/keygen.h"
 #include "runtime/apps/sort.h"
 #include "runtime/executor.h"
+#include "runtime/graph_workloads.h"
 
 int
 main()
@@ -61,22 +62,9 @@ main()
     Bootstrapper boot(ctx, encoder, eval, boot_cfg);
 
     // --- build the sorting graph ------------------------------------
-    GraphTraits traits;
-    traits.max_level = ctx.max_level();
-    traits.delta = ctx.delta();
-    {
-        // Probe run: one refresh of an exhausted ciphertext pins the
-        // refreshed level the graph metadata needs.
-        auto amounts = boot.required_rotations();
-        const RotationKeys probe_keys =
-            keygen.gen_rotation_keys(sk, amounts);
-        boot.set_keys(&mult_key, &probe_keys, &conj_key);
-        const std::vector<Complex> z(64, Complex(0.1, 0.0));
-        const Ciphertext exhausted = encryptor.encrypt_symmetric(
-            encoder.encode(z, ctx.delta(), 0), sk);
-        traits.bootstrap_out_level = boot.bootstrap(exhausted).level;
-    }
-
+    // The bootstrapper states the level it refreshes to, which the
+    // graph metadata needs.
+    const GraphTraits traits = traits_for(ctx, &boot);
     apps::SortConfig cfg = apps::SortConfig::functional(); // blocks of 4
     const apps::SortApp app = apps::build_sort(cfg, traits);
     printf("sort graph: %zu ops, %d bootstraps, %zu stages\n",

@@ -83,6 +83,10 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
             ctx_, encoder_, n, DftDirection::kSlotToCoeff,
             config_.stc_radix, stc_input_level_);
     }
+    output_level_ = stc_input_level_ - stc_levels();
+    if (config_.normalize_output_scale && output_level_ >= 1) {
+        --output_level_;
+    }
 }
 
 int
@@ -224,7 +228,10 @@ Bootstrapper::bootstrap(const Ciphertext& ct) const
     if (config_.normalize_output_scale && out.level >= 1) {
         out = eval_.mult_const_to_scale(out, 1.0, ctx_.delta());
     }
-    output_level_ = out.level;
+    BTS_ASSERT(out.level == output_level_,
+               "bootstrap refreshed to level " << out.level
+                                               << ", output_level() says "
+                                               << output_level_);
     return out;
 }
 

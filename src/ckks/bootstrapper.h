@@ -27,7 +27,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -87,7 +86,11 @@ class Bootstrapper
      */
     Ciphertext bootstrap(const Ciphertext& ct) const;
 
-    /** Levels available after bootstrapping (set after the first run). */
+    /**
+     * Level bootstrap() returns: StC's input level minus its stages,
+     * minus the normalizing rescale when it runs. Like
+     * required_rotations(), exact from construction on.
+     */
     int output_level() const { return output_level_; }
 
     const ChebyshevSeries& sine_series() const { return sine_series_; }
@@ -125,9 +128,7 @@ class Bootstrapper
     std::unique_ptr<FactoredDft> cts_factored_;
     std::unique_ptr<FactoredDft> stc_factored_;
     int stc_input_level_ = -1;
-    /** Atomic: the serving runtime bootstraps concurrently on shared
-     *  Bootstrappers, and every writer stores the same value. */
-    mutable std::atomic<int> output_level_{-1};
+    int output_level_ = -1;
 
     const EvalKey* mult_key_ = nullptr;
     const RotationKeys* rot_keys_ = nullptr;

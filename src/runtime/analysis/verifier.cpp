@@ -605,6 +605,15 @@ class Verifier
             emit("missing-bootstrapper", Severity::kError, first_boot,
                  -1, "graph bootstraps but no bootstrapper is bound",
                  "construct the server with a Bootstrapper");
+        } else if (first_boot >= 0 &&
+                   *keys.bootstrap != g_.traits().bootstrap_out_level) {
+            emit("bootstrap-level-mismatch", Severity::kError, first_boot,
+                 -1,
+                 "graph declares bootstrap_out_level " +
+                     std::to_string(g_.traits().bootstrap_out_level) +
+                     " but the bound bootstrapper refreshes to level " +
+                     std::to_string(*keys.bootstrap),
+                 "build the graph with traits_for(ctx, &bootstrapper)");
         }
         if (!missing_rots.empty()) {
             std::ostringstream os;

@@ -34,6 +34,8 @@
  *   missing-rotation-key  required rotation amount not in the key set
  *   missing-conj-key    graph conjugates without a conjugation key
  *   missing-bootstrapper  graph bootstraps without a bootstrapper
+ *   bootstrap-level-mismatch  the bound bootstrapper refreshes to a
+ *                       level other than the graph's bootstrap_out_level
  *   bootstrap-placement bootstrap discards a large remaining budget
  *   rescale-below-waterline  rescale of an already-canonical scale
  *   unused-input        declared input no node consumes
@@ -86,7 +88,8 @@ struct KeySet
 {
     bool mult = false;
     bool conj = false;
-    bool bootstrap = false;
+    /** The bound bootstrapper's refresh level; empty when none is. */
+    std::optional<int> bootstrap;
     std::set<int> rotations;
 };
 

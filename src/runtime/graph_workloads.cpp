@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ckks/bootstrapper.h"
 #include "common/check.h"
 
 namespace bts::runtime {
@@ -13,6 +14,16 @@ traits_for(const hw::CkksInstance& inst)
     t.max_level = inst.max_level;
     t.bootstrap_out_level = inst.usable_levels();
     t.delta = std::ldexp(1.0, inst.scale_bits);
+    return t;
+}
+
+GraphTraits
+traits_for(const CkksContext& ctx, const Bootstrapper* boot)
+{
+    GraphTraits t;
+    t.max_level = ctx.max_level();
+    t.bootstrap_out_level = boot ? boot->output_level() : ctx.max_level();
+    t.delta = ctx.delta();
     return t;
 }
 

@@ -24,10 +24,23 @@
 #include "runtime/graph.h"
 #include "runtime/passes/pass_manager.h"
 
+namespace bts {
+class Bootstrapper;
+class CkksContext;
+} // namespace bts
+
 namespace bts::runtime {
 
 /** Graph traits matching a full-scale simulator instance. */
 GraphTraits traits_for(const hw::CkksInstance& inst);
+
+/**
+ * Graph traits matching a functional context: its max level and
+ * scale, refreshing to @p boot's output_level(), or to max_level when
+ * no bootstrapper serves the graphs.
+ */
+GraphTraits traits_for(const CkksContext& ctx,
+                       const Bootstrapper* boot = nullptr);
 
 /**
  * Every generator below runs the pass pipeline (runtime/passes/) on

@@ -50,13 +50,8 @@ struct ServerMetrics
     }
 };
 
-/**
- * Describe the server's functional CkksContext as a CkksInstance so
- * the resource analyzer can price graphs against it. boot_levels is
- * per graph: the analyzer requires usable_levels == the graph's
- * declared bootstrap output level, which is a property of the bound
- * Bootstrapper, not of the parameter set.
- */
+} // namespace
+
 hw::CkksInstance
 serving_instance(const CkksContext& ctx, const Graph& g)
 {
@@ -73,8 +68,6 @@ serving_instance(const CkksContext& ctx, const Graph& g)
             : 0;
     return inst;
 }
-
-} // namespace
 
 GraphServer::GraphServer(EvalResources res, ServerOptions opts)
     : res_(res), opts_(opts)
@@ -123,7 +116,9 @@ GraphServer::register_graph(const Graph& g, const passes::PassOptions& opts)
     analysis::KeySet keys;
     keys.mult = res_.mult_key != nullptr && !res_.mult_key->empty();
     keys.conj = res_.conj_key != nullptr && !res_.conj_key->empty();
-    keys.bootstrap = res_.bootstrapper != nullptr;
+    if (res_.bootstrapper != nullptr) {
+        keys.bootstrap = res_.bootstrapper->output_level();
+    }
     if (res_.rot_keys != nullptr) {
         for (const auto& [amount, key] : *res_.rot_keys) {
             if (!key.empty()) keys.rotations.insert(amount);

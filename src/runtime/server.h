@@ -111,6 +111,15 @@ struct ServerStats
     double peak_queued_cost_s = 0;
 };
 
+/**
+ * Describe the functional @p ctx as a CkksInstance, so the resource
+ * analyzer can price @p g against it (register_graph does). boot_levels
+ * is per graph: the analyzer requires usable_levels == the graph's
+ * declared bootstrap output level, which is a property of the bound
+ * Bootstrapper, not of the parameter set.
+ */
+hw::CkksInstance serving_instance(const CkksContext& ctx, const Graph& g);
+
 /** The job queue + worker lanes. */
 class GraphServer
 {

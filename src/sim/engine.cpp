@@ -3,32 +3,13 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "sim/energy.h"
 
 namespace bts::sim {
 
-BtsSimulator::BtsSimulator(const BtsConfig& hw, const hw::CkksInstance& inst,
-                           const HostConfig& host)
-    : hw_(hw), inst_(inst), host_(host), model_(hw_, inst_)
+BtsSimulator::BtsSimulator(const BtsConfig& hw, const hw::CkksInstance& inst)
+    : hw_(hw), inst_(inst), model_(hw_, inst_)
 {}
-
-namespace {
-
-/** Applies a HostConfig's lane count for one run(), then restores the
- *  global setting — the knob configures the machine running the model,
- *  never the modeled hardware, and must not leak across instances. */
-struct ScopedHostThreads
-{
-    int saved = num_threads();
-    explicit ScopedHostThreads(const HostConfig& host)
-    {
-        if (host.threads > 0) set_num_threads(host.threads);
-    }
-    ~ScopedHostThreads() { set_num_threads(saved); }
-};
-
-} // namespace
 
 double
 BtsSimulator::cache_capacity_bytes() const
@@ -42,7 +23,6 @@ BtsSimulator::cache_capacity_bytes() const
 SimResult
 BtsSimulator::run(const Trace& trace) const
 {
-    const ScopedHostThreads host_threads(host_);
     SimResult r;
     r.cache_capacity_bytes = std::max(0.0, cache_capacity_bytes());
     SoftwareCache cache(r.cache_capacity_bytes);

@@ -15,18 +15,6 @@
 
 namespace bts::sim {
 
-/**
- * Host-side execution knobs — deliberately separate from BtsConfig:
- * these configure the machine *running* the model, never the modeled
- * hardware, so simulated results are identical at any setting.
- */
-struct HostConfig
-{
-    /** Worker lanes for the functional library's limb-parallel layer
-     *  (bts::parallel_for). 0 = leave the global setting untouched. */
-    int threads = 0;
-};
-
 /** Aggregate per-kind timing. */
 struct KindStats
 {
@@ -70,14 +58,12 @@ struct SimResult
 class BtsSimulator
 {
   public:
-    BtsSimulator(const BtsConfig& hw, const hw::CkksInstance& inst,
-                 const HostConfig& host = {});
+    BtsSimulator(const BtsConfig& hw, const hw::CkksInstance& inst);
 
     /** Run one trace start-to-finish. */
     SimResult run(const Trace& trace) const;
 
     const CostModel& cost_model() const { return model_; }
-    const HostConfig& host() const { return host_; }
 
     /** Scratchpad bytes left for the ciphertext cache after the
      *  temporary-data and evk stream-buffer reservations. */
@@ -86,7 +72,6 @@ class BtsSimulator
   private:
     BtsConfig hw_;
     hw::CkksInstance inst_;
-    HostConfig host_;
     CostModel model_;
 };
 

@@ -189,11 +189,10 @@ TEST(Bootstrap, RejectsNonExhaustedInput)
     EXPECT_THROW(be.boot->bootstrap(ct), std::invalid_argument);
 }
 
-TEST(Bootstrap, DenseOracleEndToEnd)
+/** The small ring (N=2^8, L=14) the dense oracle refreshes on. */
+TestEnv&
+dense_env()
 {
-    // The radix-0 reference path must stay a working oracle (the
-    // factored-vs-dense equivalence tests compare transforms against
-    // it); keep one full dense refresh alive on a small ring.
     CkksParams p;
     p.n = 1 << 8;
     p.max_level = 14;
@@ -203,11 +202,26 @@ TEST(Bootstrap, DenseOracleEndToEnd)
     p.special_bits = 50;
     p.hamming_weight = 32;
     p.seed = 778;
-    auto& env = testing::cached_env("boot-dense-small", p);
+    return testing::cached_env("boot-dense-small", p);
+}
+
+/** The dense oracle's config (radix 0), gap = 2 on dense_env(). */
+BootstrapConfig
+dense_config()
+{
     BootstrapConfig cfg;
-    cfg.slots = 64; // gap = 2
+    cfg.slots = 64;
     cfg.sine_degree = 119;
-    Bootstrapper boot(env.ctx, env.encoder, env.evaluator, cfg);
+    return cfg;
+}
+
+TEST(Bootstrap, DenseOracleEndToEnd)
+{
+    // The radix-0 reference path must stay a working oracle (the
+    // factored-vs-dense equivalence tests compare transforms against
+    // it); keep one full dense refresh alive on a small ring.
+    auto& env = dense_env();
+    Bootstrapper boot(env.ctx, env.encoder, env.evaluator, dense_config());
     const RotationKeys rot_keys =
         env.keygen.gen_rotation_keys(env.sk, boot.required_rotations());
     boot.set_keys(&env.mult_key, &rot_keys, &env.conj_key);
@@ -238,6 +252,46 @@ TEST(Bootstrap, RejectsMixedDenseFactoredConfig)
         Bootstrapper(env.ctx, env.encoder, env.evaluator, cfg),
         std::invalid_argument);
     (void)be;
+}
+
+/** A fresh Bootstrapper for @p cfg on @p env: output_level(), read
+ *  before its first bootstrap(), must be the level bootstrap returns. */
+void
+expect_output_level_known(TestEnv& env, const BootstrapConfig& cfg)
+{
+    Bootstrapper boot(env.ctx, env.encoder, env.evaluator, cfg);
+    const int announced = boot.output_level();
+    const RotationKeys rot_keys =
+        env.keygen.gen_rotation_keys(env.sk, boot.required_rotations());
+    boot.set_keys(&env.mult_key, &rot_keys, &env.conj_key);
+    const auto z = env.random_message(cfg.slots, 0.3, 208);
+    EXPECT_EQ(boot.bootstrap(env.encrypt(z, 0)).level, announced)
+        << "L = " << env.ctx.max_level() << ", slots = " << cfg.slots
+        << ", radix " << cfg.cts_radix;
+}
+
+TEST(Bootstrap, OutputLevelKnownAtConstruction)
+{
+    // Every config this suite bootstraps with, plus radix 2 at L=20:
+    // 20 - 6 (CtS) - 8 (EvalMod) - 6 (StC) leaves level 0, so the
+    // normalizing rescale is skipped.
+    auto& be = boot_env();
+    expect_output_level_known(be.env, be.boot->config());
+    expect_output_level_known(be.env, be.sparse->config());
+    expect_output_level_known(dense_env(), dense_config());
+    testing::BootTestEnv l14(7321, {}, 14);
+    expect_output_level_known(l14.env, l14.boot->config());
+    testing::BootTestEnv l20(7321, {}, 20);
+    expect_output_level_known(l20.env, l20.boot->config());
+
+    BootstrapConfig radix2 = l20.boot->config();
+    radix2.cts_radix = 2;
+    radix2.stc_radix = 2;
+    EXPECT_EQ(Bootstrapper(l20.env.ctx, l20.env.encoder, l20.env.evaluator,
+                           radix2)
+                  .output_level(),
+              0);
+    expect_output_level_known(l20.env, radix2);
 }
 
 /** Key-switch and rescale spans @p fn emits, with only the evaluator's

@@ -110,10 +110,13 @@ ct_equal(const Ciphertext& x, const Ciphertext& y)
 
 /**
  * Bootstrap-capable small instance shared by the runtime
- * executor/server tests (and mirrored by bench/kernels_ckks.cpp's
- * ServeBench): N=2^8, L=14, slots=64, factored radix-8 CtS/StC —
- * radix 4 would spend 3+3 transform levels and refresh to level 0 on
- * this budget. Edit every copy together.
+ * executor/server tests: N=2^8, L=14, slots=64, factored radix-8
+ * CtS/StC — radix 4 would spend 3+3 transform levels and refresh to
+ * level 0 on this budget. Its parameters and bootstrap config are
+ * still copied into bench/kernels_ckks.cpp (ServeBench at L=14,
+ * AppServeBench at L=20) and tools/bts_profile.cpp (ProfileEnv, L=20);
+ * perfbench/src/crypto.cpp holds a fourth copy that changes only with
+ * the benchmark. Edit every copy together.
  */
 struct BootTestEnv
 {

@@ -10,15 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "hwparams/instance.h"
 #include "runtime/analysis/verifier.h"
-#include "runtime/apps/helr.h"
-#include "runtime/apps/resnet.h"
-#include "runtime/apps/sort.h"
-#include "runtime/graph_workloads.h"
+#include "runtime/apps/paper.h"
 
 namespace bts::runtime {
 namespace {
@@ -500,6 +499,25 @@ TEST(VerifierFixture, PresentKeysSatisfyTheGraph)
         << analysis::render_text("keys-ok", a.diags);
 }
 
+TEST(VerifierFixture, BootstrapLevelMismatch)
+{
+    // The graph's metadata says a refresh lands on level 6; the bound
+    // bootstrapper refreshes to level 5.
+    const GraphTraits t = small_traits();
+    Graph g("refresh", t);
+    g.mark_output(g.bootstrap(g.input(0, t.delta)));
+
+    analysis::KeySet keys;
+    keys.bootstrap = t.bootstrap_out_level - 1;
+    AnalysisOptions opts;
+    opts.keys = keys;
+    expect_only(analysis::analyze(g, opts), "bootstrap-level-mismatch");
+
+    keys.bootstrap = t.bootstrap_out_level;
+    opts.keys = keys;
+    EXPECT_TRUE(analysis::analyze(g, opts).diags.empty());
+}
+
 // ------------------------------------------------------------------
 // Placement + lint rules (warnings).
 // ------------------------------------------------------------------
@@ -603,46 +621,36 @@ class BuiltinSweep : public ::testing::TestWithParam<int>
     }
 };
 
+/** Lint every paper_graph() in @p names on @p ins, raw and optimized,
+ *  expecting zero findings. */
 void
-expect_clean(const Graph& g)
+expect_clean(const hw::CkksInstance& ins,
+             std::span<const std::string_view> names)
 {
-    const Analysis a = analysis::analyze(g);
-    EXPECT_TRUE(a.diags.empty())
-        << analysis::render_text(g.name(), a.diags);
+    for (const std::string_view name : names) {
+        for (const bool optimize : {false, true}) {
+            const Graph g = apps::paper_graph(name, ins, optimize);
+            const Analysis a = analysis::analyze(g);
+            EXPECT_TRUE(a.diags.empty())
+                << analysis::render_text(g.name(), a.diags);
+        }
+    }
 }
+
+/** paper_graph_names() lists graph_workloads.h's four circuits first,
+ *  then the applications. */
+constexpr std::size_t kWorkloadGraphs = 4;
 
 TEST_P(BuiltinSweep, WorkloadGraphsLintClean)
 {
-    const hw::CkksInstance ins = inst();
-    const GraphTraits t = traits_for(ins);
-    for (const bool raw : {true, false}) {
-        const passes::PassOptions popts =
-            raw ? passes::PassOptions::none() : passes::PassOptions{};
-        expect_clean(tmult_graph(ins, popts));
-        expect_clean(
-            dot_product_graph(t, t.bootstrap_out_level, 8, popts));
-        expect_clean(poly_eval_graph(t, t.bootstrap_out_level,
-                                     {0.3, -1.0, 0.5, 0.25}, popts));
-        expect_clean(bootstrap_refresh_graph(t, popts));
-    }
+    const auto names = apps::paper_graph_names();
+    expect_clean(inst(), std::span(names).first(kWorkloadGraphs));
 }
 
 TEST_P(BuiltinSweep, ApplicationGraphsLintClean)
 {
-    const GraphTraits t = traits_for(inst());
-    for (const bool raw : {true, false}) {
-        apps::HelrConfig hc = apps::HelrConfig::paper();
-        hc.optimize = !raw;
-        expect_clean(apps::build_helr(hc, t).graph);
-
-        apps::ResnetConfig rc = apps::ResnetConfig::paper();
-        rc.optimize = !raw;
-        expect_clean(apps::build_resnet(rc, t).graph);
-
-        apps::SortConfig sc = apps::SortConfig::paper();
-        sc.optimize = !raw;
-        expect_clean(apps::build_sort(sc, t).graph);
-    }
+    const auto names = apps::paper_graph_names();
+    expect_clean(inst(), std::span(names).subspan(kWorkloadGraphs));
 }
 
 INSTANTIATE_TEST_SUITE_P(Table4, BuiltinSweep,

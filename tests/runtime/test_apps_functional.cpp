@@ -33,6 +33,7 @@
 #include "runtime/apps/resnet.h"
 #include "runtime/apps/sort.h"
 #include "runtime/executor.h"
+#include "runtime/graph_workloads.h"
 #include "runtime/server.h"
 
 namespace bts::runtime::apps {
@@ -59,15 +60,10 @@ constexpr std::size_t kSlots = 64; // BootTestEnv's sparse slot count
  */
 struct AppEnv
 {
-    AppEnv() : be(7321, {-2, -1, 1, 2, 3, 4, 5, 6, 8, 16, 32}, 20)
-    {
-        traits.max_level = be.env.ctx.max_level();
-        traits.delta = be.env.ctx.delta();
-        // One probe refresh pins the refreshed level for the metadata.
-        const Ciphertext probe =
-            be.env.encrypt(be.env.random_message(kSlots, 0.3, 7), 0);
-        traits.bootstrap_out_level = be.boot->bootstrap(probe).level;
-    }
+    AppEnv()
+        : be(7321, {-2, -1, 1, 2, 3, 4, 5, 6, 8, 16, 32}, 20),
+          traits(traits_for(be.env.ctx, be.boot.get()))
+    {}
 
     EvalResources
     resources()

@@ -233,40 +233,6 @@ graph_digest(const Graph& g)
     return h;
 }
 
-/** The bts_lint builtin @p name on @p inst, raw or optimized (the same
- *  construction as tools/bts_lint.cpp). */
-Graph
-lint_builtin(const std::string& name, const hw::CkksInstance& inst,
-             bool raw)
-{
-    const GraphTraits t = traits_for(inst);
-    const passes::PassOptions opts =
-        raw ? passes::PassOptions::none() : passes::PassOptions{};
-    if (name == "tmult") return tmult_graph(inst, opts);
-    if (name == "dot_product") {
-        return dot_product_graph(t, t.bootstrap_out_level, 8, opts);
-    }
-    if (name == "poly_eval") {
-        return poly_eval_graph(t, t.bootstrap_out_level,
-                               {0.3, -1.0, 0.5, 0.25}, opts);
-    }
-    if (name == "bootstrap_refresh") return bootstrap_refresh_graph(t, opts);
-    if (name == "helr") {
-        HelrConfig cfg = HelrConfig::paper();
-        cfg.optimize = !raw;
-        return std::move(build_helr(cfg, t).graph);
-    }
-    if (name == "resnet") {
-        ResnetConfig cfg = ResnetConfig::paper();
-        cfg.optimize = !raw;
-        return std::move(build_resnet(cfg, t).graph);
-    }
-    SortConfig cfg = SortConfig::paper();
-    cfg.optimize = !raw;
-    EXPECT_EQ(name, "sort") << "unknown builtin";
-    return std::move(build_sort(cfg, t).graph);
-}
-
 void
 PrintTo(const MetaGolden& g, std::ostream* os)
 {
@@ -284,8 +250,8 @@ TEST_P(MetadataGolden, GraphMatchesFixture)
     const std::size_t b = triple.rfind('/');
     const hw::CkksInstance inst =
         instance_named(triple.substr(a + 1, b - a - 1));
-    const Graph g = lint_builtin(triple.substr(0, a), inst,
-                                 triple.substr(b + 1) == "raw");
+    const Graph g = paper_graph(triple.substr(0, a), inst,
+                                triple.substr(b + 1) != "raw");
     char row[160];
     std::snprintf(row, sizeof row, "{\"%s\", 0x%016llxull},", want.triple,
                   static_cast<unsigned long long>(graph_digest(g)));

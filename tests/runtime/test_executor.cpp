@@ -33,15 +33,7 @@ struct RuntimeEnv
         return r;
     }
 
-    GraphTraits
-    traits() const
-    {
-        GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.bootstrap_out_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
-        return t;
-    }
+    GraphTraits traits() const { return traits_for(env.ctx); }
 
     TestEnv env;
     RotationKeys rot_keys;
@@ -356,14 +348,9 @@ TEST(Executor, BootstrapNodeRefreshes)
     static testing::BootTestEnv* be = new testing::BootTestEnv(99);
     TestEnv& env = be->env;
 
-    GraphTraits t;
-    t.max_level = env.ctx.max_level();
-    t.delta = env.ctx.delta();
-    // One probe run pins the refreshed level for the graph metadata.
-    const auto z = env.random_message(64, 0.3, 41);
-    const Ciphertext probe = env.encrypt(z, 0);
-    t.bootstrap_out_level = be->boot->bootstrap(probe).level;
+    const GraphTraits t = traits_for(env.ctx, be->boot.get());
     ASSERT_GE(t.bootstrap_out_level, 1);
+    const auto z = env.random_message(64, 0.3, 41);
 
     const Graph g = bootstrap_refresh_graph(t);
     EvalResources r;

@@ -51,15 +51,7 @@ struct DiffEnv
         return r;
     }
 
-    GraphTraits
-    traits() const
-    {
-        GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.bootstrap_out_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
-        return t;
-    }
+    GraphTraits traits() const { return traits_for(env.ctx); }
 
     TestEnv env;
     RotationKeys rot_keys;
@@ -325,15 +317,9 @@ TEST(PassDifferential, PolyEvalFusedMatchesRescaleOnly)
 
 struct BootDiffEnv
 {
-    BootDiffEnv() : be(7321, {}, 20)
-    {
-        TestEnv& env = be.env;
-        traits.max_level = env.ctx.max_level();
-        traits.delta = env.ctx.delta();
-        const auto z = env.random_message(64, 0.3, 7);
-        traits.bootstrap_out_level =
-            be.boot->bootstrap(env.encrypt(z, 0)).level;
-    }
+    BootDiffEnv()
+        : be(7321, {}, 20), traits(traits_for(be.env.ctx, be.boot.get()))
+    {}
 
     /** @p graph_keys: rotation keys for the app graph's amounts (the
      *  bootstrapper carries its own set). */

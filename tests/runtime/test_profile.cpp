@@ -47,9 +47,7 @@ struct ProfileTestEnv
     ProfileTestEnv() : env(bts::testing::small_params())
     {
         rot_keys = env.keygen.gen_rotation_keys(env.sk, {1, 2, 4});
-        traits.max_level = env.ctx.max_level();
-        traits.bootstrap_out_level = env.ctx.max_level();
-        traits.delta = env.ctx.delta();
+        traits = traits_for(env.ctx);
     }
 
     EvalResources

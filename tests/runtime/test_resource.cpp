@@ -21,15 +21,14 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckks/test_utils.h"
 #include "common/workspace.h"
 #include "hwparams/instance.h"
 #include "runtime/analysis/resource.h"
-#include "runtime/apps/helr.h"
-#include "runtime/apps/resnet.h"
-#include "runtime/apps/sort.h"
+#include "runtime/apps/paper.h"
 #include "runtime/executor.h"
 #include "runtime/graph_workloads.h"
 #include "runtime/lowering.h"
@@ -46,46 +45,6 @@ using testing::TestEnv;
 // (a) + (b): exact counts and calibrated totals vs the lowered trace.
 // ---------------------------------------------------------------------
 
-/** Every builtin graph bts_lint serves, same builder set. */
-struct Builtin
-{
-    const char* name;
-    Graph graph;
-};
-
-std::vector<Builtin>
-builtin_graphs(const hw::CkksInstance& inst, bool raw)
-{
-    const GraphTraits t = traits_for(inst);
-    const passes::PassOptions opts =
-        raw ? passes::PassOptions::none() : passes::PassOptions{};
-    std::vector<Builtin> out;
-    out.push_back({"tmult", tmult_graph(inst, opts)});
-    out.push_back({"dot_product",
-                   dot_product_graph(t, t.bootstrap_out_level, 8, opts)});
-    out.push_back({"poly_eval",
-                   poly_eval_graph(t, t.bootstrap_out_level,
-                                   {0.3, -1.0, 0.5, 0.25}, opts)});
-    out.push_back({"bootstrap_refresh", bootstrap_refresh_graph(t, opts)});
-    {
-        apps::HelrConfig cfg = apps::HelrConfig::paper();
-        cfg.optimize = !raw;
-        out.push_back({"helr", std::move(apps::build_helr(cfg, t).graph)});
-    }
-    {
-        apps::ResnetConfig cfg = apps::ResnetConfig::paper();
-        cfg.optimize = !raw;
-        out.push_back(
-            {"resnet", std::move(apps::build_resnet(cfg, t).graph)});
-    }
-    {
-        apps::SortConfig cfg = apps::SortConfig::paper();
-        cfg.optimize = !raw;
-        out.push_back({"sort", std::move(apps::build_sort(cfg, t).graph)});
-    }
-    return out;
-}
-
 class ResourceSweep : public ::testing::TestWithParam<int>
 {
   protected:
@@ -100,10 +59,11 @@ TEST_P(ResourceSweep, OpCountsMatchLoweredTraceExactly)
 {
     const hw::CkksInstance i = inst();
     for (const bool raw : {false, true}) {
-        for (const Builtin& b : builtin_graphs(i, raw)) {
+        for (const std::string_view name : apps::paper_graph_names()) {
+            const Graph g = apps::paper_graph(name, i, !raw);
             const analysis::ResourceSummary s =
-                analysis::analyze_resources(b.graph, i);
-            const sim::Trace trace = lower_to_trace(b.graph, i);
+                analysis::analyze_resources(g, i);
+            const sim::Trace trace = lower_to_trace(g, i);
             const auto hist = sim::kind_histogram(trace);
             std::size_t total = 0;
             for (int k = 0; k < sim::kHeOpKindCount; ++k) {
@@ -115,14 +75,13 @@ TEST_P(ResourceSweep, OpCountsMatchLoweredTraceExactly)
                         : static_cast<std::size_t>(it->second);
                 EXPECT_EQ(s.op_counts[static_cast<std::size_t>(k)],
                           expect)
-                    << b.name << (raw ? " raw" : " opt") << " kind "
+                    << name << (raw ? " raw" : " opt") << " kind "
                     << sim::kind_name(kind);
                 total += expect;
             }
-            EXPECT_EQ(s.total_ops, total) << b.name;
-            EXPECT_EQ(s.total_ops, trace.ops.size()) << b.name;
-            EXPECT_EQ(s.bootstrap_count, trace.bootstrap_count)
-                << b.name;
+            EXPECT_EQ(s.total_ops, total) << name;
+            EXPECT_EQ(s.total_ops, trace.ops.size()) << name;
+            EXPECT_EQ(s.bootstrap_count, trace.bootstrap_count) << name;
         }
     }
 }
@@ -135,10 +94,10 @@ TEST_P(ResourceSweep, CostTotalsEqualPricingTheLoweredTrace)
     const hw::CkksInstance i = inst();
     const sim::BtsConfig hw;
     const sim::CostModel cm(hw, i);
-    for (const Builtin& b : builtin_graphs(i, /*raw=*/false)) {
-        const analysis::ResourceSummary s =
-            analysis::analyze_resources(b.graph, i);
-        const sim::Trace trace = lower_to_trace(b.graph, i);
+    for (const std::string_view name : apps::paper_graph_names()) {
+        const Graph g = apps::paper_graph(name, i, /*optimize=*/true);
+        const analysis::ResourceSummary s = analysis::analyze_resources(g, i);
+        const sim::Trace trace = lower_to_trace(g, i);
         double work = 0, ntt = 0, bconv = 0, elem = 0, evk = 0;
         std::size_t evk_ops = 0;
         for (const sim::HeOp& op : trace.ops) {
@@ -152,20 +111,20 @@ TEST_P(ResourceSweep, CostTotalsEqualPricingTheLoweredTrace)
         }
         const auto near = [&](double a, double e, const char* what) {
             EXPECT_NEAR(a, e, 1e-9 * std::max(1.0, std::abs(e)))
-                << b.name << " " << what;
+                << name << " " << what;
         };
         near(s.total_work_s, work, "total_work_s");
         near(s.ntt_s, ntt, "ntt_s");
         near(s.bconv_s, bconv, "bconv_s");
         near(s.elem_s, elem, "elem_s");
         near(s.evk_bytes, evk, "evk_bytes");
-        EXPECT_EQ(s.evk_ops, evk_ops) << b.name;
-        EXPECT_GT(s.total_work_s, 0.0) << b.name;
-        EXPECT_LE(s.keyswitch_work_s, s.total_work_s + 1e-12) << b.name;
+        EXPECT_EQ(s.evk_ops, evk_ops) << name;
+        EXPECT_GT(s.total_work_s, 0.0) << name;
+        EXPECT_LE(s.keyswitch_work_s, s.total_work_s + 1e-12) << name;
         // The profile is internally consistent.
         EXPECT_GE(s.critical_path_s, 0.0);
-        EXPECT_LE(s.critical_path_s, s.total_work_s + 1e-12) << b.name;
-        EXPECT_GE(s.parallelism, 1.0 - 1e-9) << b.name;
+        EXPECT_LE(s.critical_path_s, s.total_work_s + 1e-12) << name;
+        EXPECT_GE(s.parallelism, 1.0 - 1e-9) << name;
     }
 }
 
@@ -175,35 +134,12 @@ INSTANTIATE_TEST_SUITE_P(Table4, ResourceSweep, ::testing::Values(0, 1, 2));
 // (c): predicted liveness == measured serial execution, functionally.
 // ---------------------------------------------------------------------
 
-/** The pseudo-instance GraphServer::register_graph prices against:
- *  the functional context's geometry, boot levels per graph. */
-hw::CkksInstance
-env_instance(const TestEnv& env, const Graph& g)
-{
-    hw::CkksInstance inst;
-    inst.name = "test-env";
-    inst.n = env.ctx.n();
-    inst.max_level = env.ctx.max_level();
-    inst.dnum = env.ctx.dnum();
-    inst.q0_bits = env.ctx.params().q0_bits;
-    inst.scale_bits = env.ctx.params().scale_bits;
-    inst.boot_levels =
-        g.uses_bootstrap()
-            ? env.ctx.max_level() - g.traits().bootstrap_out_level
-            : 0;
-    return inst;
-}
-
 struct FuncEnv
 {
     FuncEnv() : env(bts::testing::small_params())
     {
         rot_keys = env.keygen.gen_rotation_keys(env.sk, {1, 2, 4});
-        GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.bootstrap_out_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
-        traits = t;
+        traits = traits_for(env.ctx);
     }
 
     EvalResources
@@ -262,7 +198,7 @@ TEST(ResourceLiveness, PredictedPeakEqualsMeasuredSerial)
         ASSERT_EQ(outs.size(), 1u) << c.name;
 
         const analysis::ResourceSummary s = analysis::analyze_resources(
-            c.graph, env_instance(e.env, c.graph));
+            c.graph, serving_instance(e.env.ctx, c.graph));
         // Zero tolerance: the analyzer mirrors run_serial's release
         // discipline op for op.
         EXPECT_EQ(s.peak_live_values, stats.peak_live_values) << c.name;
@@ -277,12 +213,9 @@ TEST(ResourceLiveness, BootstrapGraphPredictedPeakMatches)
 {
     static testing::BootTestEnv* be = new testing::BootTestEnv(1234, {});
     TestEnv& env = be->env;
-    GraphTraits t;
-    t.max_level = env.ctx.max_level();
-    t.delta = env.ctx.delta();
     const auto z = env.random_message(64, 0.3, 51);
-    t.bootstrap_out_level = be->boot->bootstrap(env.encrypt(z, 0)).level;
-    const Graph refresh = bootstrap_refresh_graph(t);
+    const Graph refresh =
+        bootstrap_refresh_graph(traits_for(env.ctx, be->boot.get()));
 
     EvalResources r;
     r.eval = &env.evaluator;
@@ -299,7 +232,7 @@ TEST(ResourceLiveness, BootstrapGraphPredictedPeakMatches)
     exec.run_serial(refresh, std::move(b), &stats);
 
     const analysis::ResourceSummary s = analysis::analyze_resources(
-        refresh, env_instance(env, refresh));
+        refresh, serving_instance(env.ctx, refresh));
     EXPECT_EQ(s.peak_live_values, stats.peak_live_values);
     EXPECT_EQ(s.peak_live_bytes,
               static_cast<double>(stats.peak_live_bytes));
@@ -320,7 +253,7 @@ TEST(ResourceParallelism, ChainGraphIsSerial)
     g.mark_output(v);
 
     const analysis::ResourceSummary s =
-        analysis::analyze_resources(g, env_instance(e.env, g));
+        analysis::analyze_resources(g, serving_instance(e.env.ctx, g));
     EXPECT_NEAR(s.parallelism, 1.0, 1e-9);
     EXPECT_NEAR(s.critical_path_s, s.total_work_s, 1e-15);
     EXPECT_EQ(s.width, 1u);
@@ -351,7 +284,7 @@ TEST(ResourceParallelism, WideGraphWidthBoundsInFlight)
     }
 
     const analysis::ResourceSummary s =
-        analysis::analyze_resources(g, env_instance(e.env, g));
+        analysis::analyze_resources(g, serving_instance(e.env.ctx, g));
     EXPECT_EQ(s.width, static_cast<std::size_t>(kLanesWide));
     EXPECT_GT(s.parallelism, 1.0);
     EXPECT_LT(s.critical_path_s, s.total_work_s);

@@ -19,15 +19,11 @@ struct ServerEnv
     ServerEnv() : env(bts::testing::small_params())
     {
         rot_keys = env.keygen.gen_rotation_keys(env.sk, {1, 2, 4});
-        GraphTraits t;
-        t.max_level = env.ctx.max_level();
-        t.bootstrap_out_level = env.ctx.max_level();
-        t.delta = env.ctx.delta();
-        traits = t;
+        traits = traits_for(env.ctx);
         dot = std::make_unique<Graph>(
-            dot_product_graph(t, t.max_level, 3));
+            dot_product_graph(traits, traits.max_level, 3));
         poly = std::make_unique<Graph>(
-            poly_eval_graph(t, t.max_level, {0.5, -0.25, 1.0}));
+            poly_eval_graph(traits, traits.max_level, {0.5, -0.25, 1.0}));
     }
 
     EvalResources
@@ -245,11 +241,8 @@ TEST(GraphServer, BootstrapRefreshJobsInTheMix)
         new testing::BootTestEnv(1234, {1, 2});
     TestEnv& env = be->env;
 
-    GraphTraits t;
-    t.max_level = env.ctx.max_level();
-    t.delta = env.ctx.delta();
+    const GraphTraits t = traits_for(env.ctx, be->boot.get());
     const auto z = env.random_message(64, 0.3, 51);
-    t.bootstrap_out_level = be->boot->bootstrap(env.encrypt(z, 0)).level;
 
     const Graph refresh = bootstrap_refresh_graph(t);
     const Graph dot = dot_product_graph(t, t.max_level, 2);
@@ -328,6 +321,35 @@ TEST(GraphServer, RegisterRejectsGraphNeedingMissingKeys)
 
     // Rejected graphs are not cached: a conforming graph still admits.
     EXPECT_NE(server.register_graph(*e.dot), nullptr);
+}
+
+TEST(GraphServer, RegisterRejectsGraphOffTheBootstrapperLevel)
+{
+    // The bound bootstrapper refreshes to level 1; a refresh graph
+    // declaring level 2 would fail every job after a full bootstrap,
+    // so admission rejects it.
+    testing::BootTestEnv be(1234);
+    TestEnv& env = be.env;
+    EvalResources r;
+    r.eval = &env.evaluator;
+    r.encoder = &env.encoder;
+    r.mult_key = &env.mult_key;
+    r.rot_keys = &be.rot_keys;
+    r.conj_key = &env.conj_key;
+    r.bootstrapper = be.boot.get();
+    GraphServer server(r, ServerOptions{});
+
+    GraphTraits t = traits_for(env.ctx, be.boot.get());
+    ASSERT_EQ(t.bootstrap_out_level, 1);
+    t.bootstrap_out_level = 2;
+    const Graph refresh = bootstrap_refresh_graph(t);
+    try {
+        server.register_graph(refresh);
+        FAIL() << "expected VerifyError";
+    } catch (const analysis::VerifyError& ex) {
+        ASSERT_FALSE(ex.diagnostics().empty());
+        EXPECT_EQ(ex.diagnostics()[0].rule, "bootstrap-level-mismatch");
+    }
 }
 
 TEST(GraphServer, RegisterRejectsCorruptedGraph)

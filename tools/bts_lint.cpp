@@ -32,9 +32,9 @@
  * diagnostics (rs-peak-live, rs-evk-working-set, rs-critical-path)
  * merged into the lint report — errors count toward the exit code.
  */
+#include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,76 +42,12 @@
 #include "hwparams/instance.h"
 #include "runtime/analysis/resource.h"
 #include "runtime/analysis/verifier.h"
-#include "runtime/apps/helr.h"
-#include "runtime/apps/resnet.h"
-#include "runtime/apps/sort.h"
-#include "runtime/graph_workloads.h"
+#include "runtime/apps/paper.h"
 
 namespace {
 
 using namespace bts;
 using namespace bts::runtime;
-
-struct Builtin
-{
-    const char* name;
-    std::function<Graph(const hw::CkksInstance&, bool raw)> build;
-};
-
-const std::vector<Builtin>&
-builtins()
-{
-    static const std::vector<Builtin> list = {
-        {"tmult",
-         [](const hw::CkksInstance& inst, bool raw) {
-             return tmult_graph(inst, raw ? passes::PassOptions::none()
-                                          : passes::PassOptions{});
-         }},
-        {"dot_product",
-         [](const hw::CkksInstance& inst, bool raw) {
-             const GraphTraits t = traits_for(inst);
-             return dot_product_graph(t, t.bootstrap_out_level, 8,
-                                      raw ? passes::PassOptions::none()
-                                          : passes::PassOptions{});
-         }},
-        {"poly_eval",
-         [](const hw::CkksInstance& inst, bool raw) {
-             const GraphTraits t = traits_for(inst);
-             return poly_eval_graph(t, t.bootstrap_out_level,
-                                    {0.3, -1.0, 0.5, 0.25},
-                                    raw ? passes::PassOptions::none()
-                                        : passes::PassOptions{});
-         }},
-        {"bootstrap_refresh",
-         [](const hw::CkksInstance& inst, bool raw) {
-             return bootstrap_refresh_graph(
-                 traits_for(inst), raw ? passes::PassOptions::none()
-                                       : passes::PassOptions{});
-         }},
-        {"helr",
-         [](const hw::CkksInstance& inst, bool raw) {
-             apps::HelrConfig cfg = apps::HelrConfig::paper();
-             cfg.optimize = !raw;
-             return std::move(
-                 apps::build_helr(cfg, traits_for(inst)).graph);
-         }},
-        {"resnet",
-         [](const hw::CkksInstance& inst, bool raw) {
-             apps::ResnetConfig cfg = apps::ResnetConfig::paper();
-             cfg.optimize = !raw;
-             return std::move(
-                 apps::build_resnet(cfg, traits_for(inst)).graph);
-         }},
-        {"sort",
-         [](const hw::CkksInstance& inst, bool raw) {
-             apps::SortConfig cfg = apps::SortConfig::paper();
-             cfg.optimize = !raw;
-             return std::move(
-                 apps::build_sort(cfg, traits_for(inst)).graph);
-         }},
-    };
-    return list;
-}
 
 int
 usage(const char* argv0)
@@ -142,6 +78,7 @@ main(int argc, char** argv)
     bool schedule = false;
     bool limits_set = false;
     bts::runtime::analysis::ResourceLimits limits;
+    const std::vector<std::string_view> builtins = apps::paper_graph_names();
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -152,8 +89,8 @@ main(int argc, char** argv)
             return std::stod(value(prefix));
         };
         if (arg == "--list") {
-            for (const Builtin& b : builtins()) {
-                std::cout << b.name << "\n";
+            for (const std::string_view name : builtins) {
+                std::cout << name << "\n";
             }
             return 0;
         } else if (arg == "--all-builtin") {
@@ -192,9 +129,7 @@ main(int argc, char** argv)
         std::cerr << "bts_lint: unknown format '" << format << "'\n";
         return usage(argv[0]);
     }
-    if (all) {
-        for (const Builtin& b : builtins()) names.push_back(b.name);
-    }
+    if (all) names.assign(builtins.begin(), builtins.end());
     if (names.empty()) return usage(argv[0]);
     if (!dot_path.empty() && names.size() != 1) {
         std::cerr << "bts_lint: --dot needs exactly one graph\n";
@@ -217,20 +152,14 @@ main(int argc, char** argv)
     bool first = true;
     if (format == "json") std::cout << "[";
     for (const std::string& name : names) {
-        const Builtin* builtin = nullptr;
-        for (const Builtin& b : builtins()) {
-            if (name == b.name) {
-                builtin = &b;
-                break;
-            }
-        }
-        if (builtin == nullptr) {
+        if (std::find(builtins.begin(), builtins.end(), name) ==
+            builtins.end()) {
             std::cerr << "bts_lint: unknown graph '" << name
                       << "' (try --list)\n";
             return usage(argv[0]);
         }
         try {
-            const Graph g = builtin->build(inst, raw);
+            const Graph g = apps::paper_graph(name, inst, !raw);
             const analysis::Analysis a = analysis::analyze(g);
             std::vector<analysis::Diagnostic> diags = a.diags;
             const bool want_resources = cost || schedule || limits_set;

@@ -21,14 +21,15 @@
  * The instance is the runtime test suite's bootstrap-capable small
  * environment (N=2^8, L=20, dnum=3, 64 slots, radix-8 CtS/StC —
  * mirror of tests/ckks/test_utils.h BootTestEnv; insecure, see
- * DESIGN.md). Graphs that never bootstrap (dot, poly) skip the
- * bootstrapper build and probe entirely, so they smoke-test in
+ * DESIGN.md). The bootstrapper, built without keys, states the
+ * refresh level the graphs are sized against; a run then generates
+ * only the keys its graph needs (its rotations, plus the
+ * bootstrapper's when it refreshes), so dot and poly smoke-test in
  * seconds. Exit code: 0 on success, 2 on usage errors.
  */
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -54,74 +55,59 @@ using namespace bts::runtime;
 
 constexpr std::size_t kSlots = 64;
 
-struct BuiltinSpec
+/** One builtin graph at functional scale. */
+struct Builtin
 {
     const char* name;
     const char* what;
-    bool needs_bootstrap;
+    Graph (*build)(const GraphTraits& traits);
 };
 
-const std::vector<BuiltinSpec>&
-builtins()
-{
-    static const std::vector<BuiltinSpec> list = {
-        {"dot", "encrypted dot product (rotation log-tree)", false},
-        {"poly", "degree-3 Horner polynomial evaluation", false},
-        {"refresh", "one Bootstrap refresh", true},
-        {"helr", "HELR logistic training, functional scale", true},
-        {"resnet", "ResNet-20-style inference, functional scale", true},
-        {"sort", "bitonic sorting network, functional scale", true},
-    };
-    return list;
-}
+constexpr Builtin kBuiltins[] = {
+    {"dot", "encrypted dot product (rotation log-tree)",
+     [](const GraphTraits& t) {
+         return dot_product_graph(t, t.max_level, 3);
+     }},
+    {"poly", "degree-3 Horner polynomial evaluation",
+     [](const GraphTraits& t) {
+         return poly_eval_graph(t, t.max_level, {1.0, 0.5, 0.25, 0.125});
+     }},
+    {"refresh", "one Bootstrap refresh",
+     [](const GraphTraits& t) { return bootstrap_refresh_graph(t); }},
+    {"helr", "HELR logistic training, functional scale",
+     [](const GraphTraits& t) {
+         apps::HelrConfig cfg = apps::HelrConfig::functional();
+         cfg.iterations = 2;
+         return std::move(apps::build_helr(cfg, t).graph);
+     }},
+    {"resnet", "ResNet-20-style inference, functional scale",
+     [](const GraphTraits& t) {
+         return std::move(
+             apps::build_resnet(apps::ResnetConfig::functional(), t).graph);
+     }},
+    {"sort", "bitonic sorting network, functional scale",
+     [](const GraphTraits& t) {
+         return std::move(
+             apps::build_sort(apps::SortConfig::functional(), t).graph);
+     }},
+};
 
 /**
- * The serving environment: context, key material and (for graphs that
- * refresh) a bootstrapper whose output level is pinned by one probe
- * refresh, exactly like the runtime test suites do.
+ * The serving environment: context, a bootstrapper whose output level
+ * sizes the graphs, and (after gen_keys) the key material one graph
+ * needs.
  */
 struct ProfileEnv
 {
-    explicit ProfileEnv(bool needs_bootstrap)
+    ProfileEnv()
         : ctx(params()),
           encoder(ctx),
           evaluator(ctx, encoder),
+          boot(ctx, encoder, evaluator, boot_config()),
+          traits(traits_for(ctx, &boot)),
           keygen(ctx, params().seed + 1),
           encryptor(ctx, params().seed + 2)
-    {
-        sk = keygen.gen_secret_key();
-        mult_key = keygen.gen_mult_key(sk);
-        conj_key = keygen.gen_conjugation_key(sk);
-        traits.max_level = ctx.max_level();
-        traits.delta = ctx.delta();
-
-        // Rotation-key union covering every builtin at functional
-        // scale (the test suites' extra list plus the dot tree).
-        std::set<int> amounts = {-2, -1, 1, 2, 3, 4, 5, 6, 8, 16, 32};
-        if (needs_bootstrap) {
-            BootstrapConfig cfg;
-            cfg.slots = kSlots;
-            cfg.sine_degree = 119;
-            cfg.cts_radix = 8;
-            cfg.stc_radix = 8;
-            boot = std::make_unique<Bootstrapper>(ctx, encoder, evaluator,
-                                                  cfg);
-            for (const int r : boot->required_rotations()) {
-                amounts.insert(r);
-            }
-        }
-        rot_keys = keygen.gen_rotation_keys(
-            sk, {amounts.begin(), amounts.end()});
-        if (boot) {
-            boot->set_keys(&mult_key, &rot_keys, &conj_key);
-            // One probe refresh pins the refreshed level the app
-            // builders size their iteration budgets against.
-            const Ciphertext probe = encrypt(random_vec(0.3, 7), 0);
-            traits.bootstrap_out_level = boot->bootstrap(probe).level;
-        } else {
-            traits.bootstrap_out_level = ctx.max_level();
-        }
-    }
+    {}
 
     static CkksParams
     params()
@@ -136,6 +122,35 @@ struct ProfileEnv
         p.hamming_weight = 32;
         p.seed = 7321;
         return p;
+    }
+
+    static BootstrapConfig
+    boot_config()
+    {
+        BootstrapConfig cfg;
+        cfg.slots = kSlots;
+        cfg.sine_degree = 119;
+        cfg.cts_radix = 8;
+        cfg.stc_radix = 8;
+        return cfg;
+    }
+
+    /** Generate the keys @p g needs: its rotations, plus the
+     *  bootstrapper's when it refreshes. */
+    void
+    gen_keys(const Graph& g)
+    {
+        sk = keygen.gen_secret_key();
+        mult_key = keygen.gen_mult_key(sk);
+        conj_key = keygen.gen_conjugation_key(sk);
+        std::vector<int> amounts = g.required_rotations();
+        if (g.uses_bootstrap()) {
+            const std::vector<int> boot_amounts = boot.required_rotations();
+            amounts.insert(amounts.end(), boot_amounts.begin(),
+                           boot_amounts.end());
+        }
+        rot_keys = keygen.gen_rotation_keys(sk, amounts);
+        boot.set_keys(&mult_key, &rot_keys, &conj_key);
     }
 
     std::vector<Complex>
@@ -165,7 +180,7 @@ struct ProfileEnv
         r.mult_key = &mult_key;
         r.rot_keys = &rot_keys;
         r.conj_key = &conj_key;
-        r.bootstrapper = boot.get();
+        r.bootstrapper = &boot;
         return r;
     }
 
@@ -192,41 +207,15 @@ struct ProfileEnv
     CkksContext ctx;
     CkksEncoder encoder;
     Evaluator evaluator;
+    Bootstrapper boot;
+    GraphTraits traits;
     KeyGenerator keygen;
     Encryptor encryptor;
     SecretKey sk;
     EvalKey mult_key;
     EvalKey conj_key;
-    std::unique_ptr<Bootstrapper> boot;
     RotationKeys rot_keys;
-    GraphTraits traits;
 };
-
-Graph
-build_builtin(const std::string& name, const GraphTraits& traits)
-{
-    using namespace bts::runtime::apps;
-    if (name == "dot") {
-        return dot_product_graph(traits, traits.max_level, 3);
-    }
-    if (name == "poly") {
-        return poly_eval_graph(traits, traits.max_level,
-                               {1.0, 0.5, 0.25, 0.125});
-    }
-    if (name == "refresh") return bootstrap_refresh_graph(traits);
-    if (name == "helr") {
-        HelrConfig cfg = HelrConfig::functional();
-        cfg.iterations = 2;
-        return build_helr(cfg, traits).graph;
-    }
-    if (name == "resnet") {
-        return build_resnet(ResnetConfig::functional(), traits).graph;
-    }
-    if (name == "sort") {
-        return build_sort(SortConfig::functional(), traits).graph;
-    }
-    throw std::invalid_argument("unknown builtin graph: " + name);
-}
 
 struct Args
 {
@@ -287,18 +276,19 @@ run(const Args& args)
 {
     namespace tel = bts::runtime::telemetry;
 
-    const BuiltinSpec* spec = nullptr;
-    for (const BuiltinSpec& b : builtins()) {
-        if (args.graph == b.name) spec = &b;
+    const Builtin* builtin = nullptr;
+    for (const Builtin& b : kBuiltins) {
+        if (args.graph == b.name) builtin = &b;
     }
-    if (spec == nullptr) {
+    if (builtin == nullptr) {
         std::cerr << "unknown builtin graph: " << args.graph
                   << " (try --list)\n";
         return 2;
     }
 
-    ProfileEnv env(spec->needs_bootstrap);
-    const Graph g = build_builtin(args.graph, env.traits);
+    ProfileEnv env;
+    const Graph g = builtin->build(env.traits);
+    env.gen_keys(g);
 
     ServerOptions opts;
     opts.lanes = args.lanes;
@@ -368,15 +358,18 @@ main(int argc, char** argv)
 {
     const std::optional<Args> args = parse_args(argc, argv);
     if (!args) return 2;
-    if (args->list) {
-        for (const BuiltinSpec& b : builtins()) {
-            std::cout << b.name << "\t" << b.what
-                      << (b.needs_bootstrap ? "\t[bootstrap]" : "")
-                      << "\n";
-        }
-        return 0;
-    }
     try {
+        if (args->list) {
+            const ProfileEnv env;
+            for (const Builtin& b : kBuiltins) {
+                std::cout << b.name << "\t" << b.what
+                          << (b.build(env.traits).uses_bootstrap()
+                                  ? "\t[bootstrap]"
+                                  : "")
+                          << "\n";
+            }
+            return 0;
+        }
         return run(*args);
     } catch (const std::exception& e) {
         std::cerr << "bts_profile: " << e.what() << "\n";
