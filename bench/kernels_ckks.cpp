@@ -10,6 +10,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <span>
 #include <tuple>
 
 #include "ckks/bootstrapper.h"
@@ -431,13 +432,53 @@ BENCHMARK(BM_BootstrapLarge)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Shared machinery for BM_Serving: one bootstrap-capable env (N=2^8,
- * slots=64, radix-8 CtS/StC — the BM_Bootstrap small instance, kept in
- * sync with the tests' BootTestEnv in tests/ckks/test_utils.h) whose
- * three client classes — dot products, Horner polynomial evaluation,
- * and bootstrap-refresh jobs — share the context, keys, and
- * pre-encrypted payloads. Jobs copy a prebuilt Binding, so the timed
- * region covers admission + scheduling + HE execution, not encryption.
+ * The functional instance at @p max_level (runtime::functional_params)
+ * with its bootstrapper, whose output level sizes the graphs, and,
+ * after gen_keys(), the keys a set of graphs needs.
+ */
+struct FunctionalEnv
+{
+    explicit FunctionalEnv(int max_level)
+        : env(runtime::functional_params(max_level, 42)),
+          boot(env.ctx, env.encoder, env.eval,
+               runtime::functional_boot_config()),
+          traits(runtime::traits_for(env.ctx, &boot))
+    {}
+
+    void
+    gen_keys(std::span<const runtime::Graph* const> graphs)
+    {
+        rot_keys = env.keygen.gen_rotation_keys(
+            env.sk, runtime::required_rotations(graphs, &boot));
+        conj = env.keygen.gen_conjugation_key(env.sk);
+        boot.set_keys(&env.mult_key, &rot_keys, &conj);
+    }
+
+    runtime::EvalResources
+    resources() const
+    {
+        return {.eval = &env.eval,
+                .encoder = &env.encoder,
+                .mult_key = &env.mult_key,
+                .rot_keys = &rot_keys,
+                .conj_key = &conj,
+                .bootstrapper = &boot};
+    }
+
+    Env env;
+    Bootstrapper boot;
+    runtime::GraphTraits traits;
+    RotationKeys rot_keys;
+    EvalKey conj;
+};
+
+/**
+ * Shared machinery for BM_Serving: the functional instance at L=14
+ * whose three client classes — dot products, Horner polynomial
+ * evaluation, and bootstrap-refresh jobs — share the context, keys,
+ * and pre-encrypted payloads. Jobs copy a prebuilt Binding, so the
+ * timed region covers admission + scheduling + HE execution, not
+ * encryption.
  *
  * Two graph sets: sets[0] is the pass-off baseline (rescale placement
  * only — the minimum needed for an executable graph, no CSE / fusion /
@@ -445,46 +486,16 @@ BENCHMARK(BM_BootstrapLarge)
  * second arg selects the set, so the pass-on vs pass-off serving
  * numbers come from the same env, keys, and payloads.
  */
-struct ServeBench
+struct ServeBench : FunctionalEnv
 {
-    ServeBench()
-        : env([] {
-              CkksParams p;
-              p.n = 1 << 8;
-              p.max_level = 14;
-              p.dnum = 3;
-              p.q0_bits = 50;
-              p.hamming_weight = 32;
-              return p;
-          }())
+    ServeBench() : FunctionalEnv(14)
     {
-        BootstrapConfig cfg;
-        cfg.slots = 64;
-        cfg.sine_degree = 119;
-        cfg.cts_radix = 8;
-        cfg.stc_radix = 8;
-        boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
-                                              env.eval, cfg);
-        auto amounts = boot->required_rotations();
-        for (int r : {1, 2, 4}) amounts.push_back(r);
-        rot_keys = env.keygen.gen_rotation_keys(env.sk, amounts);
-        conj = env.keygen.gen_conjugation_key(env.sk);
-        boot->set_keys(&env.mult_key, &rot_keys, &conj);
-
-        const runtime::GraphTraits t =
-            runtime::traits_for(env.ctx, boot.get());
-        const auto z = std::vector<Complex>(64, Complex(0.2, 0.1));
-        const Ciphertext exhausted = env.encryptor.encrypt_symmetric(
-            env.encoder.encode(z, env.ctx.delta(), 0), env.sk);
-
-        const auto x = std::vector<Complex>(64, Complex(0.4, -0.2));
-        const Ciphertext fresh = env.encryptor.encrypt_symmetric(
-            env.encoder.encode(x, env.ctx.delta(), env.ctx.max_level()),
-            env.sk);
+        const runtime::GraphTraits& t = traits;
         const runtime::passes::PassOptions variants[2] = {
             runtime::passes::PassOptions::rescale_only(),
             runtime::passes::PassOptions{},
         };
+        std::vector<const runtime::Graph*> graphs;
         for (int v = 0; v < 2; ++v) {
             GraphSet& s = sets[v];
             s.dot = std::make_unique<runtime::Graph>(
@@ -496,6 +507,20 @@ struct ServeBench
                                          variants[v]));
             s.refresh = std::make_unique<runtime::Graph>(
                 runtime::bootstrap_refresh_graph(t, variants[v]));
+            graphs.insert(graphs.end(),
+                          {s.dot.get(), s.poly.get(), s.refresh.get()});
+        }
+        gen_keys(graphs);
+
+        const auto z = std::vector<Complex>(64, Complex(0.2, 0.1));
+        const Ciphertext exhausted = env.encryptor.encrypt_symmetric(
+            env.encoder.encode(z, env.ctx.delta(), 0), env.sk);
+
+        const auto x = std::vector<Complex>(64, Complex(0.4, -0.2));
+        const Ciphertext fresh = env.encryptor.encrypt_symmetric(
+            env.encoder.encode(x, env.ctx.delta(), env.ctx.max_level()),
+            env.sk);
+        for (GraphSet& s : sets) {
             s.dot_binding.bind(runtime::Value{s.dot->input_ids()[0]},
                                fresh);
             s.dot_binding.bind(
@@ -509,31 +534,21 @@ struct ServeBench
         }
     }
 
-    runtime::EvalResources
-    resources() const
-    {
-        runtime::EvalResources r;
-        r.eval = &env.eval;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &conj;
-        r.bootstrapper = boot.get();
-        return r;
-    }
-
     struct GraphSet
     {
         std::unique_ptr<runtime::Graph> dot, poly, refresh;
         runtime::Binding dot_binding, poly_binding, refresh_binding;
     };
 
-    Env env;
-    std::unique_ptr<Bootstrapper> boot;
-    RotationKeys rot_keys;
-    EvalKey conj;
     GraphSet sets[2]; // [0] = pass-off baseline, [1] = full pipeline
 };
+
+ServeBench&
+serve_bench()
+{
+    static ServeBench* b = new ServeBench();
+    return *b;
+}
 
 void
 BM_Serving(benchmark::State& state)
@@ -545,14 +560,14 @@ BM_Serving(benchmark::State& state)
     // 1 = full pass pipeline); jobs/s and the p50/p99 submit->complete
     // latencies land in the counters (aggregated over the whole run by
     // the server).
-    static ServeBench* sb = new ServeBench();
+    const ServeBench& sb = serve_bench();
     const int lanes = static_cast<int>(state.range(0));
     const int passes_on = static_cast<int>(state.range(1));
-    const ServeBench::GraphSet& gs = sb->sets[passes_on ? 1 : 0];
+    const ServeBench::GraphSet& gs = sb.sets[passes_on ? 1 : 0];
 
     runtime::ServerOptions opts;
     opts.lanes = lanes;
-    runtime::GraphServer server(sb->resources(), opts);
+    runtime::GraphServer server(sb.resources(), opts);
     constexpr int kDot = 6, kPoly = 6, kRefresh = 2;
     for (auto _ : state) {
         std::vector<std::future<runtime::JobResult>> futures;
@@ -611,14 +626,14 @@ BM_ServingCostAdmission(benchmark::State& state)
     // calibration check: the static cost model's expensive/cheap cost
     // ratio against the wall-clock one (model seconds are simulator
     // time, so only the ratio is comparable).
-    static ServeBench* sb = new ServeBench();
+    const ServeBench& sb = serve_bench();
     const bool cost_aware = state.range(0) != 0;
-    const ServeBench::GraphSet& gs = sb->sets[1];
+    const ServeBench::GraphSet& gs = sb.sets[1];
 
     runtime::ServerOptions opts;
     opts.lanes = 1; // queue ordering, not lane count, under test
     opts.cost_aware = cost_aware;
-    runtime::GraphServer server(sb->resources(), opts);
+    runtime::GraphServer server(sb.resources(), opts);
     // Register so admission has cost estimates, and rebind the
     // prebuilt payloads onto the server's cached optimized graphs.
     const runtime::passes::OptimizeResult* dot =
@@ -696,135 +711,92 @@ BENCHMARK(BM_ServingCostAdmission)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Shared machinery for BM_Helr / BM_AppServing: the L=20 variant of
- * the serving instance (same N=2^8 / slots=64 / radix-8 bootstrap as
- * ServeBench, 8 usable levels after the 12-level bootstrap budget —
- * the tests' BootTestEnv with max_level=20) running the runtime/apps
- * graph ports of the paper's Table 5/6 applications functionally:
- * HELR training iterations, ResNet-20-style inference jobs, and
- * encrypted bitonic sorting, all with genuine mid-circuit Bootstrap
- * refreshes. Bindings are prebuilt and copied per run, so the timed
- * region covers scheduling + HE execution, not encryption.
+ * Shared machinery for BM_Helr / BM_AppServing: the functional
+ * instance at L=20 (runtime::functional_params; 8 levels left after
+ * the bootstrap budget) running the runtime/apps graph ports of the
+ * paper's Table 5/6 applications functionally: HELR training
+ * iterations, ResNet-20-style inference jobs, and encrypted bitonic
+ * sorting, all with genuine mid-circuit Bootstrap refreshes. Bindings
+ * are prebuilt and copied per run, so the timed region covers
+ * scheduling + HE execution, not encryption.
  */
-struct AppServeBench
+struct AppServeBench : FunctionalEnv
 {
-    AppServeBench()
-        : env([] {
-              CkksParams p;
-              p.n = 1 << 8;
-              p.max_level = 20;
-              p.dnum = 3;
-              p.q0_bits = 50;
-              p.hamming_weight = 32;
-              return p;
-          }())
+    AppServeBench() : FunctionalEnv(20)
     {
-        BootstrapConfig cfg;
-        cfg.slots = 64;
-        cfg.sine_degree = 119;
-        cfg.cts_radix = 8;
-        cfg.stc_radix = 8;
-        boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
-                                              env.eval, cfg);
-        const runtime::GraphTraits t =
-            runtime::traits_for(env.ctx, boot.get());
-
         using namespace runtime::apps;
         helr = std::make_unique<HelrApp>(
-            build_helr(HelrConfig::functional(), t));
+            build_helr(HelrConfig::functional(), traits));
         HelrConfig raw_cfg = HelrConfig::functional();
         raw_cfg.optimize = false; // pass-off baseline for BM_Helr
-        helr_raw = std::make_unique<HelrApp>(build_helr(raw_cfg, t));
+        helr_raw = std::make_unique<HelrApp>(build_helr(raw_cfg, traits));
         resnet = std::make_unique<ResnetApp>(
-            build_resnet(ResnetConfig::functional(), t));
+            build_resnet(ResnetConfig::functional(), traits));
         sort_cfg = SortConfig::functional();
-        sort = std::make_unique<SortApp>(build_sort(sort_cfg, t));
+        sort = std::make_unique<SortApp>(build_sort(sort_cfg, traits));
 
-        auto amounts = boot->required_rotations();
-        for (const runtime::Graph* g :
-             {&helr->graph, &helr_raw->graph, &resnet->graph, &sort->graph}) {
-            const auto rots = g->required_rotations();
-            amounts.insert(amounts.end(), rots.begin(), rots.end());
-        }
-        rot_keys = env.keygen.gen_rotation_keys(env.sk, amounts);
-        conj = env.keygen.gen_conjugation_key(env.sk);
-        boot->set_keys(&env.mult_key, &rot_keys, &conj);
+        const runtime::Graph* graphs[] = {&helr->graph, &helr_raw->graph,
+                                          &resnet->graph, &sort->graph};
+        gen_keys(graphs);
 
         const auto flat = [](double v) {
             return std::vector<Complex>(64, Complex(v, 0.0));
         };
-        bind_ct(helr_binding, helr->weights, flat(0.05), t);
+        bind_ct(helr_binding, helr->weights, flat(0.05));
         for (const runtime::Value d : helr->data) {
-            bind_pt(helr_binding, d, flat(0.3), t);
+            bind_pt(helr_binding, d, flat(0.3));
         }
-        bind_pt(helr_binding, helr->grad_data, flat(0.01), t);
+        bind_pt(helr_binding, helr->grad_data, flat(0.01));
 
-        bind_ct(helr_raw_binding, helr_raw->weights, flat(0.05), t);
+        bind_ct(helr_raw_binding, helr_raw->weights, flat(0.05));
         for (const runtime::Value d : helr_raw->data) {
-            bind_pt(helr_raw_binding, d, flat(0.3), t);
+            bind_pt(helr_raw_binding, d, flat(0.3));
         }
-        bind_pt(helr_raw_binding, helr_raw->grad_data, flat(0.01), t);
+        bind_pt(helr_raw_binding, helr_raw->grad_data, flat(0.01));
 
-        bind_ct(resnet_binding, resnet->act, flat(0.3), t);
+        bind_ct(resnet_binding, resnet->act, flat(0.3));
         for (const auto& layer : resnet->taps) {
             for (const runtime::Value tap : layer) {
                 bind_pt(resnet_binding, tap,
-                        flat(0.5 / static_cast<double>(layer.size())), t);
+                        flat(0.5 / static_cast<double>(layer.size())));
             }
         }
-        bind_pt(resnet_binding, resnet->pool_weights, flat(0.125), t);
+        bind_pt(resnet_binding, resnet->pool_weights, flat(0.125));
 
         std::vector<Complex> grid(64);
         const double vals[4] = {0.75, -0.25, 0.25, -0.75};
         for (std::size_t i = 0; i < grid.size(); ++i) {
             grid[i] = Complex(vals[i % 4], 0.0);
         }
-        bind_ct(sort_binding, sort->values, grid, t);
+        bind_ct(sort_binding, sort->values, grid);
         for (const auto& st : sort->stages) {
             const int k = sort_cfg.log_elements;
             bind_pt(sort_binding, st.mask_lo,
-                    sort_mask_lo(k, st.distance, 64), t);
+                    sort_mask_lo(k, st.distance, 64));
             bind_pt(sort_binding, st.mask_hi,
-                    sort_mask_hi(k, st.distance, 64), t);
+                    sort_mask_hi(k, st.distance, 64));
             bind_pt(sort_binding, st.select,
-                    sort_select_mask(k, st.phase, st.distance, 64), t);
+                    sort_select_mask(k, st.phase, st.distance, 64));
         }
     }
 
     void
     bind_ct(runtime::Binding& b, runtime::Value v,
-            const std::vector<Complex>& z, const runtime::GraphTraits& t)
+            const std::vector<Complex>& z)
     {
         b.bind(v, env.encryptor.encrypt_symmetric(
-                      env.encoder.encode(z, t.delta,
-                                         t.bootstrap_out_level),
+                      env.encoder.encode(z, traits.delta,
+                                         traits.bootstrap_out_level),
                       env.sk));
     }
 
     void
     bind_pt(runtime::Binding& b, runtime::Value v,
-            const std::vector<Complex>& z, const runtime::GraphTraits& t)
+            const std::vector<Complex>& z)
     {
-        b.bind(v, env.encoder.encode(z, t.delta, t.max_level));
+        b.bind(v, env.encoder.encode(z, traits.delta, traits.max_level));
     }
 
-    runtime::EvalResources
-    resources() const
-    {
-        runtime::EvalResources r;
-        r.eval = &env.eval;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &conj;
-        r.bootstrapper = boot.get();
-        return r;
-    }
-
-    Env env;
-    std::unique_ptr<Bootstrapper> boot;
-    RotationKeys rot_keys;
-    EvalKey conj;
     std::unique_ptr<runtime::apps::HelrApp> helr;
     std::unique_ptr<runtime::apps::HelrApp> helr_raw; // pass-off
     std::unique_ptr<runtime::apps::ResnetApp> resnet;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Table 3 reproduction: per-component area and peak power of BTS.
- * These are the calibrated hardware-model constants (see DESIGN.md's
- * substitution table) — printed with their totals as a consistency
- * check against the paper's 373.6 mm^2 / 163.2 W.
+ * These are the calibrated hardware-model constants (see
+ * sim/hw_config.h) — printed with their totals as a consistency check
+ * against the paper's 373.6 mm^2 / 163.2 W.
  */
 #include <cstdio>
 

@@ -12,10 +12,10 @@
  * back to the grid recovers the exact sorted order — the accuracy
  * methodology documented in docs/APPLICATIONS.md.
  *
- * Instance: the bootstrap-capable toy instance the runtime test suites
- * share (N = 2^8, 64 slots, radix-8 CtS/StC, L = 20 for 8 usable
- * levels after the bootstrap budget). Insecure, small, and slow-ish —
- * the point is the full circuit shape, not performance.
+ * Instance: the functional instance at L = 20
+ * (runtime::functional_params and functional_boot_config: N = 2^8,
+ * 64 slots, radix-8 CtS/StC, refreshing to level 7). Insecure, small,
+ * and slow-ish — the point is the full circuit shape, not performance.
  */
 #include <algorithm>
 #include <cmath>
@@ -37,14 +37,8 @@ main()
     using namespace bts;
     using namespace bts::runtime;
 
-    // --- the bootstrap-capable toy instance -------------------------
-    CkksParams params;
-    params.n = 1 << 8;
-    params.max_level = 20;
-    params.dnum = 3;
-    params.hamming_weight = 32;
-    params.seed = 77;
-    const CkksContext ctx(params);
+    // --- the functional instance ----------------------------------
+    const CkksContext ctx(functional_params(20, 77));
     const CkksEncoder encoder(ctx);
     const Evaluator eval(ctx, encoder);
     KeyGenerator keygen(ctx, 78);
@@ -53,13 +47,7 @@ main()
     const SecretKey sk = keygen.gen_secret_key();
     const EvalKey mult_key = keygen.gen_mult_key(sk);
     const EvalKey conj_key = keygen.gen_conjugation_key(sk);
-
-    BootstrapConfig boot_cfg;
-    boot_cfg.slots = 64;
-    boot_cfg.sine_degree = 119;
-    boot_cfg.cts_radix = 8;
-    boot_cfg.stc_radix = 8;
-    Bootstrapper boot(ctx, encoder, eval, boot_cfg);
+    Bootstrapper boot(ctx, encoder, eval, functional_boot_config());
 
     // --- build the sorting graph ------------------------------------
     // The bootstrapper states the level it refreshes to, which the
@@ -73,11 +61,9 @@ main()
            app.stages.size());
 
     // Rotation keys: the bootstrap pipeline's plus the graph's +-d.
-    auto amounts = boot.required_rotations();
-    for (const int r : app.graph.required_rotations()) {
-        amounts.push_back(r);
-    }
-    const RotationKeys rot_keys = keygen.gen_rotation_keys(sk, amounts);
+    const Graph* graphs[] = {&app.graph};
+    const RotationKeys rot_keys =
+        keygen.gen_rotation_keys(sk, required_rotations(graphs, &boot));
     boot.set_keys(&mult_key, &rot_keys, &conj_key);
 
     // --- encrypt a batch of blocks and bind the stage masks ---------

@@ -3,8 +3,9 @@
  * Quickstart: encrypt two real vectors, compute (x*y + x) homomorphically,
  * decrypt, and compare against the plaintext result.
  *
- * Uses a small (insecure — see DESIGN.md) parameter set so it runs in
- * well under a second; the API is identical at production sizes.
+ * Uses a small parameter set (insecure — see runtime::functional_params
+ * in runtime/graph_workloads.h) so it runs in well under a second; the
+ * API is identical at production sizes.
  */
 #include <cstdio>
 

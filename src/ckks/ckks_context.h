@@ -12,8 +12,9 @@
  *     (special primes).
  *
  * The security-relevant instances of the paper use N = 2^17; functional
- * tests use small insecure N (see DESIGN.md). The context owns every
- * per-prime NTT table and hands out prime chains for each level.
+ * tests use small insecure N (see runtime::functional_params in
+ * runtime/graph_workloads.h). The context owns every per-prime NTT
+ * table and hands out prime chains for each level.
  */
 #pragma once
 

@@ -17,7 +17,7 @@ HelrConfig::functional()
     HelrConfig cfg;
     cfg.iterations = 3;
     cfg.data_cts = 2;
-    cfg.log_features = 6; // 2^6 == the 64-slot test instance's slots
+    cfg.log_features = 6; // 2^6 == functional_boot_config()'s slots
     return cfg;
 }
 

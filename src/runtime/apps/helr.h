@@ -47,7 +47,9 @@ struct HelrConfig
     /** Table 5 scale: 30 iterations of batch-1024 training. */
     static HelrConfig paper();
     /** Small functional scale for executor tests and benches
-     *  (full-slot reduction on a 64-slot test instance). */
+     *  (full-slot reduction on the 64 slots of
+     *  runtime::functional_boot_config(), at the level
+     *  runtime::functional_params(20, seed) refreshes to). */
     static HelrConfig functional();
 };
 

@@ -123,8 +123,12 @@ std::shared_ptr<const Executor::Plan>
 Executor::plan_for(const Graph& g) const
 {
     std::lock_guard<std::mutex> lock(plans_mutex_);
+    // Builder calls keep a graph's uid, so a graph that grew since its
+    // plan was built gets a fresh one; runs in flight keep the old.
     auto it = plans_.find(g.uid());
-    if (it != plans_.end()) return it->second;
+    if (it != plans_.end() && it->second->evk.size() == g.num_nodes()) {
+        return it->second;
+    }
 
     // Resolve every evk handle up front: a graph referencing a missing
     // key fails here, before any node has executed.
@@ -167,7 +171,7 @@ Executor::plan_for(const Graph& g) const
     constexpr std::size_t kMaxCachedPlans = 64;
     if (plans_.size() >= kMaxCachedPlans) plans_.clear();
     std::shared_ptr<const Plan> shared = std::move(plan);
-    plans_.emplace(g.uid(), shared);
+    plans_.insert_or_assign(g.uid(), shared);
     return shared;
 }
 

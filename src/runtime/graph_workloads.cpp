@@ -1,11 +1,60 @@
 #include "runtime/graph_workloads.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "ckks/bootstrapper.h"
 #include "common/check.h"
 
 namespace bts::runtime {
+
+CkksParams
+functional_params(int max_level, u64 seed)
+{
+    CkksParams p;
+    p.n = 1 << 8;
+    p.max_level = max_level;
+    p.dnum = 3;
+    p.q0_bits = 50;
+    p.scale_bits = 40;
+    p.special_bits = 50;
+    p.hamming_weight = 32;
+    p.seed = seed;
+    return p;
+}
+
+BootstrapConfig
+functional_boot_config()
+{
+    BootstrapConfig cfg;
+    cfg.slots = 64;
+    cfg.sine_degree = 119;
+    cfg.cts_radix = 8;
+    cfg.stc_radix = 8;
+    return cfg;
+}
+
+std::vector<int>
+required_rotations(std::span<const Graph* const> graphs,
+                   const Bootstrapper* boot)
+{
+    std::vector<int> amounts;
+    const auto add = [&amounts](const std::vector<int>& rs) {
+        for (const int r : rs) {
+            if (std::find(amounts.begin(), amounts.end(), r) ==
+                amounts.end()) {
+                amounts.push_back(r);
+            }
+        }
+    };
+    if (boot != nullptr &&
+        std::any_of(graphs.begin(), graphs.end(),
+                    [](const Graph* g) { return g->uses_bootstrap(); })) {
+        add(boot->required_rotations());
+    }
+    for (const Graph* g : graphs) add(g->required_rotations());
+    return amounts;
+}
 
 GraphTraits
 traits_for(const hw::CkksInstance& inst)

@@ -18,6 +18,7 @@
  */
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "hwparams/instance.h"
@@ -27,9 +28,48 @@
 namespace bts {
 class Bootstrapper;
 class CkksContext;
+struct BootstrapConfig;
+struct CkksParams;
 } // namespace bts
 
 namespace bts::runtime {
+
+/**
+ * The functional instance: the bootstrap-capable ring every
+ * bootstrapping test, bench, tool and example runs on. N=2^8, dnum 3,
+ * a 50-bit q0, 40-bit scale primes, 50-bit special primes, secret
+ * Hamming weight 32. Two levels are in use: with
+ * functional_boot_config(), L=14 refreshes to level 1 and L=20 to
+ * level 7, the level the functional apps (HelrConfig::functional()
+ * and its siblings) are sized against.
+ *
+ * Insecure by design: N / log PQ is 0.3 at L=14 and 0.2 at L=20,
+ * against the ~41 that 128-bit security needs in hwparams/security.h's
+ * model (the paper's instances use N=2^17). The ring is small so that
+ * a bootstrap takes well under a second and every test can afford
+ * genuine refreshes.
+ *
+ * perfbench/src/crypto.cpp and perfbench/src/serve_mix.cpp hold a
+ * frozen copy of this instance and its refresh config, which must
+ * match until the next benchmark change.
+ */
+CkksParams functional_params(int max_level, u64 seed);
+
+/**
+ * The functional instance's refresh: 64 slots (gap 2), radix-8
+ * CtS/StC (2 + 2 levels; radix 4 would spend 3 + 3 and refresh L=14
+ * to level 0), a degree-119 sine (8 levels) over the default K = 12,
+ * and the normalized output scale.
+ */
+BootstrapConfig functional_boot_config();
+
+/**
+ * The rotation amounts serving @p graphs needs keys for: @p boot's
+ * first, when some graph uses_bootstrap(), then each graph's
+ * required_rotations() in graph order, every amount once.
+ */
+std::vector<int> required_rotations(std::span<const Graph* const> graphs,
+                                    const Bootstrapper* boot);
 
 /** Graph traits matching a full-scale simulator instance. */
 GraphTraits traits_for(const hw::CkksInstance& inst);

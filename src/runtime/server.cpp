@@ -102,9 +102,10 @@ GraphServer::~GraphServer()
 const passes::OptimizeResult*
 GraphServer::register_graph(const Graph& g, const passes::PassOptions& opts)
 {
+    const RegisterKey key{g.uid(), g.num_nodes(), g.outputs().size()};
     {
         MutexLock lock(mutex_);
-        const auto it = registered_.find(g.uid());
+        const auto it = registered_.find(key);
         if (it != registered_.end()) return it->second.get();
     }
     // Admission control: reject a bad graph HERE, as a structured
@@ -149,7 +150,7 @@ GraphServer::register_graph(const Graph& g, const passes::PassOptions& opts)
     } catch (const std::exception&) {
     }
     MutexLock lock(mutex_);
-    const auto [it, inserted] = registered_.emplace(g.uid(),
+    const auto [it, inserted] = registered_.emplace(key,
                                                     std::move(result));
     if (inserted && have_summary) {
         summaries_.emplace(it->second->graph.uid(), std::move(summary));

@@ -25,6 +25,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -139,8 +140,9 @@ class GraphServer
 
     /**
      * Run @p g through the pass pipeline ONCE and cache the result for
-     * the server's lifetime, keyed by Graph::uid() — registering the
-     * same graph again returns the cached entry, so every lane's
+     * the server's lifetime, keyed by Graph::uid() and @p g's node and
+     * output counts — registering the same graph again returns the
+     * cached entry (a graph grown since gets its own), so every lane's
      * Executor plans (and keeps warm) one optimized graph instead of
      * re-optimizing per job. Submit against `&result->graph` and
      * translate any raw-graph Value handles through result->remap()
@@ -215,9 +217,13 @@ class GraphServer
     std::size_t active_ BTS_GUARDED_BY(mutex_) = 0;
     bool stop_ BTS_GUARDED_BY(mutex_) = false;
 
-    /** register_graph() cache: source uid -> optimized graph + remap,
-     *  owned by the server so job requests can borrow the graph. */
-    std::map<u64, std::unique_ptr<const passes::OptimizeResult>>
+    /** register_graph() cache: the source graph's (uid, node count,
+     *  output count) -> optimized graph + remap. Builder calls keep a
+     *  graph's uid, so a graph that grew since its registration gets a
+     *  new entry; old entries stay alive, since jobs borrow their
+     *  graphs. */
+    using RegisterKey = std::tuple<u64, std::size_t, std::size_t>;
+    std::map<RegisterKey, std::unique_ptr<const passes::OptimizeResult>>
         registered_ BTS_GUARDED_BY(mutex_);
     /** Cached resource analyses, keyed by the OPTIMIZED graph's uid
      *  (what jobs submit against); the admission cost estimates. */

@@ -193,16 +193,8 @@ TEST(Bootstrap, RejectsNonExhaustedInput)
 TestEnv&
 dense_env()
 {
-    CkksParams p;
-    p.n = 1 << 8;
-    p.max_level = 14;
-    p.dnum = 3;
-    p.q0_bits = 50;
-    p.scale_bits = 40;
-    p.special_bits = 50;
-    p.hamming_weight = 32;
-    p.seed = 778;
-    return testing::cached_env("boot-dense-small", p);
+    return testing::cached_env("boot-dense-small",
+                               runtime::functional_params(14, 778));
 }
 
 /** The dense oracle's config (radix 0), gap = 2 on dense_env(). */

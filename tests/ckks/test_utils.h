@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared CKKS test environment: a small (insecure, see DESIGN.md) CKKS
- * instance with all key material, built once per parameter set and
- * cached across tests.
+ * Shared CKKS test environment: a small CKKS instance (insecure, see
+ * runtime::functional_params) with all key material, built once per
+ * parameter set and cached across tests.
  */
 #pragma once
 
@@ -16,6 +16,8 @@
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keygen.h"
+#include "runtime/executor.h"
+#include "runtime/graph_workloads.h"
 
 namespace bts::testing {
 
@@ -59,6 +61,20 @@ struct TestEnv
     decrypt(const Ciphertext& ct) const
     {
         return encoder.decode(decryptor.decrypt(ct, sk));
+    }
+
+    /** What an Executor or GraphServer runs against: this env's keys,
+     *  @p rot_keys, and @p boot when graphs refresh. */
+    runtime::EvalResources
+    resources(const RotationKeys& rot_keys,
+              const Bootstrapper* boot = nullptr) const
+    {
+        return {.eval = &evaluator,
+                .encoder = &encoder,
+                .mult_key = &mult_key,
+                .rot_keys = &rot_keys,
+                .conj_key = &conj_key,
+                .bootstrapper = boot};
     }
 
     static double
@@ -109,21 +125,13 @@ ct_equal(const Ciphertext& x, const Ciphertext& y)
 }
 
 /**
- * Bootstrap-capable small instance shared by the runtime
- * executor/server tests: N=2^8, L=14, slots=64, factored radix-8
- * CtS/StC — radix 4 would spend 3+3 transform levels and refresh to
- * level 0 on this budget. Its parameters and bootstrap config are
- * still copied into bench/kernels_ckks.cpp (ServeBench at L=14,
- * AppServeBench at L=20) and tools/bts_profile.cpp (ProfileEnv, L=20);
- * perfbench/src/crypto.cpp holds a fourth copy that changes only with
- * the benchmark. Edit every copy together.
+ * The functional instance (runtime::functional_params and
+ * functional_boot_config) with its bootstrapper and rotation keys.
  */
 struct BootTestEnv
 {
-    /** @p max_level defaults to the historical L=14 (leaves 2 usable
-     *  levels after the 12-level bootstrap budget); the application
-     *  suites (test_apps_functional.cpp, bench AppServeBench) pass
-     *  L=20 for 8 usable levels.
+    /** @p max_level defaults to L=14 (refreshes to level 1); the
+     *  application suites pass L=20 (refreshes to level 7).
      *
      *  Caveat for test authors: K = 12 covers gap = 2 at hamming
      *  weight 32 only *marginally* — a rare encryption draw puts one
@@ -135,30 +143,21 @@ struct BootTestEnv
     explicit BootTestEnv(u64 seed,
                          const std::vector<int>& extra_rotations = {},
                          int max_level = 14)
-        : env([seed, max_level] {
-              CkksParams p;
-              p.n = 1 << 8;
-              p.max_level = max_level;
-              p.dnum = 3;
-              p.q0_bits = 50;
-              p.scale_bits = 40;
-              p.special_bits = 50;
-              p.hamming_weight = 32;
-              p.seed = seed;
-              return p;
-          }())
+        : env(runtime::functional_params(max_level, seed))
     {
-        BootstrapConfig cfg;
-        cfg.slots = 64;
-        cfg.sine_degree = 119;
-        cfg.cts_radix = 8;
-        cfg.stc_radix = 8;
-        boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
-                                              env.evaluator, cfg);
+        boot = std::make_unique<Bootstrapper>(
+            env.ctx, env.encoder, env.evaluator,
+            runtime::functional_boot_config());
         auto amounts = boot->required_rotations();
         for (const int r : extra_rotations) amounts.push_back(r);
         rot_keys = env.keygen.gen_rotation_keys(env.sk, amounts);
         boot->set_keys(&env.mult_key, &rot_keys, &env.conj_key);
+    }
+
+    runtime::EvalResources
+    resources() const
+    {
+        return env.resources(rot_keys, boot.get());
     }
 
     TestEnv env;

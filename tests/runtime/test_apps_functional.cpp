@@ -65,18 +65,7 @@ struct AppEnv
           traits(traits_for(be.env.ctx, be.boot.get()))
     {}
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &be.env.evaluator;
-        r.encoder = &be.env.encoder;
-        r.mult_key = &be.env.mult_key;
-        r.rot_keys = &be.rot_keys;
-        r.conj_key = &be.env.conj_key;
-        r.bootstrapper = be.boot.get();
-        return r;
-    }
+    EvalResources resources() { return be.resources(); }
 
     /** Real-valued slot vector, uniform in [lo, hi]. */
     SlotVec

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <new>
 #include <vector>
@@ -21,17 +22,7 @@ struct RuntimeEnv
         rot_keys = env.keygen.gen_rotation_keys(env.sk, {1, 2, 4, 8});
     }
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &env.evaluator;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &env.conj_key;
-        return r;
-    }
+    EvalResources resources() { return env.resources(rot_keys); }
 
     GraphTraits traits() const { return traits_for(env.ctx); }
 
@@ -342,32 +333,109 @@ TEST(Executor, NodeFailurePropagatesFromWorkers)
     }
 }
 
+TEST(Executor, PlanRebuiltForGraphThatGrew)
+{
+    // Builder calls keep a graph's uid: a graph run once, then grown
+    // by seven rotations, must run against a plan covering every node,
+    // not the one built for its first node.
+    auto& e = renv();
+    const GraphTraits t = e.traits();
+    const Executor exec(e.resources());
+    const std::size_t slots = e.env.ctx.n() / 2;
+    const auto x = e.env.random_message(slots, 1.0, 63);
+    const auto run = [&](const Graph& g) {
+        Binding b;
+        b.bind(Value{g.input_ids()[0]}, e.env.encrypt(x));
+        return exec.run(g, std::move(b));
+    };
+
+    Graph g("grows", t);
+    Value v = g.hrot(g.input(t.max_level, t.delta), 1);
+    g.mark_output(v);
+    ASSERT_EQ(run(g).size(), 1u);
+
+    for (const int amount : {2, 4, 8, 1, 2, 4, 8}) v = g.hrot(v, amount);
+    g.mark_output(v);
+    const auto outs = run(g);
+    ASSERT_EQ(outs.size(), 2u);
+    const auto got = e.env.decrypt(outs[1]);
+    for (std::size_t j : {std::size_t{0}, slots - 3}) {
+        EXPECT_NEAR(std::abs(got[j] - x[(j + 30) % slots]), 0.0, 1e-4);
+    }
+}
+
+/** The functional instance with its bootstrapper (test_utils.h). */
+testing::BootTestEnv&
+boot_env()
+{
+    static testing::BootTestEnv* be = new testing::BootTestEnv(99);
+    return *be;
+}
+
 TEST(Executor, BootstrapNodeRefreshes)
 {
-    // The shared bootstrap-capable small instance (test_utils.h).
-    static testing::BootTestEnv* be = new testing::BootTestEnv(99);
-    TestEnv& env = be->env;
+    auto& be = boot_env();
+    TestEnv& env = be.env;
 
-    const GraphTraits t = traits_for(env.ctx, be->boot.get());
+    const GraphTraits t = traits_for(env.ctx, be.boot.get());
     ASSERT_GE(t.bootstrap_out_level, 1);
     const auto z = env.random_message(64, 0.3, 41);
 
     const Graph g = bootstrap_refresh_graph(t);
-    EvalResources r;
-    r.eval = &env.evaluator;
-    r.encoder = &env.encoder;
-    r.mult_key = &env.mult_key;
-    r.rot_keys = &be->rot_keys;
-    r.conj_key = &env.conj_key;
-    r.bootstrapper = be->boot.get();
-
-    const Executor exec(r);
+    const Executor exec(be.resources());
     Binding b;
     b.bind(Value{g.input_ids()[0]}, env.encrypt(z, 0));
     const auto outs = exec.run(g, std::move(b));
     ASSERT_EQ(outs.size(), 1u);
     EXPECT_EQ(outs[0].level, t.bootstrap_out_level);
     EXPECT_LT(TestEnv::max_err(env.decrypt(outs[0]), z), 1e-2);
+}
+
+/** A graph rotating by -3, then 5, then 64: amounts {-3, 5, 64}. */
+Graph
+odd_rotations_graph(const GraphTraits& t)
+{
+    Graph g("odd_rotations", t);
+    Value v = g.input(t.max_level, t.delta);
+    for (const int amount : {-3, 5, 64}) v = g.hrot(v, amount);
+    g.mark_output(v);
+    return g;
+}
+
+TEST(RequiredRotations, BootstrapperFirstThenGraphsInOrder)
+{
+    auto& be = boot_env();
+    const GraphTraits t = traits_for(be.env.ctx, be.boot.get());
+    const Graph odd = odd_rotations_graph(t);
+    const Graph dot = dot_product_graph(t, t.max_level, 3); // 1, 2, 4
+    const Graph refresh = bootstrap_refresh_graph(t);
+    Graph seven("seven", t);
+    seven.mark_output(seven.hrot(seven.input(t.max_level, t.delta), 7));
+    const Graph* graphs[] = {&odd, &dot, &refresh, &seven};
+
+    // The refresh graph pulls the bootstrapper's amounts to the front;
+    // 64 (odd's) and 4 (dot's) are among them, so each appears once.
+    std::vector<int> want = be.boot->required_rotations();
+    ASSERT_EQ(std::count(want.begin(), want.end(), 64), 1);
+    ASSERT_EQ(std::count(want.begin(), want.end(), 4), 1);
+    for (const int r : {-3, 5, 7}) want.push_back(r);
+    EXPECT_EQ(required_rotations(graphs, be.boot.get()), want);
+}
+
+TEST(RequiredRotations, BootstrapperLeftOutWithoutARefresh)
+{
+    auto& be = boot_env();
+    const GraphTraits t = traits_for(be.env.ctx, be.boot.get());
+    const Graph odd = odd_rotations_graph(t);
+    const Graph dot = dot_product_graph(t, t.max_level, 3);
+    const Graph* graphs[] = {&odd, &dot};
+    EXPECT_EQ(required_rotations(graphs, be.boot.get()),
+              (std::vector<int>{-3, 5, 64, 1, 2, 4}));
+}
+
+TEST(RequiredRotations, EmptyForNoGraphs)
+{
+    EXPECT_TRUE(required_rotations({}, boot_env().boot.get()).empty());
 }
 
 } // namespace

@@ -39,17 +39,7 @@ struct DiffEnv
         rot_keys = env.keygen.gen_rotation_keys(env.sk, {1, 2, 4, 8});
     }
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &env.evaluator;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &env.conj_key;
-        return r;
-    }
+    EvalResources resources() { return env.resources(rot_keys); }
 
     GraphTraits traits() const { return traits_for(env.ctx); }
 
@@ -321,19 +311,12 @@ struct BootDiffEnv
         : be(7321, {}, 20), traits(traits_for(be.env.ctx, be.boot.get()))
     {}
 
-    /** @p graph_keys: rotation keys for the app graph's amounts (the
-     *  bootstrapper carries its own set). */
+    /** @p graph_keys: the app graph's rotation keys (the bootstrapper
+     *  carries its own set). */
     EvalResources
-    resources(const RotationKeys* graph_keys)
+    resources(const RotationKeys& graph_keys) const
     {
-        EvalResources r;
-        r.eval = &be.env.evaluator;
-        r.encoder = &be.env.encoder;
-        r.mult_key = &be.env.mult_key;
-        r.rot_keys = graph_keys;
-        r.conj_key = &be.env.conj_key;
-        r.bootstrapper = be.boot.get();
-        return r;
+        return be.env.resources(graph_keys, be.boot.get());
     }
 
     testing::BootTestEnv be;
@@ -361,7 +344,7 @@ TEST(PassDifferential, SortAppOptimizedIsBitExact)
     const RotationKeys keys = e.be.env.keygen.gen_rotation_keys(
         e.be.env.sk, raw.graph.required_rotations());
     const Inputs in = make_inputs(raw.graph, e.be.env, 64, 601);
-    expect_bit_exact(e.resources(&keys), raw.graph, opt, in, "sort");
+    expect_bit_exact(e.resources(keys), raw.graph, opt, in, "sort");
 }
 
 TEST(PassDifferential, HelrAppOptimizedIsBitExact)
@@ -377,7 +360,7 @@ TEST(PassDifferential, HelrAppOptimizedIsBitExact)
     const RotationKeys keys = e.be.env.keygen.gen_rotation_keys(
         e.be.env.sk, raw.graph.required_rotations());
     const Inputs in = make_inputs(raw.graph, e.be.env, 64, 602);
-    expect_bit_exact(e.resources(&keys), raw.graph, opt, in, "helr");
+    expect_bit_exact(e.resources(keys), raw.graph, opt, in, "helr");
 }
 
 } // namespace

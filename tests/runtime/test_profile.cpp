@@ -50,17 +50,7 @@ struct ProfileTestEnv
         traits = traits_for(env.ctx);
     }
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &env.evaluator;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &env.conj_key;
-        return r;
-    }
+    EvalResources resources() { return env.resources(rot_keys); }
 
     Binding
     make_binding(const Graph& g, u64 seed)

@@ -142,17 +142,7 @@ struct FuncEnv
         traits = traits_for(env.ctx);
     }
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &env.evaluator;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &env.conj_key;
-        return r;
-    }
+    EvalResources resources() { return env.resources(rot_keys); }
 
     TestEnv env;
     RotationKeys rot_keys;
@@ -217,17 +207,9 @@ TEST(ResourceLiveness, BootstrapGraphPredictedPeakMatches)
     const Graph refresh =
         bootstrap_refresh_graph(traits_for(env.ctx, be->boot.get()));
 
-    EvalResources r;
-    r.eval = &env.evaluator;
-    r.encoder = &env.encoder;
-    r.mult_key = &env.mult_key;
-    r.rot_keys = &be->rot_keys;
-    r.conj_key = &env.conj_key;
-    r.bootstrapper = be->boot.get();
-
     Binding b;
     b.bind(Value{refresh.input_ids()[0]}, env.encrypt(z, 0));
-    const Executor exec(r);
+    const Executor exec(be->resources());
     ExecStats stats;
     exec.run_serial(refresh, std::move(b), &stats);
 

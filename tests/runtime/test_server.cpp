@@ -26,17 +26,7 @@ struct ServerEnv
             poly_eval_graph(traits, traits.max_level, {0.5, -0.25, 1.0}));
     }
 
-    EvalResources
-    resources()
-    {
-        EvalResources r;
-        r.eval = &env.evaluator;
-        r.encoder = &env.encoder;
-        r.mult_key = &env.mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &env.conj_key;
-        return r;
-    }
+    EvalResources resources() { return env.resources(rot_keys); }
 
     JobRequest
     dot_job(u64 seed)
@@ -232,6 +222,41 @@ TEST(GraphServer, RegisterGraphOptimizesOnceAndServesBitExact)
     EXPECT_TRUE(testing::ct_equal(r.outputs[0], direct[0]));
 }
 
+TEST(GraphServer, RegisterGraphThatGrewGetsItsOwnEntry)
+{
+    // Builder calls keep a graph's uid: a graph registered, then grown
+    // by a node and an output, must be served as grown. The entry of
+    // its smaller self stays alive for the jobs that borrow it.
+    auto& e = senv();
+    GraphServer server(e.resources(), ServerOptions{});
+    Graph g("grows", e.traits);
+    const Value in = g.input(e.traits.max_level, e.traits.delta);
+    const Value once = g.hrot(in, 1);
+    g.mark_output(once);
+    const passes::OptimizeResult* small = server.register_graph(g);
+    ASSERT_EQ(small->graph.num_nodes(), 1u);
+
+    g.mark_output(g.hrot(once, 2));
+    const passes::OptimizeResult* grown = server.register_graph(g);
+    ASSERT_NE(grown, small);
+    EXPECT_EQ(grown->graph.num_nodes(), 2u);
+    EXPECT_EQ(grown->graph.outputs().size(), 2u);
+    EXPECT_EQ(small->graph.num_nodes(), 1u);
+    EXPECT_EQ(server.register_graph(g), grown);
+
+    const std::size_t slots = e.env.ctx.n() / 2;
+    const auto x = e.env.random_message(slots, 1.0, 71);
+    JobRequest req;
+    req.graph = &grown->graph;
+    req.inputs.bind(grown->remap(in), e.env.encrypt(x));
+    const JobResult r = server.submit(std::move(req)).get();
+    ASSERT_EQ(r.outputs.size(), 2u);
+    const auto got = e.env.decrypt(r.outputs[1]);
+    for (std::size_t j : {std::size_t{0}, slots - 2}) {
+        EXPECT_NEAR(std::abs(got[j] - x[(j + 3) % slots]), 0.0, 1e-4);
+    }
+}
+
 TEST(GraphServer, BootstrapRefreshJobsInTheMix)
 {
     // The shared bootstrap-capable small instance (test_utils.h): the
@@ -247,17 +272,9 @@ TEST(GraphServer, BootstrapRefreshJobsInTheMix)
     const Graph refresh = bootstrap_refresh_graph(t);
     const Graph dot = dot_product_graph(t, t.max_level, 2);
 
-    EvalResources r;
-    r.eval = &env.evaluator;
-    r.encoder = &env.encoder;
-    r.mult_key = &env.mult_key;
-    r.rot_keys = &be->rot_keys;
-    r.conj_key = &env.conj_key;
-    r.bootstrapper = be->boot.get();
-
     ServerOptions opts;
     opts.lanes = 2;
-    GraphServer server(r, opts);
+    GraphServer server(be->resources(), opts);
     std::vector<std::future<JobResult>> futures;
     for (int i = 0; i < 2; ++i) {
         JobRequest req;
@@ -330,14 +347,7 @@ TEST(GraphServer, RegisterRejectsGraphOffTheBootstrapperLevel)
     // so admission rejects it.
     testing::BootTestEnv be(1234);
     TestEnv& env = be.env;
-    EvalResources r;
-    r.eval = &env.evaluator;
-    r.encoder = &env.encoder;
-    r.mult_key = &env.mult_key;
-    r.rot_keys = &be.rot_keys;
-    r.conj_key = &env.conj_key;
-    r.bootstrapper = be.boot.get();
-    GraphServer server(r, ServerOptions{});
+    GraphServer server(be.resources(), ServerOptions{});
 
     GraphTraits t = traits_for(env.ctx, be.boot.get());
     ASSERT_EQ(t.bootstrap_out_level, 1);

@@ -33,6 +33,8 @@
  * merged into the lint report — errors count toward the exit code.
  */
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -85,9 +87,24 @@ main(int argc, char** argv)
         const auto value = [&](const char* prefix) {
             return arg.substr(std::strlen(prefix));
         };
-        const auto num = [&](const char* prefix) {
-            return std::stod(value(prefix));
+        // A budget flag's whole value must be a finite number >= 0.
+        const auto budget = [&](const char* prefix, double unit,
+                                double& limit) {
+            const std::string text = value(prefix);
+            const char* end = text.data() + text.size();
+            double v = 0;
+            const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+            if (ec != std::errc{} || ptr != end || v < 0 ||
+                !std::isfinite(v * unit)) {
+                std::cerr << "bts_lint: '" << arg
+                          << "' needs a finite number >= 0\n";
+                return false;
+            }
+            limit = v * unit;
+            limits_set = true;
+            return true;
         };
+        constexpr double kMiB = 1024.0 * 1024.0;
         if (arg == "--list") {
             for (const std::string_view name : builtins) {
                 std::cout << name << "\n";
@@ -110,16 +127,20 @@ main(int argc, char** argv)
         } else if (arg == "--schedule") {
             schedule = true;
         } else if (arg.rfind("--max-peak-live-mib=", 0) == 0) {
-            limits.max_peak_live_bytes =
-                num("--max-peak-live-mib=") * 1024.0 * 1024.0;
-            limits_set = true;
+            if (!budget("--max-peak-live-mib=", kMiB,
+                        limits.max_peak_live_bytes)) {
+                return usage(argv[0]);
+            }
         } else if (arg.rfind("--max-evk-ws-mib=", 0) == 0) {
-            limits.max_evk_working_set_bytes =
-                num("--max-evk-ws-mib=") * 1024.0 * 1024.0;
-            limits_set = true;
+            if (!budget("--max-evk-ws-mib=", kMiB,
+                        limits.max_evk_working_set_bytes)) {
+                return usage(argv[0]);
+            }
         } else if (arg.rfind("--min-parallelism=", 0) == 0) {
-            limits.min_parallelism = num("--min-parallelism=");
-            limits_set = true;
+            if (!budget("--min-parallelism=", 1.0,
+                        limits.min_parallelism)) {
+                return usage(argv[0]);
+            }
         } else {
             std::cerr << "bts_lint: unknown argument '" << arg << "'\n";
             return usage(argv[0]);

@@ -18,15 +18,15 @@
  * measured Fig. 8 timeline). --metrics appends the process metrics
  * registry in Prometheus text format after the run.
  *
- * The instance is the runtime test suite's bootstrap-capable small
- * environment (N=2^8, L=20, dnum=3, 64 slots, radix-8 CtS/StC —
- * mirror of tests/ckks/test_utils.h BootTestEnv; insecure, see
- * DESIGN.md). The bootstrapper, built without keys, states the
- * refresh level the graphs are sized against; a run then generates
- * only the keys its graph needs (its rotations, plus the
- * bootstrapper's when it refreshes), so dot and poly smoke-test in
- * seconds. Exit code: 0 on success, 2 on usage errors.
+ * The instance is the functional instance at L=20
+ * (runtime::functional_params and functional_boot_config; insecure,
+ * see functional_params). The bootstrapper, built without keys,
+ * states the refresh level the graphs are sized against; a run then
+ * generates only the keys its graph needs (runtime::required_rotations),
+ * so dot and poly smoke-test in seconds. Exit code: 0 on success, 2 on
+ * usage errors.
  */
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -52,8 +52,6 @@ namespace {
 
 using namespace bts;
 using namespace bts::runtime;
-
-constexpr std::size_t kSlots = 64;
 
 /** One builtin graph at functional scale. */
 struct Builtin
@@ -100,56 +98,25 @@ constexpr Builtin kBuiltins[] = {
 struct ProfileEnv
 {
     ProfileEnv()
-        : ctx(params()),
+        : ctx(functional_params(20, 7321)),
           encoder(ctx),
           evaluator(ctx, encoder),
-          boot(ctx, encoder, evaluator, boot_config()),
+          boot(ctx, encoder, evaluator, functional_boot_config()),
           traits(traits_for(ctx, &boot)),
-          keygen(ctx, params().seed + 1),
-          encryptor(ctx, params().seed + 2)
+          keygen(ctx, ctx.params().seed + 1),
+          encryptor(ctx, ctx.params().seed + 2)
     {}
 
-    static CkksParams
-    params()
-    {
-        CkksParams p;
-        p.n = 1 << 8;
-        p.max_level = 20;
-        p.dnum = 3;
-        p.q0_bits = 50;
-        p.scale_bits = 40;
-        p.special_bits = 50;
-        p.hamming_weight = 32;
-        p.seed = 7321;
-        return p;
-    }
-
-    static BootstrapConfig
-    boot_config()
-    {
-        BootstrapConfig cfg;
-        cfg.slots = kSlots;
-        cfg.sine_degree = 119;
-        cfg.cts_radix = 8;
-        cfg.stc_radix = 8;
-        return cfg;
-    }
-
-    /** Generate the keys @p g needs: its rotations, plus the
-     *  bootstrapper's when it refreshes. */
+    /** Generate the keys @p g needs. */
     void
     gen_keys(const Graph& g)
     {
         sk = keygen.gen_secret_key();
         mult_key = keygen.gen_mult_key(sk);
         conj_key = keygen.gen_conjugation_key(sk);
-        std::vector<int> amounts = g.required_rotations();
-        if (g.uses_bootstrap()) {
-            const std::vector<int> boot_amounts = boot.required_rotations();
-            amounts.insert(amounts.end(), boot_amounts.begin(),
-                           boot_amounts.end());
-        }
-        rot_keys = keygen.gen_rotation_keys(sk, amounts);
+        const Graph* graphs[] = {&g};
+        rot_keys =
+            keygen.gen_rotation_keys(sk, required_rotations(graphs, &boot));
         boot.set_keys(&mult_key, &rot_keys, &conj_key);
     }
 
@@ -157,7 +124,7 @@ struct ProfileEnv
     random_vec(double magnitude, u64 seed) const
     {
         Xoshiro256 rng(seed);
-        std::vector<Complex> z(kSlots);
+        std::vector<Complex> z(boot.config().slots);
         for (auto& v : z) {
             v = Complex(magnitude * (2 * rng.uniform_real() - 1), 0.0);
         }
@@ -172,16 +139,14 @@ struct ProfileEnv
     }
 
     EvalResources
-    resources()
+    resources() const
     {
-        EvalResources r;
-        r.eval = &evaluator;
-        r.encoder = &encoder;
-        r.mult_key = &mult_key;
-        r.rot_keys = &rot_keys;
-        r.conj_key = &conj_key;
-        r.bootstrapper = &boot;
-        return r;
+        return {.eval = &evaluator,
+                .encoder = &encoder,
+                .mult_key = &mult_key,
+                .rot_keys = &rot_keys,
+                .conj_key = &conj_key,
+                .bootstrapper = &boot};
     }
 
     /** Bind every declared input of @p g with random slot data at the
@@ -237,6 +202,15 @@ parse_args(int argc, char** argv)
         const auto value = [&](const char* prefix) {
             return arg.substr(std::string(prefix).size());
         };
+        // A count flag's whole value must be an int.
+        const auto count = [&](const char* prefix, int& out) {
+            const std::string text = value(prefix);
+            const char* end = text.data() + text.size();
+            const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+            if (ec == std::errc{} && ptr == end) return true;
+            std::cerr << "'" << arg << "' needs an integer\n";
+            return false;
+        };
         if (arg == "--list") {
             a.list = true;
         } else if (arg == "--metrics") {
@@ -248,9 +222,9 @@ parse_args(int argc, char** argv)
         } else if (arg.rfind("--trace=", 0) == 0) {
             a.trace_path = value("--trace=");
         } else if (arg.rfind("--lanes=", 0) == 0) {
-            a.lanes = std::stoi(value("--lanes="));
+            if (!count("--lanes=", a.lanes)) return std::nullopt;
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            a.jobs = std::stoi(value("--jobs="));
+            if (!count("--jobs=", a.jobs)) return std::nullopt;
         } else {
             std::cerr << "unknown argument: " << arg << "\n";
             return std::nullopt;
