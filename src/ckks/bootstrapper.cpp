@@ -17,6 +17,7 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
       eval_(eval),
       config_(config),
       gap_(ctx.n() / 2 / config.slots),
+      packed_(2 * config.slots <= ctx.n() / 2),
       sine_series_(ChebyshevSeries::interpolate(
           [](double u) { return std::sin(2.0 * M_PI * u) / (2.0 * M_PI); },
           -config.k_range, config.k_range, config.sine_degree))
@@ -37,28 +38,20 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
     }
     const std::size_t n = config_.slots;
 
-    // CoeffToSlot: (1/(2n)) * A^dagger. The 1/2 folds the later
-    // real/imag split. SubSum's gap amplification must NOT be divided
-    // out here: EvalMod needs slots of the exact form (gap*m + q0*I)/q0
+    // CoeffToSlot. SubSum's gap amplification must NOT be divided out
+    // here: EvalMod needs slots of the exact form (gap*m + q0*I)/q0
     // with integer I — the 1/gap is folded into the scale metadata after
-    // EvalMod instead (stage_eval_mod).
-    if (config_.cts_radix == 0) {
-        const auto a_matrix = special_fourier_matrix(n);
-        std::vector<std::vector<Complex>> cts_matrix(
-            n, std::vector<Complex>(n));
-        const double scale = 1.0 / (2.0 * static_cast<double>(n));
-        for (std::size_t t = 0; t < n; ++t) {
-            for (std::size_t k = 0; k < n; ++k) {
-                cts_matrix[t][k] = std::conj(a_matrix[k][t]) * scale;
-            }
-        }
-        cts_dense_ = std::make_unique<LinearTransform>(
-            ctx_, encoder_, cts_matrix, ctx_.max_level());
-    } else {
-        cts_factored_ = std::make_unique<FactoredDft>(
-            ctx_, encoder_, n, DftDirection::kCoeffToSlot,
-            config_.cts_radix, ctx_.max_level());
-    }
+    // EvalMod instead (stage_eval_mod). Packed, the stages next to
+    // EvalMod carry one 2n-slot part (FactoredDft's `packed`).
+    const auto compile = [&](DftDirection direction, int radix, int level) {
+        return std::make_unique<FactoredDft>(
+            radix == 0 ? FactoredDft::dense(ctx_, encoder_, n, direction,
+                                            level, packed_)
+                       : FactoredDft(ctx_, encoder_, n, direction, radix,
+                                     level, packed_));
+    };
+    cts_ = compile(DftDirection::kCoeffToSlot, config_.cts_radix,
+                   ctx_.max_level());
 
     // SlotToCoeff compiles eagerly too, at the exact level the pipeline
     // reaches after CtS and EvalMod (the Chebyshev depth is known at
@@ -75,14 +68,8 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
                   << ctx_.max_level() << " - CtS " << cts_levels()
                   << " - EvalMod " << eval_mod_levels << " leaves "
                   << stc_input_level_ << " < " << stc_needs);
-    if (config_.stc_radix == 0) {
-        stc_dense_ = std::make_unique<LinearTransform>(
-            ctx_, encoder_, special_fourier_matrix(n), stc_input_level_);
-    } else {
-        stc_factored_ = std::make_unique<FactoredDft>(
-            ctx_, encoder_, n, DftDirection::kSlotToCoeff,
-            config_.stc_radix, stc_input_level_);
-    }
+    stc_ = compile(DftDirection::kSlotToCoeff, config_.stc_radix,
+                   stc_input_level_);
     output_level_ = stc_input_level_ - stc_levels();
     if (config_.normalize_output_scale && output_level_ >= 1) {
         --output_level_;
@@ -92,27 +79,23 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
 int
 Bootstrapper::cts_levels() const
 {
-    return cts_factored_ ? cts_factored_->num_stages() : 1;
+    return cts_->num_stages();
 }
 
 int
 Bootstrapper::stc_levels() const
 {
-    return stc_factored_ ? stc_factored_->num_stages() : 1;
+    return stc_->num_stages();
 }
 
 std::vector<int>
 Bootstrapper::required_rotations() const
 {
     std::set<int> amounts;
-    if (cts_dense_) {
-        for (int r : cts_dense_->required_rotations()) amounts.insert(r);
-        for (int r : stc_dense_->required_rotations()) amounts.insert(r);
-    } else {
-        for (int r : cts_factored_->required_rotations()) amounts.insert(r);
-        for (int r : stc_factored_->required_rotations()) amounts.insert(r);
-    }
-    // SubSum amounts: slots, 2*slots, ..., N/4.
+    for (int r : cts_->required_rotations()) amounts.insert(r);
+    for (int r : stc_->required_rotations()) amounts.insert(r);
+    // SubSum amounts: slots, 2*slots, ..., N/4. The packed StC head's
+    // half turn by `slots` is the first of them.
     for (std::size_t r = config_.slots; r < ctx_.n() / 2; r *= 2) {
         amounts.insert(static_cast<int>(r));
     }
@@ -156,28 +139,31 @@ Bootstrapper::stage_raise_and_subsum(const Ciphertext& ct) const
     return raised;
 }
 
-std::pair<Ciphertext, Ciphertext>
+std::vector<Ciphertext>
 Bootstrapper::stage_coeff_to_slot(const Ciphertext& raised) const
 {
     BTS_TRACE_SPAN(kBootstrap, "bootstrap.cts");
-    Ciphertext t = cts_dense_ ? cts_dense_->apply(eval_, raised, *rot_keys_)
-                              : cts_factored_->apply(eval_, raised,
-                                                     *rot_keys_);
+    Ciphertext t = cts_->apply(eval_, raised, *rot_keys_);
     Ciphertext tc = eval_.conjugate(t, *conj_key_);
 
     // u_re = t + conj(t), u_im = i*(conj(t) - t); the 1/2 was folded
     // into the CtS matrix and multiplication by i is the exact monomial.
-    // (Under the factored path the slots are in bit-reversed order
-    // here; the split and EvalMod are slot-wise, so StC undoes it.)
+    // Packed, t is the 2n-slot (t, -i*t) and t + conj(t) alone is the
+    // one real part (u_re, u_im). (Under the factored path the slots
+    // are in bit-reversed order here; the split and EvalMod are
+    // slot-wise, so StC undoes it.)
     Ciphertext u_re = t;
     u_re.b.add_inplace(tc.b);
     u_re.a.add_inplace(tc.a);
-
-    Ciphertext diff = tc;
-    diff.b.sub_inplace(t.b);
-    diff.a.sub_inplace(t.a);
-    Ciphertext u_im = eval_.mult_by_i(diff);
-    return {std::move(u_re), std::move(u_im)};
+    std::vector<Ciphertext> parts;
+    parts.push_back(std::move(u_re));
+    if (!packed_) {
+        Ciphertext diff = std::move(tc);
+        diff.b.sub_inplace(t.b);
+        diff.a.sub_inplace(t.a);
+        parts.push_back(eval_.mult_by_i(diff));
+    }
+    return parts;
 }
 
 Ciphertext
@@ -195,19 +181,20 @@ Bootstrapper::stage_eval_mod(const Ciphertext& u) const
 }
 
 Ciphertext
-Bootstrapper::stage_slot_to_coeff(const Ciphertext& v_re,
-                                  const Ciphertext& v_im) const
+Bootstrapper::stage_slot_to_coeff(std::span<const Ciphertext> parts) const
 {
     BTS_TRACE_SPAN(kBootstrap, "bootstrap.stc");
-    Ciphertext w = v_re;
-    Ciphertext im = eval_.mult_by_i(v_im);
-    eval_.drop_level_inplace(w, std::min(w.level, im.level));
-    eval_.drop_level_inplace(im, w.level);
-    w.b.add_inplace(im.b);
-    w.a.add_inplace(im.a);
-
-    return stc_dense_ ? stc_dense_->apply(eval_, w, *rot_keys_)
-                      : stc_factored_->apply(eval_, w, *rot_keys_);
+    BTS_CHECK(parts.size() == (packed_ ? 1u : 2u),
+              "SlotToCoeff takes the parts stage_coeff_to_slot returns");
+    Ciphertext w = parts[0];
+    if (!packed_) {
+        Ciphertext im = eval_.mult_by_i(parts[1]);
+        eval_.drop_level_inplace(w, std::min(w.level, im.level));
+        eval_.drop_level_inplace(im, w.level);
+        w.b.add_inplace(im.b);
+        w.a.add_inplace(im.a);
+    }
+    return stc_->apply(eval_, w, *rot_keys_);
 }
 
 Ciphertext
@@ -220,10 +207,9 @@ Bootstrapper::bootstrap(const Ciphertext& ct) const
               "ciphertext packing does not match the bootstrapper");
 
     Ciphertext raised = stage_raise_and_subsum(ct);
-    auto [u_re, u_im] = stage_coeff_to_slot(raised);
-    Ciphertext v_re = stage_eval_mod(u_re);
-    Ciphertext v_im = stage_eval_mod(u_im);
-    Ciphertext out = stage_slot_to_coeff(v_re, v_im);
+    std::vector<Ciphertext> parts = stage_coeff_to_slot(raised);
+    for (Ciphertext& part : parts) part = stage_eval_mod(part);
+    Ciphertext out = stage_slot_to_coeff(parts);
 
     if (config_.normalize_output_scale && out.level >= 1) {
         out = eval_.mult_const_to_scale(out, 1.0, ctx_.delta());

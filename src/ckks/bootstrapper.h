@@ -12,11 +12,14 @@
  *                   subring, scaling the message by gap = N/(2*slots).
  *   3. CoeffToSlot— homomorphic linear transform (1/2n * A^dagger)
  *                   moving coefficients into slots; a conjugation splits
- *                   real and imaginary parts.
+ *                   real and imaginary parts. When 2n <= N/2 both parts
+ *                   travel packed in one real 2n-slot ciphertext (the
+ *                   lifts in dft_factor.h); at full slots they are two
+ *                   ciphertexts.
  *   4. EvalMod    — approximate modular reduction by q_0 via the scaled
  *                   sine sin(2*pi*u)/(2*pi), evaluated as a Chebyshev
- *                   series on [-K, K].
- *   5. SlotToCoeff— the inverse transform A.
+ *                   series on [-K, K]; once per part (one when packed).
+ *   5. SlotToCoeff— the inverse transform A, recombining the parts.
  *
  * The heavy cost structure the paper accelerates — hundreds of HMult and
  * HRot ops, each streaming an evk — comes from steps 3-5. CtS and StC
@@ -28,6 +31,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ckks/chebyshev.h"
@@ -102,13 +106,17 @@ class Bootstrapper
     /** Ciphertext level when SlotToCoeff starts (fixed at setup). */
     int stc_input_level() const { return stc_input_level_; }
 
-    // Individual stages, exposed for tests and diagnostics.
+    // Individual stages, exposed for tests and diagnostics. bootstrap()
+    // is stage_slot_to_coeff of stage_eval_mod of each part
+    // stage_coeff_to_slot returns, then the normalizing rescale.
     Ciphertext stage_raise_and_subsum(const Ciphertext& ct) const;
-    std::pair<Ciphertext, Ciphertext> stage_coeff_to_slot(
+    /** One packed 2n-slot part (2n <= N/2), else the real and the
+     *  imaginary part. */
+    std::vector<Ciphertext> stage_coeff_to_slot(
         const Ciphertext& raised) const;
     Ciphertext stage_eval_mod(const Ciphertext& u) const;
-    Ciphertext stage_slot_to_coeff(const Ciphertext& v_re,
-                                   const Ciphertext& v_im) const;
+    /** @p parts: stage_eval_mod of each stage_coeff_to_slot part. */
+    Ciphertext stage_slot_to_coeff(std::span<const Ciphertext> parts) const;
 
   private:
     const CkksContext& ctx_;
@@ -117,16 +125,15 @@ class Bootstrapper
     BootstrapConfig config_;
 
     std::size_t gap_;        // N/2 / slots
+    bool packed_;            // 2 * slots <= N/2: one EvalMod part
     ChebyshevSeries sine_series_;
-    // Dense oracle (radix == 0) or factored stages — exactly one pair
-    // is set, eagerly, in the constructor. (The previous lazy StC
-    // compile mutated state inside const bootstrap() with no
-    // synchronization — a data race for concurrent bootstraps — and
-    // made required_rotations() under-report until first use.)
-    std::unique_ptr<LinearTransform> cts_dense_;
-    std::unique_ptr<LinearTransform> stc_dense_;
-    std::unique_ptr<FactoredDft> cts_factored_;
-    std::unique_ptr<FactoredDft> stc_factored_;
+    // Dense oracle (radix == 0) or factored stages, both set eagerly in
+    // the constructor. (The previous lazy StC compile mutated state
+    // inside const bootstrap() with no synchronization — a data race
+    // for concurrent bootstraps — and made required_rotations()
+    // under-report until first use.)
+    std::unique_ptr<FactoredDft> cts_;
+    std::unique_ptr<FactoredDft> stc_;
     int stc_input_level_ = -1;
     int output_level_ = -1;
 

@@ -40,6 +40,42 @@ apply_diagonals(const DiagonalMap& m, const std::vector<Complex>& v)
     return out;
 }
 
+DiagonalMap
+lift_cts_tail(const DiagonalMap& m)
+{
+    DiagonalMap out;
+    for (const auto& [d, diag] : m) {
+        const std::size_t n = diag.size();
+        auto& lifted = out[d];
+        lifted.resize(2 * n);
+        for (std::size_t j = 0; j < n; ++j) {
+            lifted[j] = diag[j];
+            lifted[j + n] = Complex(0, -1) * diag[j];
+        }
+    }
+    return out;
+}
+
+DiagonalMap
+lift_stc_head(const DiagonalMap& m)
+{
+    DiagonalMap out;
+    for (const auto& [d, diag] : m) {
+        const std::size_t n = diag.size();
+        for (const std::size_t shift : {static_cast<std::size_t>(d),
+                                         static_cast<std::size_t>(d) + n}) {
+            auto& lifted = out[static_cast<int>(shift)];
+            lifted.resize(2 * n);
+            for (std::size_t j = 0; j < 2 * n; ++j) {
+                // Row j reads column k; the right block column is iM.
+                const std::size_t k = (j + shift) % (2 * n);
+                lifted[j] = k < n ? diag[j % n] : Complex(0, 1) * diag[j % n];
+            }
+        }
+    }
+    return out;
+}
+
 namespace {
 
 /** Accumulate value into row @p j of cyclic diagonal @p shift. */
@@ -210,19 +246,60 @@ FactoredDft::stage_diagonals(std::size_t n, DftDirection direction,
 
 FactoredDft::FactoredDft(const CkksContext& ctx, const CkksEncoder& encoder,
                          std::size_t slots, DftDirection direction,
-                         int radix, int input_level, double bsgs_ratio)
-    : slots_(slots), direction_(direction)
+                         int radix, int input_level, bool packed,
+                         double bsgs_ratio)
+    : FactoredDft(ctx, encoder, slots, direction,
+                  stage_diagonals(slots, direction, radix), input_level,
+                  packed, bsgs_ratio)
+{}
+
+FactoredDft
+FactoredDft::dense(const CkksContext& ctx, const CkksEncoder& encoder,
+                   std::size_t slots, DftDirection direction,
+                   int input_level, bool packed)
 {
-    const auto maps = stage_diagonals(slots, direction, radix);
+    auto matrix = special_fourier_matrix(slots);
+    if (direction == DftDirection::kCoeffToSlot) {
+        // (1/(2n)) * A^dagger. The 1/2 folds the later real/imag split.
+        const auto a = matrix;
+        const double scale = 1.0 / (2.0 * static_cast<double>(slots));
+        for (std::size_t t = 0; t < slots; ++t) {
+            for (std::size_t k = 0; k < slots; ++k) {
+                matrix[t][k] = std::conj(a[k][t]) * scale;
+            }
+        }
+    }
+    return FactoredDft(ctx, encoder, slots, direction,
+                       {diagonals_of(matrix)}, input_level, packed, 1.0);
+}
+
+FactoredDft::FactoredDft(const CkksContext& ctx, const CkksEncoder& encoder,
+                         std::size_t slots, DftDirection direction,
+                         std::vector<DiagonalMap> maps, int input_level,
+                         bool packed, double bsgs_ratio)
+    : in_slots_(slots), out_slots_(slots), direction_(direction)
+{
     const int stages = static_cast<int>(maps.size());
     BTS_CHECK(input_level >= stages,
               "factored DFT needs " << stages << " levels but input is at "
                                     << input_level
                                     << "; raise the level budget or the "
                                        "radix");
+    const bool cts = direction == DftDirection::kCoeffToSlot;
+    if (packed) {
+        if (cts) {
+            maps.back() = lift_cts_tail(maps.back());
+            out_slots_ = 2 * slots;
+        } else {
+            maps.front() = lift_stc_head(maps.front());
+            in_slots_ = 2 * slots;
+        }
+    }
     for (int s = 0; s < stages; ++s) {
+        const std::size_t dim = maps[s].begin()->second.size();
+        const bool head = packed && !cts && s == 0;
         stages_.push_back(std::make_unique<LinearTransform>(
-            ctx, encoder, slots, maps[s], input_level - s, bsgs_ratio));
+            ctx, encoder, dim, maps[s], input_level - s, bsgs_ratio, head));
     }
 }
 
@@ -248,11 +325,16 @@ Ciphertext
 FactoredDft::apply(const Evaluator& eval, const Ciphertext& ct,
                    const RotationKeys& rot_keys) const
 {
-    BTS_CHECK(ct.slots == slots_, "slot count does not match the transform");
+    BTS_CHECK(ct.slots == in_slots_,
+              "slot count does not match the transform");
     Ciphertext acc = ct;
     for (const auto& lt : stages_) {
+        // Exact relabels: an n-slot ciphertext is the 2n-slot (x, x)
+        // the CtS tail reads, and the StC head's (y, y) is the n-slot y.
+        acc.slots = lt->dimension();
         acc = lt->apply(eval, acc, rot_keys);
     }
+    acc.slots = out_slots_;
     return acc;
 }
 

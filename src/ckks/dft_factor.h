@@ -43,7 +43,7 @@ enum class DftDirection
 };
 
 /**
- * The dense special Fourier matrix A (testing/oracle helper — the
+ * The dense special Fourier matrix A (the oracle's matrix — the
  * factored path never calls this).
  */
 std::vector<std::vector<Complex>> special_fourier_matrix(std::size_t n);
@@ -53,8 +53,29 @@ std::vector<Complex> apply_diagonals(const DiagonalMap& m,
                                      const std::vector<Complex>& v);
 
 /**
- * A compiled factored DFT: ceil(log2(n)/log2(radix)) sparse BSGS
- * stages, each consuming one level, applied in sequence.
+ * Sparse packing (slots n <= N/4): the bootstrap carries the real and
+ * imaginary parts of its CtS output as one real 2n-slot ciphertext, so
+ * EvalMod runs once. An n-slot ciphertext already is the 2n-slot vector
+ * (x, x), and a 2n-slot vector (y, y) is the n-slot y, so two lifts of
+ * an n-slot stage M to 2n slots carry the parts in and out:
+ *
+ * CtS tail: each diagonal D at shift d becomes (D, -i*D). On (x, x) it
+ * yields t' = (Mx, -i*Mx), and t' + conj(t') = (2 Re Mx, 2 Im Mx).
+ */
+DiagonalMap lift_cts_tail(const DiagonalMap& m);
+
+/**
+ * StC head: the 2n-slot map [[M, iM], [M, iM]], taking a real (a, b)
+ * to (M(a+ib), M(a+ib)). It has diagonals at shifts d and d + n for
+ * each shift d of M; compile it with LinearTransform's half_turn so the
+ * upper ones read shift d of rot_n(v) and the BSGS grid stays M's.
+ */
+DiagonalMap lift_stc_head(const DiagonalMap& m);
+
+/**
+ * A compiled homomorphic DFT: ceil(log2(n)/log2(radix)) sparse BSGS
+ * stages, or the dense oracle's one stage, each consuming one level,
+ * applied in sequence.
  */
 class FactoredDft
 {
@@ -65,6 +86,10 @@ class FactoredDft
      * level input_level - s; construction fails if the level budget
      * cannot cover every stage.
      *
+     * @param packed lift the stage that meets EvalMod to 2n slots
+     * (lift_cts_tail on CoeffToSlot's last stage, lift_stc_head on
+     * SlotToCoeff's first): CoeffToSlot then returns the 2n-slot
+     * (t, -i*t) and SlotToCoeff takes the 2n-slot packed part.
      * @param bsgs_ratio giant-step bias of each stage's BSGS. Sparse
      * stages default to 4 (vs 1 for dense transforms): baby rotations
      * are hoisted (they share one decompose+ModUp) while every giant
@@ -74,7 +99,18 @@ class FactoredDft
      */
     FactoredDft(const CkksContext& ctx, const CkksEncoder& encoder,
                 std::size_t slots, DftDirection direction, int radix,
-                int input_level, double bsgs_ratio = 4.0);
+                int input_level, bool packed = false,
+                double bsgs_ratio = 4.0);
+
+    /**
+     * The dense oracle as one stage of n diagonals (BSGS ratio 1): the
+     * direction's matrix in natural slot order, (1/2n) A^dagger or A.
+     * The factored stages are tested against it.
+     */
+    static FactoredDft dense(const CkksContext& ctx,
+                             const CkksEncoder& encoder, std::size_t slots,
+                             DftDirection direction, int input_level,
+                             bool packed = false);
 
     /** Number of radix stages == levels consumed by apply(). */
     int num_stages() const { return static_cast<int>(stages_.size()); }
@@ -110,7 +146,13 @@ class FactoredDft
                                                     int radix);
 
   private:
-    std::size_t slots_;
+    FactoredDft(const CkksContext& ctx, const CkksEncoder& encoder,
+                std::size_t slots, DftDirection direction,
+                std::vector<DiagonalMap> maps, int input_level, bool packed,
+                double bsgs_ratio);
+
+    std::size_t in_slots_;
+    std::size_t out_slots_;
     DftDirection direction_;
     std::vector<std::unique_ptr<LinearTransform>> stages_;
 };

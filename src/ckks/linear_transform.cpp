@@ -10,12 +10,8 @@
 
 namespace bts {
 
-namespace {
-
-/** Extract the cyclic diagonals of a dense square matrix (the
- *  delegated-to constructor drops the near-zero ones). */
 DiagonalMap
-extract_diagonals(const std::vector<std::vector<Complex>>& matrix)
+diagonals_of(const std::vector<std::vector<Complex>>& matrix)
 {
     const std::size_t n = matrix.size();
     for (const auto& row : matrix) {
@@ -32,24 +28,26 @@ extract_diagonals(const std::vector<std::vector<Complex>>& matrix)
     return diagonals;
 }
 
-} // namespace
-
 LinearTransform::LinearTransform(
     const CkksContext& ctx, const CkksEncoder& encoder,
     const std::vector<std::vector<Complex>>& matrix, int level,
     double bsgs_ratio)
-    : LinearTransform(ctx, encoder, matrix.size(),
-                      extract_diagonals(matrix), level, bsgs_ratio)
+    : LinearTransform(ctx, encoder, matrix.size(), diagonals_of(matrix),
+                      level, bsgs_ratio)
 {}
 
 LinearTransform::LinearTransform(const CkksContext& ctx,
                                  const CkksEncoder& encoder, std::size_t n,
                                  const DiagonalMap& diagonals, int level,
-                                 double bsgs_ratio)
+                                 double bsgs_ratio, bool half_turn)
     : ctx_(ctx), encoder_(encoder), n_(n), level_(level)
 {
     BTS_CHECK(is_power_of_two(n_), "matrix dimension must be a power of two");
     BTS_CHECK(level >= 1, "transform needs one level headroom");
+    BTS_CHECK(!half_turn || n_ >= 2, "a half turn needs two halves");
+    // Shifts reduce into the grid's span: [0, n), or [0, n/2) with the
+    // turned half read from rot_{n/2}(input).
+    const int span = static_cast<int>(half_turn ? n_ / 2 : n_);
 
     std::vector<int> shifts;
     std::vector<const std::vector<Complex>*> diags;
@@ -74,17 +72,20 @@ LinearTransform::LinearTransform(const CkksContext& ctx,
     // two. `stride` is the gcd of the shifts — radix DFT stages have
     // shifts that are all multiples of the butterfly span, and a
     // stride-blind sqrt(#diags) width would leave every baby step empty
-    // while each diagonal occupies its own giant step.
+    // while each diagonal occupies its own giant step. A turned pair
+    // (d, d + n/2) shares one grid cell, so it counts once.
+    std::set<int> cells;
+    for (int d : shifts) cells.insert(d % span);
     u64 stride = 0;
-    for (int d : shifts) {
+    for (int d : cells) {
         if (d != 0) stride = gcd_u64(stride, static_cast<u64>(d));
     }
     if (stride == 0) stride = 1;
     const double target =
-        std::sqrt(static_cast<double>(diags.size()) * bsgs_ratio);
+        std::sqrt(static_cast<double>(cells.size()) * bsgs_ratio);
     g_ = static_cast<int>(stride);
     while (g_ * 2 <= static_cast<double>(stride) * target &&
-           g_ * 2 < static_cast<int>(n_)) {
+           g_ * 2 < span) {
         g_ *= 2;
     }
 
@@ -95,9 +96,10 @@ LinearTransform::LinearTransform(const CkksContext& ctx,
     std::set<int> rotations;
     for (std::size_t idx = 0; idx < shifts.size(); ++idx) {
         Diag entry;
-        entry.shift = shifts[idx];
-        entry.baby = shifts[idx] % g_;
-        entry.giant = shifts[idx] / g_;
+        entry.shift = shifts[idx] % span;
+        entry.turned = shifts[idx] >= span;
+        entry.baby = entry.shift % g_;
+        entry.giant = entry.shift / g_;
         // Pre-rotate by -g*i so the giant-step rotation distributes over
         // the inner sum.
         const int gi = entry.giant * g_;
@@ -108,8 +110,10 @@ LinearTransform::LinearTransform(const CkksContext& ctx,
         entry.plaintext = encoder_.encode(rotated, pt_scale, level_);
         if (entry.baby != 0) rotations.insert(entry.baby);
         if (gi != 0) rotations.insert(gi % static_cast<int>(n_));
+        if (entry.turned) turn_ = span;
         diag_values_.push_back(std::move(entry));
     }
+    if (turn_ != 0) rotations.insert(turn_);
     required_rotations_.assign(rotations.begin(), rotations.end());
 }
 
@@ -123,27 +127,37 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
               "ciphertext level below the transform's compiled level");
     if (input.level > level_) eval.drop_level_inplace(input, level_);
 
-    // Baby-step rotations of the input, hoisted: all amounts share a
-    // single decompose+ModUp of the input's mask polynomial.
-    std::vector<int> baby_amounts;
-    for (const auto& d : diag_values_) {
-        if (d.baby != 0 &&
-            std::find(baby_amounts.begin(), baby_amounts.end(), d.baby) ==
-                baby_amounts.end()) {
-            baby_amounts.push_back(d.baby);
+    // Baby-step rotations of each input the diagonals read, hoisted:
+    // all amounts share a single decompose+ModUp of its mask polynomial.
+    const auto baby_front = [&](const Ciphertext& src, bool turned) {
+        std::vector<int> amounts;
+        for (const auto& d : diag_values_) {
+            if (d.turned == turned && d.baby != 0 &&
+                std::find(amounts.begin(), amounts.end(), d.baby) ==
+                    amounts.end()) {
+                amounts.push_back(d.baby);
+            }
         }
-    }
-    std::vector<Ciphertext> baby(g_);
-    baby[0] = input;
-    {
-        auto rotated = eval.rotate_hoisted(input, baby_amounts, rot_keys);
-        for (std::size_t i = 0; i < baby_amounts.size(); ++i) {
-            baby[baby_amounts[i]] = std::move(rotated[i]);
+        std::vector<Ciphertext> baby(g_);
+        baby[0] = src;
+        auto rotated = eval.rotate_hoisted(src, amounts, rot_keys);
+        for (std::size_t i = 0; i < amounts.size(); ++i) {
+            baby[amounts[i]] = std::move(rotated[i]);
         }
+        return baby;
+    };
+    const std::vector<Ciphertext> baby = baby_front(input, false);
+    std::vector<Ciphertext> turned_baby;
+    if (turn_ != 0) {
+        const auto it = rot_keys.find(turn_);
+        BTS_CHECK(it != rot_keys.end(), "missing rotation key " << turn_);
+        turned_baby =
+            baby_front(eval.rotate(input, turn_, it->second), true);
     }
 
     // Giant steps: inner sums of plaintext products, then one rotation.
-    const int max_giant = diag_values_.back().giant;
+    int max_giant = 0;
+    for (const auto& d : diag_values_) max_giant = std::max(max_giant, d.giant);
     Ciphertext acc;
     bool acc_set = false;
     for (int i = 0; i <= max_giant; ++i) {
@@ -151,7 +165,8 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
         bool inner_set = false;
         for (const auto& d : diag_values_) {
             if (d.giant != i) continue;
-            Ciphertext term = eval.mult_plain(baby[d.baby], d.plaintext);
+            Ciphertext term = eval.mult_plain(
+                (d.turned ? turned_baby : baby)[d.baby], d.plaintext);
             if (!inner_set) {
                 inner = std::move(term);
                 inner_set = true;

@@ -55,10 +55,16 @@ class LinearTransform
      * stride of the shifts (a radix stage's shifts are all multiples of
      * its butterfly span; a stride-blind g would put every diagonal in
      * its own giant step).
+     *
+     * With @p half_turn, a diagonal at shift d + n/2 (d < n/2) is read
+     * as shift d of the half-turned input rot_{n/2}(ct): the BSGS grid
+     * spans only [0, n/2), each input gets its own hoisted baby steps,
+     * and n/2 is the one extra rotation amount. (The packed bootstrap's
+     * SlotToCoeff head, dft_factor.h, keeps its n-slot grid this way.)
      */
     LinearTransform(const CkksContext& ctx, const CkksEncoder& encoder,
                     std::size_t n, const DiagonalMap& diagonals, int level,
-                    double bsgs_ratio = 1.0);
+                    double bsgs_ratio = 1.0, bool half_turn = false);
 
     /** Rotation amounts (all positive, < n) this transform needs. */
     const std::vector<int>& required_rotations() const
@@ -85,11 +91,13 @@ class LinearTransform
     std::size_t n_;
     int level_;
     int g_; // giant-step width (number of baby rotations)
+    int turn_ = 0; // n/2 when some diagonal reads rot_{n/2}(input)
     /** Nonzero diagonals: shift -> pre-rotated slot values. Stored as
      *  (shift, giant index, values rotated by -g*i). */
     struct Diag
     {
-        int shift;           // d in [0, n)
+        int shift;           // d in [0, n), or [0, n/2) when turned
+        bool turned;         // reads the half-turned input
         int baby;            // j = d mod g
         int giant;           // i = d / g
         Plaintext plaintext; // diagonal pre-rotated by -g*i, encoded
@@ -97,6 +105,9 @@ class LinearTransform
     std::vector<Diag> diag_values_;
     std::vector<int> required_rotations_;
 };
+
+/** The cyclic diagonals of a dense square matrix, zero ones included. */
+DiagonalMap diagonals_of(const std::vector<std::vector<Complex>>& matrix);
 
 /** Build the n x n identity-scaled matrix (testing helper). */
 std::vector<std::vector<Complex>> scaled_identity_matrix(std::size_t n,

@@ -207,11 +207,54 @@ dense_config()
     return cfg;
 }
 
+/** The functional config at full slots (128 = N/2) on @p be's context
+ *  and keys. There is no room for a 2n-slot part, so the real and
+ *  imaginary parts each run EvalMod. */
+struct FullSlotBoot
+{
+    explicit FullSlotBoot(testing::BootTestEnv& be)
+        : boot(be.env.ctx, be.env.encoder, be.env.evaluator, config())
+    {
+        rot_keys = be.env.keygen.gen_rotation_keys(
+            be.env.sk, boot.required_rotations());
+        boot.set_keys(&be.env.mult_key, &rot_keys, &be.env.conj_key);
+    }
+
+    static BootstrapConfig
+    config()
+    {
+        BootstrapConfig cfg = runtime::functional_boot_config();
+        cfg.slots = 128;
+        return cfg;
+    }
+
+    Bootstrapper boot;
+    RotationKeys rot_keys;
+};
+
+TEST(Bootstrap, RequiredRotationsPinned)
+{
+    // Packing the parts into 2n slots adds no rotation key: the StC
+    // head's half turn by `slots` is SubSum's first amount, and its BSGS
+    // grid is the unlifted stage's. Both lists predate the packing.
+    EXPECT_EQ(boot_env().boot->required_rotations(),
+              (std::vector<int>{1,   2,   3,   4,   5,   6,   7,
+                                8,   16,  24,  32,  48,  64,  80,
+                                96,  112, 128, 160, 192, 224, 256,
+                                384, 480, 488, 496, 504, 512}));
+    auto& env = dense_env();
+    EXPECT_EQ(Bootstrapper(env.ctx, env.encoder, env.evaluator,
+                           runtime::functional_boot_config())
+                  .required_rotations(),
+              (std::vector<int>{1, 2, 3, 4, 8, 16, 24, 32, 56, 60, 64}));
+}
+
 TEST(Bootstrap, DenseOracleEndToEnd)
 {
     // The radix-0 reference path must stay a working oracle (the
     // factored-vs-dense equivalence tests compare transforms against
-    // it); keep one full dense refresh alive on a small ring.
+    // it); keep one full dense refresh alive on a small ring. At 64
+    // slots on N=2^8 it runs packed, through the lifted dense stages.
     auto& env = dense_env();
     Bootstrapper boot(env.ctx, env.encoder, env.evaluator, dense_config());
     const RotationKeys rot_keys =
@@ -275,6 +318,7 @@ TEST(Bootstrap, OutputLevelKnownAtConstruction)
     expect_output_level_known(l14.env, l14.boot->config());
     testing::BootTestEnv l20(7321, {}, 20);
     expect_output_level_known(l20.env, l20.boot->config());
+    expect_output_level_known(l20.env, FullSlotBoot::config());
 
     BootstrapConfig radix2 = l20.boot->config();
     radix2.cts_radix = 2;
@@ -286,28 +330,41 @@ TEST(Bootstrap, OutputLevelKnownAtConstruction)
     expect_output_level_known(l20.env, radix2);
 }
 
-/** Key-switch and rescale spans @p fn emits, with only the evaluator's
- *  telemetry category enabled. */
-std::pair<int, int>
-count_keyswitch_and_rescale(const std::function<void()>& fn)
+/** Spans named @p names[k] that @p fn emits, with only @p category's
+ *  telemetry enabled. */
+std::vector<int>
+count_spans(runtime::telemetry::Category category,
+            const std::vector<const char*>& names,
+            const std::function<void()>& fn)
 {
     namespace tel = runtime::telemetry;
     tel::set_enabled(0);
     tel::reset_trace();
-    tel::set_enabled(static_cast<u32>(tel::Category::kEvaluator));
+    tel::set_enabled(static_cast<u32>(category));
     fn();
     tel::set_enabled(0);
     const tel::Trace trace = tel::collect_trace();
     tel::reset_trace();
     EXPECT_EQ(trace.total_dropped(), 0u);
-    int keyswitch = 0, rescale = 0;
+    std::vector<int> counts(names.size());
     for (const tel::ThreadTrace& th : trace.threads) {
         for (const tel::TraceEvent& ev : th.events) {
-            keyswitch += std::strcmp(ev.name, "keyswitch") == 0;
-            rescale += std::strcmp(ev.name, "rescale") == 0;
+            for (std::size_t k = 0; k < names.size(); ++k) {
+                counts[k] += std::strcmp(ev.name, names[k]) == 0;
+            }
         }
     }
-    return {keyswitch, rescale};
+    return counts;
+}
+
+/** Key-switch and rescale spans @p fn emits. */
+std::pair<int, int>
+count_keyswitch_and_rescale(const std::function<void()>& fn)
+{
+    const auto counts =
+        count_spans(runtime::telemetry::Category::kEvaluator,
+                    {"keyswitch", "rescale"}, fn);
+    return {counts[0], counts[1]};
 }
 
 TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
@@ -316,7 +373,11 @@ TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
     // T_14 are never read: the odd series has exact-zero even
     // coefficients) plus 7 Paterson-Stockmeyer products, and 30
     // rescales: the normalization, the 21 products and one per leaf
-    // (8 leaves). Every bootstrap runs EvalMod twice.
+    // (8 leaves). At 64 slots on N=2^8 the bootstrap runs EvalMod once,
+    // on the packed real and imaginary parts; around it, SubSum,
+    // the conjugation, the StC head's half turn and 8 giant steps
+    // key-switch, and the 4 CtS/StC stages and the normalization
+    // rescale.
 #if !defined(BTS_TELEMETRY)
     GTEST_SKIP() << "built without BTS_TELEMETRY";
 #endif
@@ -324,17 +385,59 @@ TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
     auto& env = be.env;
     const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
     const Ciphertext raised = be.boot->stage_raise_and_subsum(ct);
-    const auto [u_re, u_im] = be.boot->stage_coeff_to_slot(raised);
+    const auto parts = be.boot->stage_coeff_to_slot(raised);
+    ASSERT_EQ(parts.size(), 1u) << "64 slots at N=2^8 run one packed part";
 
     Ciphertext v;
     EXPECT_EQ(count_keyswitch_and_rescale(
-                  [&] { v = be.boot->stage_eval_mod(u_re); }),
+                  [&] { v = be.boot->stage_eval_mod(parts[0]); }),
               std::make_pair(21, 30));
     EXPECT_EQ(v.level, be.boot->stc_input_level());
 
     EXPECT_EQ(count_keyswitch_and_rescale(
                   [&] { (void)be.boot->bootstrap(ct); }),
-              std::make_pair(52, 65));
+              std::make_pair(32, 35));
+}
+
+TEST(Bootstrap, FullSlotRefreshMatchesPlaintext)
+{
+    // L=20: 3 (CtS) + 8 (EvalMod) + 3 (StC) + 1 (normalize) levels
+    // leave level 5. PrecisionHoldsAcrossDraws' protocol and bound at
+    // 128 slots: the worst draw's max slot error measures 2.70e-4
+    // (draw 9).
+    constexpr double kBound = 4e-4;
+    testing::BootTestEnv be(7321, {}, 20);
+    FullSlotBoot full(be);
+    auto& env = be.env;
+    EXPECT_EQ(full.boot.output_level(), 5);
+    for (u64 draw = 0; draw < 12; ++draw) {
+        const auto z = env.random_message(128, 0.3, 500 + draw);
+        const Ciphertext fresh = full.boot.bootstrap(env.encrypt(z, 0));
+        EXPECT_EQ(fresh.level, 5);
+        EXPECT_LT(TestEnv::max_err(z, env.decrypt(fresh)), kBound)
+            << "draw " << draw;
+    }
+}
+
+TEST(Bootstrap, EvalModRunsOncePerPart)
+{
+#if !defined(BTS_TELEMETRY)
+    GTEST_SKIP() << "built without BTS_TELEMETRY";
+#endif
+    testing::BootTestEnv be(7321, {}, 20);
+    FullSlotBoot full(be);
+    auto& env = be.env;
+    const auto evalmods = [](const Bootstrapper& boot, const Ciphertext& ct) {
+        return count_spans(runtime::telemetry::Category::kBootstrap,
+                           {"bootstrap.evalmod"},
+                           [&] { (void)boot.bootstrap(ct); })[0];
+    };
+    EXPECT_EQ(evalmods(full.boot,
+                       env.encrypt(env.random_message(128, 0.3, 40), 0)),
+              2);
+    EXPECT_EQ(evalmods(*be.boot,
+                       env.encrypt(env.random_message(64, 0.3, 41), 0)),
+              1);
 }
 
 TEST(Bootstrap, PrecisionHoldsAcrossDraws)
@@ -342,7 +445,7 @@ TEST(Bootstrap, PrecisionHoldsAcrossDraws)
     // Refresh precision against the plaintext on the apps' instance
     // (N=2^8, L=20, slots 64, degree-119 sine): 12 seeded draws in
     // [-0.3, 0.3], each encrypted fresh, every refreshed slot compared
-    // with its input. The worst draw's max slot error measures 3.26e-4
+    // with its input. The worst draw's max slot error measures 3.25e-4
     // (draw 6; none garbles); the bound adds a ~20% margin.
     constexpr double kBound = 4e-4;
     testing::BootTestEnv be(7321, {}, 20);

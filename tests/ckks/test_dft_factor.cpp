@@ -106,6 +106,99 @@ TEST(FactoredDft, StagesAreSparse)
     }
 }
 
+// ---------- sparse-packing lifts (clear math) ----------
+
+/** Every map a lift may meet at @p n slots: each radix stage of both
+ *  directions, and the dense CtS and StC matrices. */
+std::vector<DiagonalMap>
+stage_maps(std::size_t n)
+{
+    std::vector<DiagonalMap> maps = {diagonals_of(dense_cts_matrix(n)),
+                                     diagonals_of(special_fourier_matrix(n))};
+    for (int radix : {2, 4, 8}) {
+        for (DftDirection direction :
+             {DftDirection::kCoeffToSlot, DftDirection::kSlotToCoeff}) {
+            for (auto& m : FactoredDft::stage_diagonals(n, direction, radix)) {
+                maps.push_back(std::move(m));
+            }
+        }
+    }
+    return maps;
+}
+
+std::vector<Complex>
+concat(std::vector<Complex> lo, const std::vector<Complex>& hi)
+{
+    lo.insert(lo.end(), hi.begin(), hi.end());
+    return lo;
+}
+
+std::vector<int>
+shifts_of(const DiagonalMap& m)
+{
+    std::vector<int> shifts;
+    for (const auto& [d, diag] : m) shifts.push_back(d);
+    return shifts;
+}
+
+TEST(FactoredDft, CtsTailLiftSplitsRealAndImaginary)
+{
+    // On the 2n-slot view (s, s) of an n-slot input the CtS tail yields
+    // (Ms, -i*Ms): adding its conjugate gives (2 Re Ms, 2 Im Ms).
+    auto& env = default_env();
+    for (std::size_t n : {8u, 64u}) {
+        const auto s = env.random_message(n, 1.0, 300 + n);
+        for (const DiagonalMap& m : stage_maps(n)) {
+            const auto ms = apply_diagonals(m, s);
+            std::vector<Complex> minus_i_ms;
+            for (const Complex& c : ms) {
+                minus_i_ms.push_back(Complex(0, -1) * c);
+            }
+            EXPECT_LT(TestEnv::max_err(
+                          concat(ms, minus_i_ms),
+                          apply_diagonals(lift_cts_tail(m), concat(s, s))),
+                      1e-9)
+                << "n=" << n;
+        }
+    }
+}
+
+TEST(FactoredDft, StcHeadLiftReadsTheHalfTurnedVector)
+{
+    // The StC head's shifts d read v = (a, b) and its shifts d + n read
+    // shift d of the half-turned rot_n(v) = (b, a), on M's own shifts;
+    // together they map real (a, b) to (M(a+ib), M(a+ib)).
+    auto& env = default_env();
+    for (std::size_t n : {8u, 64u}) {
+        const auto z = env.random_message(n, 1.0, 400 + n);
+        std::vector<Complex> a(n), b(n), a_ib(n);
+        for (std::size_t j = 0; j < n; ++j) {
+            a[j] = z[j].real();
+            b[j] = z[j].imag();
+            a_ib[j] = z[j];
+        }
+        for (const DiagonalMap& m : stage_maps(n)) {
+            DiagonalMap direct, turned;
+            for (auto& [e, diag] : lift_stc_head(m)) {
+                if (e < static_cast<int>(n)) {
+                    direct.emplace(e, std::move(diag));
+                } else {
+                    turned.emplace(e - static_cast<int>(n), std::move(diag));
+                }
+            }
+            EXPECT_EQ(shifts_of(direct), shifts_of(m));
+            EXPECT_EQ(shifts_of(turned), shifts_of(m));
+
+            auto got = apply_diagonals(direct, concat(a, b));
+            const auto from_turned = apply_diagonals(turned, concat(b, a));
+            for (std::size_t j = 0; j < 2 * n; ++j) got[j] += from_turned[j];
+            const auto m_aib = apply_diagonals(m, a_ib);
+            EXPECT_LT(TestEnv::max_err(concat(m_aib, m_aib), got), 1e-9)
+                << "n=" << n;
+        }
+    }
+}
+
 // ---------- homomorphic equivalence against the dense oracle ----------
 
 RotationKeys

@@ -6,7 +6,10 @@
  *    (every residue word, the scale's bits and the level). The digests
  *    were recorded before the automorphism moved into the NTT domain;
  *    NTT(sigma(a)) is an exact permutation of NTT(a), so any change of
- *    a single output bit is a bug, not a new golden value.
+ *    a single output bit is a bug, not a new golden value. The
+ *    bootstrap digest was recorded again when sparse refreshes began
+ *    to pack their real and imaginary parts through one EvalMod, a
+ *    different computation of the same message.
  *  - the lazy-input contract: rotations of an add_lazy() sum must equal
  *    rotations of the canonical sum bit for bit;
  *  - KeySwitch.TransformCounts: the NTT limb transforms, BConv calls
@@ -134,7 +137,7 @@ TEST(KeySwitchGolden, Bootstrap)
     testing::BootTestEnv be(31);
     auto& env = be.env;
     const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
-    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0x1d9289e82cec5ae3ULL);
+    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0xc661af485a4032a4ULL);
 }
 
 TEST(KeySwitchGolden, LazyInputsMatchCanonical)
@@ -250,9 +253,9 @@ TEST(KeySwitch, TransformCounts)
         be.env.encrypt(be.env.random_message(64, 0.3, 32), 0);
     const TransformCounts boot =
         count_transforms([&] { (void)be.boot->bootstrap(ct); });
-    EXPECT_EQ(boot.ntt_limbs, 3602);
-    EXPECT_EQ(boot.bconv, 248);
-    EXPECT_EQ(boot.keyswitch, 52);
+    EXPECT_EQ(boot.ntt_limbs, 2505);
+    EXPECT_EQ(boot.bconv, 171);
+    EXPECT_EQ(boot.keyswitch, 32);
 }
 
 } // namespace
