@@ -128,6 +128,11 @@ class CkksContext
     /** [P^{-1}]_q for prime q. */
     u64 p_inv_mod(u64 q) const;
 
+    /** Shoup contexts for [P^{-1}]_{q_i}, i = 0..L: ModDown's scaling
+     *  at level l reads the first l+1 (precomputed like the rescale
+     *  constants; P^{-1} does not depend on the level). */
+    const std::vector<ShoupMul>& p_inv_shoup() const { return p_inv_shoup_; }
+
     /** Cached base converter (built lazily, keyed by source/target). */
     const BaseConverter& converter(const std::vector<u64>& source,
                                    const std::vector<u64>& target) const;
@@ -145,6 +150,7 @@ class CkksContext
     std::vector<RnsBase> q_bases_; // index = level
     std::vector<std::vector<u64>> rescale_q_mod_;      // [top][i], i < top
     std::vector<std::vector<ShoupMul>> rescale_inv_;   // [top][i], i < top
+    std::vector<ShoupMul> p_inv_shoup_;                // [i], i <= L
     RnsBase p_base_;
     int log_pq_bits_;
     std::map<u64, std::unique_ptr<NttTables>> ntt_tables_;

@@ -119,63 +119,86 @@ Evaluator::negate(const Ciphertext& a) const
     return out;
 }
 
-void
-Evaluator::accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
-                                  const RnsPoly& f, const RnsPoly& key_b,
-                                  const RnsPoly& key_a, int level,
-                                  const std::vector<u32>* index) const
+std::pair<RnsPoly, RnsPoly>
+Evaluator::evk_inner_product(const std::vector<RnsPoly>& slices,
+                             const EvalKey& evk, int level,
+                             const std::vector<u32>* index) const
 {
-    // evk polynomials live over {q_0..q_L, p_0..p_{k-1}}; f and the
-    // accumulators over {q_0..q_l, p_0..p_{k-1}}. Index ext limb i to
-    // key limb i (q part) or L+1+(i-level-1) (special part) and fuse
-    // multiply and accumulate in a single tiled pass. With an @p index
-    // map, f is read through it: the product is that of f's
-    // automorphism image, which is never built.
+    // evk polynomials live over {q_0..q_L, p_0..p_{k-1}}; the slices
+    // and the result over {q_0..q_l, p_0..p_{k-1}}. Ext limb i reads key
+    // limb i (q part) or L+1+(i-level-1) (special part) in place. With
+    // an @p index map, each slice is read through it: the product is
+    // that of its automorphism image, which is never built.
     //
-    // f may carry LAZY residues in [0, 2q) (from to_ntt_lazy): the
-    // Barrett product of a [0, 2q) value with a canonical key residue
-    // stays below q * 2^64, so the reducer canonicalizes it for free
-    // and the accumulators remain canonical.
+    // The slices may carry LAZY residues in [0, 2q) (from to_ntt_lazy)
+    // against canonical key residues: every product is below 2q * q, so
+    // a residue's sum over the slices accumulates in 128 bits and is
+    // reduced once (mid-sum only past lazy_sum_terms(2q) slices).
     const int L = ctx_.max_level();
     const std::size_t n = ctx_.n();
-    const std::size_t count = f.num_primes();
-    BTS_ASSERT(f.domain() == Domain::kNtt &&
-                   acc_b.num_primes() == count && acc_a.num_primes() == count,
-               "evk accumulate operands mismatch");
+    const std::size_t dnum = slices.size();
+    const auto ext = ctx_.extended_primes(level);
+    const std::size_t count = ext.size();
+    BTS_ASSERT(dnum <= evk.slices.size(), "evaluation key has too few slices");
     BTS_ASSERT(index == nullptr || index->size() == n,
-               "evk accumulate index map size mismatch");
+               "evk inner product index map size mismatch");
+    for (const RnsPoly& f : slices) {
+        BTS_ASSERT(f.domain() == Domain::kNtt && f.num_primes() == count,
+                   "evk inner product operand mismatch");
+    }
 
+    // Per limb: its reducer and term budget, and row pointers
+    // [limb][slice] into the slices and both key polynomials.
     std::vector<Barrett> barrett(count);
-    std::vector<const u64*> kb(count), ka(count);
+    std::vector<std::size_t> terms(count);
+    std::vector<const u64*> fr(count * dnum), kb(count * dnum),
+        ka(count * dnum);
     for (std::size_t i = 0; i < count; ++i) {
-        barrett[i] = Barrett(f.prime(i));
+        barrett[i] = Barrett(ext[i]);
+        terms[i] = lazy_sum_terms(2 * ext[i]);
         const std::size_t ki =
             static_cast<int>(i) <= level
                 ? i
                 : static_cast<std::size_t>(L + 1) - (level + 1) + i;
-        kb[i] = key_b.component(ki).data();
-        ka[i] = key_a.component(ki).data();
+        for (std::size_t j = 0; j < dnum; ++j) {
+            fr[i * dnum + j] = slices[j].component(i).data();
+            kb[i * dnum + j] = evk.slices[j].first.component(ki).data();
+            ka[i * dnum + j] = evk.slices[j].second.component(ki).data();
+        }
     }
-    const u64* const fp = f.data();
+    RnsPoly out_b(n, ext, Domain::kNtt, RnsPoly::Uninit{});
+    RnsPoly out_a(n, ext, Domain::kNtt, RnsPoly::Uninit{});
     const u32* const ix = index == nullptr ? nullptr : index->data();
-    u64* const ab = acc_b.data();
-    u64* const aa = acc_a.data();
     parallel_for_2d(
         count, n,
         [&](std::size_t i, std::size_t c0, std::size_t c1) {
             const Barrett& br = barrett[i];
-            const u64 q = br.modulus();
-            const u64* fc = fp + i * n;
-            const u64* kbc = kb[i];
-            const u64* kac = ka[i];
-            u64* abc = ab + i * n;
-            u64* aac = aa + i * n;
+            const std::size_t budget = terms[i];
+            const u64* const* f = fr.data() + i * dnum;
+            const u64* const* kbi = kb.data() + i * dnum;
+            const u64* const* kai = ka.data() + i * dnum;
+            u64* ob = out_b.component(i).data();
+            u64* oa = out_a.component(i).data();
             for (std::size_t c = c0; c < c1; ++c) {
-                const u64 fv = ix == nullptr ? fc[c] : fc[ix[c]];
-                abc[c] = add_mod(abc[c], br.mul(fv, kbc[c]), q);
-                aac[c] = add_mod(aac[c], br.mul(fv, kac[c]), q);
+                const std::size_t src = ix == nullptr ? c : ix[c];
+                u128 sb = 0, sa = 0;
+                std::size_t room = budget;
+                for (std::size_t j = 0; j < dnum; ++j) {
+                    if (room == 0) {
+                        sb = br.reduce(sb);
+                        sa = br.reduce(sa);
+                        room = budget;
+                    }
+                    const u64 fv = f[j][src];
+                    sb += static_cast<u128>(fv) * kbi[j][c];
+                    sa += static_cast<u128>(fv) * kai[j][c];
+                    --room;
+                }
+                ob[c] = br.reduce(sb);
+                oa[c] = br.reduce(sa);
             }
         });
+    return {std::move(out_b), std::move(out_a)};
 }
 
 RnsPoly
@@ -200,7 +223,7 @@ Evaluator::mod_up(const RnsPoly& d, int slice, int level) const
     }
     d_slice.to_coeff(ctx_.tables_for(src));
 
-    // Lazy forward transform: the only reader is the Barrett inner
+    // Lazy forward transform: the only reader is the evk inner
     // product, which tolerates [0, 2q) inputs.
     RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
     converted.to_ntt_lazy(ctx_.tables_for(tgt));
@@ -232,15 +255,12 @@ Evaluator::key_switch(const RnsPoly& d, const EvalKey& evk, int level) const
     BTS_CHECK(slices <= static_cast<int>(evk.slices.size()),
               "evaluation key has too few slices");
 
-    const auto ext = ctx_.extended_primes(level);
-    RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
-    RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
-    // Slice by slice: one extended polynomial is alive at a time.
-    for (int j = 0; j < slices; ++j) {
-        accumulate_evk_product(acc_b, acc_a, mod_up(d, j, level),
-                               evk.slices[j].first, evk.slices[j].second,
-                               level);
-    }
+    // Every slice's ModUp is held at once, so each residue's inner
+    // product over the slices is reduced once.
+    std::vector<RnsPoly> raised;
+    raised.reserve(static_cast<std::size_t>(slices));
+    for (int j = 0; j < slices; ++j) raised.push_back(mod_up(d, j, level));
+    auto [acc_b, acc_a] = evk_inner_product(raised, evk, level);
     mod_down_inplace(acc_b, level);
     mod_down_inplace(acc_a, level);
     return {std::move(acc_b), std::move(acc_a)};
@@ -265,13 +285,11 @@ Evaluator::mod_down_inplace(RnsPoly& acc, int level) const
     lifted.to_ntt_lazy(ctx_.tables_for(q_primes));
 
     acc.truncate(level + 1);
-    std::vector<u64> p_inv(level + 1);
-    for (int i = 0; i <= level; ++i) {
-        p_inv[i] = ctx_.p_inv_mod(q_primes[i]);
-    }
-    // One fused subtract-multiply pass; the lazy NTT output above is
-    // canonicalized by the full Shoup product inside it.
-    acc.sub_mul_scalar_inplace(lifted, p_inv, RnsPoly::Residues::kLazy2q);
+    // One fused subtract-multiply pass with the cached P^{-1}
+    // constants; the lazy NTT output above is canonicalized by the full
+    // Shoup product inside it.
+    acc.sub_mul_scalar_inplace(lifted, ctx_.p_inv_shoup().data(),
+                               RnsPoly::Residues::kLazy2q);
 }
 
 std::vector<Ciphertext>
@@ -304,7 +322,6 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
     BTS_CHECK(keys.size() == amounts.size(),
               "one key per rotation amount expected");
     const int level = ct.level;
-    const auto ext = ctx_.extended_primes(level);
 
     // Shared prefix: one decompose + ModUp of the mask polynomial. The
     // automorphism commutes with BConv (base conversion is coefficient-
@@ -331,13 +348,7 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
                   "rotation key has too few slices");
         const std::vector<u32> index = ntt_galois_index(ctx_.n(), exp);
 
-        RnsPoly acc_b(ctx_.n(), ext, Domain::kNtt);
-        RnsPoly acc_a(ctx_.n(), ext, Domain::kNtt);
-        for (std::size_t j = 0; j < slices.size(); ++j) {
-            accumulate_evk_product(acc_b, acc_a, slices[j],
-                                   key.slices[j].first,
-                                   key.slices[j].second, level, &index);
-        }
+        auto [acc_b, acc_a] = evk_inner_product(slices, key, level, &index);
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
         // ct.b may be lazy; the kLazy2q add canonicalizes it.
@@ -353,33 +364,59 @@ Ciphertext
 Evaluator::mult(const Ciphertext& a, const Ciphertext& b,
                 const EvalKey& mult_key) const
 {
-    Ciphertext x = a, y = b;
-    align_levels(x, y);
-    BTS_CHECK(x.slots == y.slots, "slot count mismatch");
+    BTS_CHECK(a.slots == b.slots, "slot count mismatch");
+    const int level = std::min(a.level, b.level);
+    const std::size_t limbs = static_cast<std::size_t>(level) + 1;
+    const std::size_t n = ctx_.n();
+    for (const RnsPoly* p : {&a.b, &a.a, &b.b, &b.a}) {
+        BTS_CHECK(p->domain() == Domain::kNtt && p->degree() == n &&
+                      p->num_primes() >= limbs,
+                  "HMult operands must be NTT-domain ciphertexts");
+    }
+    std::vector<Barrett> barrett(limbs);
+    for (std::size_t i = 0; i < limbs; ++i) {
+        BTS_CHECK(a.b.prime(i) == b.b.prime(i), "prime chain mismatch");
+        barrett[i] = Barrett(a.b.prime(i));
+    }
 
-    // Tensor product (Eq. 3).
-    RnsPoly d0 = x.b;
-    d0.mul_inplace(y.b);
-    RnsPoly d1 = x.a;
-    d1.mul_inplace(y.b);
-    RnsPoly d1b = x.b;
-    d1b.mul_inplace(y.a);
-    d1.add_inplace(d1b);
-    RnsPoly d2 = x.a;
-    d2.mul_inplace(y.a);
+    // Tensor product (Eq. 3) in one pass over both operands' first
+    // level+1 limbs, read in place: d0 = b1*b2, d1 = a1*b2 + b1*a2,
+    // d2 = a1*a2. Residues may be lazy in [0, 2q) on both sides
+    // (add_lazy), so a product is below 4q * q; at the 61-bit width cap
+    // lazy_sum_terms(4q) >= 2, so d1's two products sum in 128 bits and
+    // are reduced once.
+    static_assert(kMaxModulusBits <= 61,
+                  "two [0, 2q) x [0, 2q) products must fit one Barrett sum");
+    const std::vector<u64> primes(a.b.primes().begin(),
+                                  a.b.primes().begin() + limbs);
+    RnsPoly d0(n, primes, Domain::kNtt, RnsPoly::Uninit{});
+    RnsPoly d1(n, primes, Domain::kNtt, RnsPoly::Uninit{});
+    RnsPoly d2(n, primes, Domain::kNtt, RnsPoly::Uninit{});
+    parallel_for_2d(
+        limbs, n, [&](std::size_t i, std::size_t c0, std::size_t c1) {
+            const Barrett& br = barrett[i];
+            const u64* b1 = a.b.component(i).data();
+            const u64* a1 = a.a.component(i).data();
+            const u64* b2 = b.b.component(i).data();
+            const u64* a2 = b.a.component(i).data();
+            u64* o0 = d0.component(i).data();
+            u64* o1 = d1.component(i).data();
+            u64* o2 = d2.component(i).data();
+            for (std::size_t c = c0; c < c1; ++c) {
+                o0[c] = br.mul(b1[c], b2[c]);
+                o1[c] = br.reduce(static_cast<u128>(a1[c]) * b2[c] +
+                                  static_cast<u128>(b1[c]) * a2[c]);
+                o2[c] = br.mul(a1[c], a2[c]);
+            }
+        });
 
     // Key-switching (Eq. 4).
-    auto [kb, ka] = key_switch(d2, mult_key, x.level);
+    auto [kb, ka] = key_switch(d2, mult_key, level);
 
-    Ciphertext out;
     d0.add_inplace(kb);
     d1.add_inplace(ka);
-    out.b = std::move(d0);
-    out.a = std::move(d1);
-    out.scale = x.scale * y.scale;
-    out.level = x.level;
-    out.slots = x.slots;
-    return out;
+    return Ciphertext{std::move(d0), std::move(d1), a.scale * b.scale, level,
+                      a.slots};
 }
 
 Ciphertext
@@ -541,12 +578,10 @@ Ciphertext
 Evaluator::mult_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
-
+    // The products read the plaintext's first level+1 limbs in place.
     Ciphertext out = ct;
-    out.b.mul_inplace(m);
-    out.a.mul_inplace(m);
+    out.b.mul_inplace(pt.poly);
+    out.a.mul_inplace(pt.poly);
     out.scale = ct.scale * pt.scale;
     return out;
 }

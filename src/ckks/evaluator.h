@@ -173,8 +173,12 @@ class Evaluator
 
     /**
      * Key-switch polynomial @p d (NTT domain, level-l base; [0, 2q)
-     * residues allowed) with @p evk: ModUp each dnum slice, inner-product
-     * with the key, ModDown by P — streamed one slice at a time.
+     * residues allowed) with @p evk: ModUp each dnum slice,
+     * inner-product with the key (each residue's sum over the slices
+     * reduced once), ModDown by P. Every slice's ModUp is alive at
+     * once, dnum extended polynomials where streaming would hold one:
+     * at hw::ins_lattigo()'s shape (N=2^16, L=21, dnum 3) two more
+     * polynomials of 30 limbs, about 31 MB of extra peak.
      * @return the (b, a) correction pair on the level-l base.
      */
     std::pair<RnsPoly, RnsPoly> key_switch(const RnsPoly& d,
@@ -186,16 +190,18 @@ class Evaluator
 
   private:
     /**
-     * acc_{b,a} += f * evk_slice over the level-l extended base, reading
-     * the key's components in place through the {q_0..q_l, p_*} ->
-     * evk-base index map. One fused pass; the key is never copied onto
-     * the extended base. With @p index (an ntt_galois_index map), f is
-     * read through it: the product of f's automorphism image, unbuilt.
+     * (sum_j f_j * evk_j.b, sum_j f_j * evk_j.a) over the level-l
+     * extended base, f_j = @p slices[j] (ModUp outputs). One pass: the
+     * key's components are read in place through the {q_0..q_l, p_*} ->
+     * evk-base index map, and each residue's sum is accumulated in 128
+     * bits and reduced once. With @p index (an ntt_galois_index map),
+     * every f_j is read through it: the product of its automorphism
+     * image, unbuilt.
      */
-    void accumulate_evk_product(RnsPoly& acc_b, RnsPoly& acc_a,
-                                const RnsPoly& f, const RnsPoly& key_b,
-                                const RnsPoly& key_a, int level,
-                                const std::vector<u32>* index = nullptr) const;
+    std::pair<RnsPoly, RnsPoly>
+    evk_inner_product(const std::vector<RnsPoly>& slices, const EvalKey& evk,
+                      int level,
+                      const std::vector<u32>* index = nullptr) const;
 
     /** ModUp of dnum slice @p slice of @p d (level-l base, NTT) onto
      *  {q_0..q_l, p_*}: the slice's limbs as stored, the rest base-

@@ -6,6 +6,7 @@
 
 #include "common/bit_ops.h"
 #include "common/check.h"
+#include "common/parallel.h"
 #include "math/mod_arith.h"
 
 namespace bts {
@@ -160,22 +161,16 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
     for (const auto& d : diag_values_) max_giant = std::max(max_giant, d.giant);
     Ciphertext acc;
     bool acc_set = false;
+    std::vector<std::pair<const Ciphertext*, const Plaintext*>> terms;
     for (int i = 0; i <= max_giant; ++i) {
-        Ciphertext inner;
-        bool inner_set = false;
+        terms.clear();
         for (const auto& d : diag_values_) {
             if (d.giant != i) continue;
-            Ciphertext term = eval.mult_plain(
-                (d.turned ? turned_baby : baby)[d.baby], d.plaintext);
-            if (!inner_set) {
-                inner = std::move(term);
-                inner_set = true;
-            } else {
-                inner.b.add_inplace(term.b);
-                inner.a.add_inplace(term.a);
-            }
+            terms.emplace_back(&(d.turned ? turned_baby : baby)[d.baby],
+                               &d.plaintext);
         }
-        if (!inner_set) continue;
+        if (terms.empty()) continue;
+        Ciphertext inner = inner_sum(terms);
         const int gi = (i * g_) % static_cast<int>(n_);
         if (gi != 0) {
             const auto it = rot_keys.find(gi);
@@ -195,6 +190,67 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
     eval.rescale_inplace(acc);
     acc.scale = ct.scale; // exact: plaintexts were encoded at the top prime
     return acc;
+}
+
+Ciphertext
+LinearTransform::inner_sum(
+    const std::vector<std::pair<const Ciphertext*, const Plaintext*>>& terms)
+    const
+{
+    // One pass over every limb and coefficient: each residue of b and
+    // of a is the sum of its terms' products, accumulated in 128 bits
+    // and reduced once (mid-sum only past lazy_sum_terms(2q) terms: a
+    // baby step may be lazy in [0, 2q), the diagonals are canonical).
+    // The ciphertexts and the diagonals' limbs are read in place.
+    const std::size_t n = ctx_.n();
+    const std::size_t limbs = static_cast<std::size_t>(level_) + 1;
+    const std::size_t count = terms.size();
+    const Ciphertext& first = *terms.front().first;
+    std::vector<const u64*> xb(count), xa(count), pt(count);
+    for (std::size_t t = 0; t < count; ++t) {
+        const auto& [ct, plain] = terms[t];
+        BTS_ASSERT(ct->level == level_ && plain->num_primes() >= ct->level + 1,
+                   "BSGS term off the transform's level");
+        xb[t] = ct->b.data();
+        xa[t] = ct->a.data();
+        pt[t] = plain->poly.data();
+    }
+    std::vector<Barrett> barrett(limbs);
+    std::vector<std::size_t> budget(limbs);
+    for (std::size_t l = 0; l < limbs; ++l) {
+        barrett[l] = Barrett(first.b.prime(l));
+        budget[l] = lazy_sum_terms(2 * first.b.prime(l));
+    }
+    const auto primes = ctx_.level_primes(level_);
+    Ciphertext out{RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{}),
+                   RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{}),
+                   first.scale * terms.front().second->scale, level_,
+                   first.slots};
+    parallel_for_2d(
+        limbs, n, [&](std::size_t l, std::size_t c0, std::size_t c1) {
+            const Barrett& br = barrett[l];
+            const std::size_t row = l * n;
+            u64* ob = out.b.component(l).data();
+            u64* oa = out.a.component(l).data();
+            for (std::size_t c = c0; c < c1; ++c) {
+                u128 sb = 0, sa = 0;
+                std::size_t room = budget[l];
+                for (std::size_t t = 0; t < count; ++t) {
+                    if (room == 0) {
+                        sb = br.reduce(sb);
+                        sa = br.reduce(sa);
+                        room = budget[l];
+                    }
+                    const u64 p = pt[t][row + c];
+                    sb += static_cast<u128>(xb[t][row + c]) * p;
+                    sa += static_cast<u128>(xa[t][row + c]) * p;
+                    --room;
+                }
+                ob[c] = br.reduce(sb);
+                oa[c] = br.reduce(sa);
+            }
+        });
+    return out;
 }
 
 std::vector<std::vector<Complex>>

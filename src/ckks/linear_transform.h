@@ -86,6 +86,12 @@ class LinearTransform
     int level() const { return level_; }
 
   private:
+    /** One giant step's inner sum: sum_t ct_t (*) pt_t over the baby
+     *  steps and their pre-rotated diagonals, in a single pass. */
+    Ciphertext inner_sum(
+        const std::vector<std::pair<const Ciphertext*, const Plaintext*>>&
+            terms) const;
+
     const CkksContext& ctx_;
     const CkksEncoder& encoder_;
     std::size_t n_;

@@ -76,26 +76,4 @@ Barrett::Barrett(u64 modulus) : m_(modulus)
     mu_lo_ = digits[1];
 }
 
-u64
-Barrett::reduce(u128 v) const
-{
-    // q = floor(v * mu / 2^128), with mu = mu_hi * 2^64 + mu_lo.
-    const u64 v_lo = static_cast<u64>(v);
-    const u64 v_hi = static_cast<u64>(v >> 64);
-
-    // v * mu >> 128 = v_hi*mu_hi + hi64(v_hi*mu_lo) + hi64(v_lo*mu_hi)
-    //                 + carries from the middle column.
-    const u128 mid1 = static_cast<u128>(v_hi) * mu_lo_;
-    const u128 mid2 = static_cast<u128>(v_lo) * mu_hi_;
-    const u128 lo = static_cast<u128>(v_lo) * mu_lo_;
-
-    u128 mid = (lo >> 64) + static_cast<u64>(mid1) + static_cast<u64>(mid2);
-    u128 q = static_cast<u128>(v_hi) * mu_hi_ + (mid1 >> 64) + (mid2 >> 64) +
-             (mid >> 64);
-
-    u128 r = v - q * m_;
-    while (r >= m_) r -= m_;
-    return static_cast<u64>(r);
-}
-
 } // namespace bts

@@ -112,11 +112,12 @@ mod_to_signed(u64 v, u64 m)
 }
 
 /**
- * Barrett reducer for a fixed modulus.
+ * Barrett reducer for a fixed modulus m (1 < m < 2^61).
  *
- * Precomputes mu = floor(2^128 / m) (stored as two 64-bit halves of the
- * 2^64-scaled variant). reduce() accepts any 128-bit value less than
- * m * 2^64 and is exact after at most one conditional subtraction.
+ * Precomputes mu = floor(2^128 / m) as two 64-bit halves. reduce()
+ * takes any 128-bit v < m * 2^64 -- one product, or a lazy sum of
+ * products within lazy_sum_terms() -- and returns v mod m after one
+ * branchless correction.
  */
 class Barrett
 {
@@ -127,10 +128,40 @@ class Barrett
 
     u64 modulus() const { return m_; }
 
-    /** Reduce a 128-bit value (v < m * 2^64) modulo m. */
-    u64 reduce(u128 v) const;
+    /**
+     * v mod m, for v < m * 2^64.
+     *
+     * The quotient estimate is exactly qh = floor(v * mu / 2^128).
+     * Since 2^128/m - 1 < mu <= 2^128/m,
+     *   v/m - v/2^128 < v * mu / 2^128 <= v/m,
+     * and v < m * 2^64 < 2^128 makes v/2^128 < 1: qh is floor(v/m) or
+     * one short, so r = v - qh * m lies in [0, 2m) and one conditional
+     * subtraction (a cmov) canonicalizes it. floor(v/m) < 2^64 and
+     * r < 2^62 both fit a word, so the remainder is taken in 64-bit
+     * arithmetic.
+     */
+    u64
+    reduce(u128 v) const
+    {
+        BTS_DEBUG_ASSERT((v >> 64) < m_, "Barrett: input above m * 2^64");
+        const u64 v_lo = static_cast<u64>(v);
+        const u64 v_hi = static_cast<u64>(v >> 64);
+        // v * mu >> 128 = v_hi*mu_hi + hi64(v_hi*mu_lo) + hi64(v_lo*mu_hi)
+        //                 + the carry out of the middle column.
+        const u128 lo = static_cast<u128>(v_lo) * mu_lo_;
+        const u128 mid1 = static_cast<u128>(v_hi) * mu_lo_;
+        const u128 mid2 = static_cast<u128>(v_lo) * mu_hi_;
+        const u128 mid = (lo >> 64) + static_cast<u64>(mid1) +
+                         static_cast<u64>(mid2);
+        const u64 qh = v_hi * mu_hi_ + static_cast<u64>(mid1 >> 64) +
+                       static_cast<u64>(mid2 >> 64) +
+                       static_cast<u64>(mid >> 64);
+        const u64 r = v_lo - qh * m_;
+        return r >= m_ ? r - m_ : r;
+    }
 
-    /** (a * b) mod m using the precomputed constant. */
+    /** (a * b) mod m using the precomputed constant (a * b < m * 2^64,
+     *  e.g. both operands in [0, 2m)). */
     u64 mul(u64 a, u64 b) const { return reduce(static_cast<u128>(a) * b); }
 
   private:
@@ -138,6 +169,22 @@ class Barrett
     u64 mu_hi_ = 0; // floor(2^128 / m) high limb
     u64 mu_lo_ = 0; // floor(2^128 / m) low limb
 };
+
+/**
+ * Term budget of a lazy 128-bit sum: how many products, each below
+ * @p factor_bound * m, may accumulate before one Barrett::reduce mod
+ * m. T such products sum below T * A * m, which stays below
+ * reduce()'s bound m * 2^64 while T * A < 2^64; a reduced partial sum
+ * (below m) plus T more products stays below it too, so a long sum
+ * reduces once every T terms. A = 2m for a [0, 2m) lazy NTT output
+ * times a canonical residue; at the 61-bit width cap T >= 4.
+ */
+inline std::size_t
+lazy_sum_terms(u64 factor_bound)
+{
+    BTS_DEBUG_ASSERT(factor_bound != 0, "lazy_sum_terms: zero bound");
+    return static_cast<std::size_t>(~u64{0} / factor_bound);
+}
 
 /**
  * Shoup multiplication context: multiply by a fixed constant w modulo m

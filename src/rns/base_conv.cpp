@@ -1,5 +1,7 @@
 #include "rns/base_conv.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/parallel.h"
 #include "common/workspace.h"
@@ -7,6 +9,38 @@
 #include "runtime/telemetry/trace.h"
 
 namespace bts {
+
+namespace {
+
+/**
+ * The MMAU for W adjacent coefficients: out[w] = [sum_j y_j[w] *
+ * hat[j]]_p over @p count source rows @p n words apart, accumulated
+ * unreduced in 128 bits and reduced once (mid-sum only past the term
+ * budget @p terms). @p out may hold a running partial sum (below p)
+ * to continue; with W = 2 the two add chains run side by side.
+ */
+template <std::size_t W>
+inline void
+mmau(const u64* y, std::size_t n, const u64* hat, std::size_t count,
+     std::size_t terms, const Barrett& barrett, u64* out, bool accumulate)
+{
+    u128 acc[W];
+    for (std::size_t w = 0; w < W; ++w) acc[w] = accumulate ? out[w] : 0;
+    std::size_t room = terms;
+    for (std::size_t j = 0; j < count; ++j, y += n) {
+        if (room == 0) {
+            for (std::size_t w = 0; w < W; ++w) acc[w] = barrett.reduce(acc[w]);
+            room = terms;
+        }
+        for (std::size_t w = 0; w < W; ++w) {
+            acc[w] += static_cast<u128>(y[w]) * hat[j];
+        }
+        --room;
+    }
+    for (std::size_t w = 0; w < W; ++w) out[w] = barrett.reduce(acc[w]);
+}
+
+} // namespace
 
 BaseConverter::BaseConverter(const RnsBase& source, const RnsBase& target)
     : source_(source), target_(target)
@@ -20,6 +54,10 @@ BaseConverter::BaseConverter(const RnsBase& source, const RnsBase& target)
     for (std::size_t j = 0; j < source.size(); ++j) {
         hat_inv_shoup_[j] = ShoupMul(source.hat_inv(j), source.prime(j));
     }
+    // Every Part-2 product is y_j * [q_hat_j]_{p_i} with y_j < q_j:
+    // below max_j q_j * p_i.
+    terms_ = lazy_sum_terms(
+        *std::max_element(source.primes().begin(), source.primes().end()));
     hat_mod_.assign(target.size(), std::vector<u64>(source.size()));
     target_barrett_.resize(target.size());
     for (std::size_t i = 0; i < target.size(); ++i) {
@@ -30,59 +68,61 @@ BaseConverter::BaseConverter(const RnsBase& source, const RnsBase& target)
     }
 }
 
+void
+BaseConverter::scale_input(const RnsPoly& input, u64* scaled) const
+{
+    BTS_CHECK(input.domain() == Domain::kCoeff,
+              "BConv operates in the coefficient domain");
+    BTS_CHECK(input.num_primes() == source_.size(),
+              "input must live exactly on the source base");
+    for (std::size_t j = 0; j < source_.size(); ++j) {
+        BTS_CHECK(input.prime(j) == source_.prime(j), "prime mismatch");
+    }
+    const std::size_t n = input.degree();
+    parallel_for_2d(
+        source_.size(), n,
+        [&](std::size_t j, std::size_t c0, std::size_t c1) {
+            const u64 q = source_.prime(j);
+            const ShoupMul& s = hat_inv_shoup_[j];
+            const u64* src = input.component(j).data();
+            u64* dst = scaled + j * n;
+            for (std::size_t c = c0; c < c1; ++c) {
+                dst[c] = s.mul(src[c], q);
+            }
+        });
+}
+
 RnsPoly
 BaseConverter::convert(const RnsPoly& input) const
 {
     BTS_TRACE_SPAN_VAR(trace_span, kKernel, "bconv");
     trace_span.set_arg(static_cast<i64>(source_.size()));
-    BTS_CHECK(input.domain() == Domain::kCoeff,
-              "BConv operates in the coefficient domain");
-    BTS_CHECK(input.num_primes() == source_.size(),
-              "input must live exactly on the source base");
     const std::size_t n = input.degree();
-
-    // Part 1 (ModMult in the BConvU): y_j = [x_j * q_hat_inv_j]_{q_j},
-    // tiled over (source limb x coefficient block) into pooled flat
-    // scratch (limb-major, like RnsPoly storage).
-    for (std::size_t j = 0; j < source_.size(); ++j) {
-        BTS_CHECK(input.prime(j) == source_.prime(j), "prime mismatch");
-    }
     const std::size_t src_count = source_.size();
     Workspace scaled(src_count * n);
-    u64* const scaled_base = scaled.data();
-    parallel_for_2d(
-        src_count, n,
-        [&](std::size_t j, std::size_t c0, std::size_t c1) {
-            const u64 q = source_.prime(j);
-            const ShoupMul& s = hat_inv_shoup_[j];
-            const u64* src = input.component(j).data();
-            u64* dst = scaled_base + j * n;
-            for (std::size_t c = c0; c < c1; ++c) {
-                dst[c] = s.mul(src[c], q);
-            }
-        });
+    scale_input(input, scaled.data());
+    const u64* const scaled_base = scaled.data();
 
     // Part 2 (MMAU): out_i = [ sum_j y_j * q_hat_j ]_{p_i}, accumulated
-    // lazily in 128 bits (q_j < 2^61 keeps sums of 64 terms overflow-free;
-    // we reduce defensively every 8 terms for arbitrary base sizes).
-    // Each coefficient's sum is self-contained, so the 2-D tiling
-    // cannot change the result.
-    // Part 2 writes every coefficient of every target limb: the
-    // output can skip the zero-fill.
+    // in 128 bits and reduced once per output residue, two coefficients
+    // at a time. Each coefficient's sum is self-contained, so the 2-D
+    // tiling cannot change the result. Part 2 writes every coefficient
+    // of every target limb: the output can skip the zero-fill.
     RnsPoly out(n, target_.primes(), Domain::kCoeff, RnsPoly::Uninit{});
     parallel_for_2d(
         target_.size(), n,
         [&](std::size_t i, std::size_t c0, std::size_t c1) {
             const Barrett& barrett = target_barrett_[i];
+            const u64* hat = hat_mod_[i].data();
             u64* dst = out.component(i).data();
-            for (std::size_t c = c0; c < c1; ++c) {
-                u128 acc = 0;
-                for (std::size_t j = 0; j < src_count; ++j) {
-                    acc += static_cast<u128>(scaled_base[j * n + c]) *
-                           hat_mod_[i][j];
-                    if ((j & 7) == 7) acc = barrett.reduce(acc);
-                }
-                dst[c] = barrett.reduce(acc);
+            std::size_t c = c0;
+            for (; c + 2 <= c1; c += 2) {
+                mmau<2>(scaled_base + c, n, hat, src_count, terms_,
+                        barrett, dst + c, false);
+            }
+            if (c < c1) {
+                mmau<1>(scaled_base + c, n, hat, src_count, terms_,
+                        barrett, dst + c, false);
             }
         });
     return out;
@@ -94,10 +134,11 @@ BaseConverter::convert_grouped(const RnsPoly& input, int l_sub) const
     BTS_TRACE_SPAN_VAR(trace_span, kKernel, "bconv.grouped");
     trace_span.set_arg(static_cast<i64>(source_.size()));
     BTS_CHECK(l_sub >= 1, "l_sub must be positive");
-    BTS_CHECK(input.domain() == Domain::kCoeff,
-              "BConv operates in the coefficient domain");
     const std::size_t n = input.degree();
     const std::size_t src_count = source_.size();
+    Workspace scaled(src_count * n);
+    scale_input(input, scaled.data());
+    const u64* const scaled_base = scaled.data();
 
     RnsPoly out(n, target_.primes(), Domain::kCoeff);
     // Outer sum of Eq. 11: process l_sub source primes at a time,
@@ -113,17 +154,11 @@ BaseConverter::convert_grouped(const RnsPoly& input, int l_sub) const
         parallel_for_2d(
             target_.size(), n,
             [&](std::size_t i, std::size_t c0, std::size_t c1) {
-                const Barrett& barrett = target_barrett_[i];
                 u64* dst = out.component(i).data();
                 for (std::size_t c = c0; c < c1; ++c) {
-                    u128 acc = dst[c];
-                    for (std::size_t j = j0; j < j1; ++j) {
-                        const u64 q = source_.prime(j);
-                        const u64 y = hat_inv_shoup_[j].mul(
-                            input.component(j)[c], q);
-                        acc += static_cast<u128>(y) * hat_mod_[i][j];
-                    }
-                    dst[c] = barrett.reduce(acc);
+                    mmau<1>(scaled_base + j0 * n + c, n,
+                            hat_mod_[i].data() + j0, j1 - j0, terms_,
+                            target_barrett_[i], dst + c, true);
                 }
             });
     }

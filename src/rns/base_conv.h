@@ -52,6 +52,10 @@ class BaseConverter
     RnsPoly convert_grouped(const RnsPoly& input, int l_sub) const;
 
   private:
+    /** Part 1 (ModMult in the BConvU): scaled row j = [x_j *
+     *  q_hat_inv_j]_{q_j}, limb-major like RnsPoly storage. */
+    void scale_input(const RnsPoly& input, u64* scaled) const;
+
     RnsBase source_;
     RnsBase target_;
     std::vector<std::vector<u64>> hat_mod_; // [target i][source j]
@@ -60,6 +64,7 @@ class BaseConverter
     // Shoup contexts carry q_hat_inv_j themselves (member w).
     std::vector<ShoupMul> hat_inv_shoup_;   // per source prime j
     std::vector<Barrett> target_barrett_;   // per target prime i
+    std::size_t terms_ = 0; //!< lazy_sum_terms of the Part-2 products
 };
 
 } // namespace bts

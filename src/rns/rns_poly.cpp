@@ -286,18 +286,25 @@ RnsPoly::sub_mul_scalar_inplace(const RnsPoly& other,
                                 const std::vector<u64>& scalars,
                                 Residues form)
 {
-    check_compatible(*this, other);
     BTS_CHECK(scalars.size() >= num_primes(), "scalar count mismatch");
     const std::size_t count = num_primes();
     ReducerArray<ShoupMul> shoup(count);
     for (std::size_t i = 0; i < count; ++i) {
         shoup[i] = ShoupMul(scalars[i], primes_[i]);
     }
+    sub_mul_scalar_inplace(other, &shoup[0], form);
+}
+
+void
+RnsPoly::sub_mul_scalar_inplace(const RnsPoly& other,
+                                const ShoupMul* scalars, Residues form)
+{
+    check_compatible(*this, other);
     const bool lazy = form == Residues::kLazy2q;
     parallel_for_2d(
-        count, n_,
+        num_primes(), n_,
         [&](std::size_t i, std::size_t c0, std::size_t c1) {
-            const ShoupMul& s = shoup[i];
+            const ShoupMul& s = scalars[i];
             const u64 q = primes_[i];
             const u64 two_q = 2 * q;
             const u64* src = other.component(i).data();

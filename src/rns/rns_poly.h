@@ -24,6 +24,7 @@
 #include "common/span.h"
 #include "common/types.h"
 #include "common/workspace.h"
+#include "math/mod_arith.h"
 #include "math/ntt.h"
 #include "rns/rns_base.h"
 
@@ -134,9 +135,10 @@ class RnsPoly
      *  contract as add_inplace_lazy. */
     void sub_inplace_lazy(const RnsPoly& other);
     void negate_inplace();
-    /** this *= other, element-wise Barrett products. Tolerates residues
-     *  in [0, 2q) on BOTH operands (2q * 2q < q * 2^64 keeps the Barrett
-     *  quotient exact); output is canonical either way. */
+    /** this *= other, element-wise Barrett products, reading @p other's
+     *  first num_primes() rows in place. Tolerates residues in [0, 2q)
+     *  on BOTH operands (2q * 2q < q * 2^64, Barrett::reduce's input
+     *  bound); output is canonical either way. */
     void mul_inplace(const RnsPoly& other);
     /** Multiply every row by per-prime scalars. */
     void mul_scalar_inplace(const std::vector<u64>& scalars);
@@ -145,6 +147,11 @@ class RnsPoly
      *  canonicalizes, so the reduction is paid once per chain. */
     void sub_mul_scalar_inplace(const RnsPoly& other,
                                 const std::vector<u64>& scalars,
+                                Residues form = Residues::kCanonical);
+    /** The same with one precomputed Shoup context per row (constants
+     *  a caller keeps across calls, e.g. ModDown's P^{-1}). */
+    void sub_mul_scalar_inplace(const RnsPoly& other,
+                                const ShoupMul* scalars,
                                 Residues form = Residues::kCanonical);
     /** this += other * scalars[i] per limb, one fused pass that reads
      *  @p other's first num_primes() rows in place (a multiply-

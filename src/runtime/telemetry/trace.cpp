@@ -54,9 +54,9 @@ registry()
     return *r;
 }
 
-/** Thread-name requested before the thread's first emit (no buffer
- *  exists yet — creating one per named-but-silent thread would cost
- *  capacity x 64 bytes for nothing). */
+/** Thread-name requested before the thread's buffer exists (creating
+ *  one per named-but-silent thread would cost capacity x
+ *  sizeof(TraceEvent) bytes for nothing). */
 thread_local std::string t_pending_name;
 
 thread_local std::shared_ptr<ThreadBuffer> t_buffer;
@@ -115,6 +115,12 @@ set_thread_buffer_capacity(std::size_t events)
     Registry& r = registry();
     std::lock_guard<std::mutex> lock(r.m);
     r.capacity = events;
+}
+
+void
+acquire_thread_buffer()
+{
+    (void)buffer_for_thread();
 }
 
 void

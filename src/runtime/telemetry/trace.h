@@ -17,7 +17,9 @@
  *     nothing; runtime-disabled (the default state) the cost of a span
  *     is one relaxed atomic load and a branch.
  *  2. No locks, no allocation on the hot path. Each thread owns a
- *     fixed-capacity event buffer created on its first emit; writes
+ *     fixed-capacity event buffer, created when its first enabled
+ *     span opens (before the span's start stamp, so no span is
+ *     charged for it) or on its first other event; writes
  *     are single-producer (the owning thread) with a release store
  *     publishing each slot. A full buffer DROPS new events and counts
  *     them — tracing never blocks, reallocates, or crashes the traced
@@ -97,6 +99,11 @@ void set_thread_buffer_capacity(std::size_t events);
  *  when full). Callers must have checked enabled() already. */
 void emit(const TraceEvent& ev);
 
+/** Create and register the calling thread's buffer if it has none
+ *  (capacity x sizeof(TraceEvent) bytes). An enabled ScopedSpan calls
+ *  it before taking its start stamp. */
+void acquire_thread_buffer();
+
 #if defined(BTS_TELEMETRY)
 
 inline bool
@@ -158,6 +165,7 @@ class ScopedSpan
     {
 #if defined(BTS_TELEMETRY)
         if (enabled(cat)) {
+            acquire_thread_buffer();
             ev_.cat = cat;
             ev_.name = name;
             ev_.t0_ns = now_ns();

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <functional>
 
+#include "ckks/linear_transform.h"
 #include "runtime/telemetry/trace.h"
 #include "test_utils.h"
 
@@ -130,6 +131,127 @@ TEST(KeySwitchGolden, SwitchKey)
     const EvalKey rekey = c.env.keygen.gen_rekey_key(c.env.sk, sk_to);
     EXPECT_EQ(digest(c.env.evaluator.switch_key(c.x, rekey)),
               0xbdde2cd59e2d05acULL);
+}
+
+/**
+ * The widest primes the word size allows: a 61-bit base prime, two
+ * 61-bit special primes and eight dnum slices at the top level. On a
+ * 61-bit limb a lazy [0, 2q) residue times a canonical one is below
+ * 2q^2, so a 128-bit sum of more than four such products outgrows
+ * q * 2^64: the key-switch inner product over eight slices and a
+ * 32-term BSGS inner sum must reduce mid-sum there. (dnum = L+1 would
+ * leave one special prime, a 61-bit prime below q_0, and break the
+ * P >= Q_j rule.) The digests were recorded before products began to
+ * accumulate unreduced; like the ones above, a mismatch is a bug.
+ */
+CkksParams
+wide_prime_params()
+{
+    CkksParams p = testing::small_params();
+    p.max_level = 15;
+    p.dnum = 8;
+    p.q0_bits = 61;
+    p.special_bits = 61;
+    return p;
+}
+
+struct WidePrimeCase
+{
+    WidePrimeCase() : env(wide_prime_params())
+    {
+        keys = env.keygen.gen_rotation_keys(env.sk, kAmounts);
+        x = env.encrypt(env.random_message(64, 1.0, 1603));
+        y = env.encrypt(env.random_message(64, 1.0, 1604));
+    }
+
+    TestEnv env;
+    RotationKeys keys;
+    Ciphertext x;
+    Ciphertext y;
+};
+
+TEST(KeySwitchGolden, WidePrimesShape)
+{
+    WidePrimeCase c;
+    EXPECT_EQ(c.env.ctx.num_slices(15), 8);
+    EXPECT_EQ(c.env.ctx.q_primes()[0] >> 60, 1u);
+    for (const u64 p : c.env.ctx.p_primes()) EXPECT_EQ(p >> 60, 1u);
+}
+
+TEST(KeySwitchGolden, WidePrimesRotate)
+{
+    WidePrimeCase c;
+    const std::vector<u64> expected = {
+        0xe57373e4116f334bULL, 0x551f569f2329b8e9ULL, 0xa4eb6378e2df5d3cULL,
+        0x682da48546c4a0bdULL, 0x83d2bddb4d6125d0ULL,
+    };
+    for (std::size_t i = 0; i < kAmounts.size(); ++i) {
+        const int r = kAmounts[i];
+        EXPECT_EQ(digest(c.env.evaluator.rotate(c.x, r, c.keys.at(r))),
+                  expected[i])
+            << "amount " << r;
+    }
+    Ciphertext low = c.x;
+    c.env.evaluator.drop_level_inplace(low, 9);
+    EXPECT_EQ(digest(c.env.evaluator.rotate(low, 3, c.keys.at(3))),
+              0x37ade6f1ba78d10fULL);
+}
+
+TEST(KeySwitchGolden, WidePrimesRotateHoisted)
+{
+    WidePrimeCase c;
+    const std::vector<int> amounts = {0, 1, 3, 17, 64, -1};
+    const std::vector<u64> expected = {
+        0xe848f76c32dc7c08ULL, 0x7f1f6eaa8e44fd7fULL, 0x2f56437c98b4683fULL,
+        0xe7f64ac5c61937fcULL, 0x7c8f357bd54c7412ULL, 0x9ec3a8bbecf3f85dULL,
+    };
+    const auto out = c.env.evaluator.rotate_hoisted(c.x, amounts, c.keys);
+    ASSERT_EQ(out.size(), amounts.size());
+    for (std::size_t i = 0; i < amounts.size(); ++i) {
+        EXPECT_EQ(digest(out[i]), expected[i]) << "amount " << amounts[i];
+    }
+}
+
+TEST(KeySwitchGolden, WidePrimesMult)
+{
+    WidePrimeCase c;
+    const Evaluator& ev = c.env.evaluator;
+    EXPECT_EQ(digest(ev.mult(c.x, c.y, c.env.mult_key)),
+              0x162279c69453aacfULL);
+    // A lazy [0, 2q) operand: the tensor's products reach 4q^2.
+    EXPECT_EQ(digest(ev.mult(ev.add_lazy(c.x, c.y), c.y, c.env.mult_key)),
+              0x7ca870f12401e3fcULL);
+}
+
+TEST(KeySwitchGolden, WidePrimesDenseLinearTransform)
+{
+    WidePrimeCase c;
+    const std::size_t n = 64;
+    Xoshiro256 rng(1605);
+    std::vector<std::vector<Complex>> matrix(n, std::vector<Complex>(n));
+    for (auto& row : matrix) {
+        for (Complex& v : row) {
+            v = Complex(2 * rng.uniform_real() - 1,
+                        2 * rng.uniform_real() - 1);
+        }
+    }
+    const LinearTransform lt(c.env.ctx, c.env.encoder, matrix, 15, 16.0);
+    // 64 diagonals on a 32-wide baby-step grid: 32 terms per giant
+    // step, whose canonical products (each below q^2) sum to about
+    // 8q^2, past q * 2^64 on the 61-bit limb in many coefficients.
+    ASSERT_EQ(lt.num_diagonals(), 64);
+    ASSERT_EQ(lt.baby_steps(), 32);
+    const RotationKeys keys =
+        c.env.keygen.gen_rotation_keys(c.env.sk, lt.required_rotations());
+    const Ciphertext out = lt.apply(c.env.evaluator, c.x, keys);
+    EXPECT_EQ(digest(out), 0xf9270a326b9cfd15ULL);
+
+    const std::vector<Complex> z = c.env.random_message(64, 1.0, 1603);
+    std::vector<Complex> expected(n);
+    for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t k = 0; k < n; ++k) expected[j] += matrix[j][k] * z[k];
+    }
+    EXPECT_LT(TestEnv::max_err(expected, c.env.decrypt(out)), 1e-3);
 }
 
 TEST(KeySwitchGolden, Bootstrap)

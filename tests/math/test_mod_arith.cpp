@@ -95,6 +95,40 @@ TEST(ModArith, BarrettMatchesDirect)
     }
 }
 
+TEST(ModArith, BarrettAtItsInputBound)
+{
+    // reduce() takes any v < m * 2^64 and corrects once: the largest
+    // inputs, and multiples of m (and one below) near the top, are
+    // where a quotient one short would show.
+    const u128 two64 = static_cast<u128>(1) << 64;
+    for (int bits = 20; bits <= 61; ++bits) {
+        const u64 top = 1ULL << bits;
+        const u64 moduli[] = {(top >> 1) + 1, top - 1,
+                              top - 1 - 2 * static_cast<u64>(bits)};
+        for (const u64 m : moduli) {
+            const Barrett barrett(m);
+            const auto check = [&](u128 v) {
+                EXPECT_EQ(barrett.reduce(v), static_cast<u64>(v % m))
+                    << "m = " << m << ", v / 2^64 = "
+                    << static_cast<u64>(v >> 64);
+            };
+            check(static_cast<u128>(m) * two64 - 1);
+            for (u64 k = 1; k <= 4; ++k) {
+                const u128 km = static_cast<u128>(m) * (two64 - k);
+                check(km);
+                check(km - 1);
+            }
+            check(static_cast<u128>(m) * m); // the largest canonical product
+            check(0);
+#ifndef NDEBUG
+            // Past the bound a lazy sum has outgrown its term budget.
+            EXPECT_THROW(barrett.reduce(static_cast<u128>(m) * two64),
+                         std::logic_error);
+#endif
+        }
+    }
+}
+
 TEST(ModArith, ShoupMatchesDirect)
 {
     Xoshiro256 rng(4);

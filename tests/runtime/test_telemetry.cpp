@@ -133,6 +133,39 @@ TEST(Trace, OverflowDropsNewEventsAndCounts)
     quiesce_and_reset();
 }
 
+TEST(Trace, OpeningASpanRegistersTheThread)
+{
+    // A thread's buffer (capacity x sizeof(TraceEvent) bytes) is
+    // acquired when its first enabled span opens, before the start
+    // stamp: the allocation must not be charged to the span enclosing
+    // the thread's first emitted event.
+    BTS_SKIP_WITHOUT_TELEMETRY();
+    quiesce_and_reset();
+    set_enabled(mask(Category::kKernel));
+    bool registered_while_open = false;
+    std::size_t events_while_open = 1;
+    std::thread t([&] {
+        set_thread_name("first.span");
+        BTS_TRACE_SPAN(kKernel, "outer");
+        // Only this thread emits, so collecting mid-span is quiescent.
+        for (const ThreadTrace& th : collect_trace().threads) {
+            if (th.name != "first.span") continue;
+            registered_while_open = true;
+            events_while_open = th.events.size();
+        }
+    });
+    t.join();
+    set_enabled(0);
+    EXPECT_TRUE(registered_while_open);
+    EXPECT_EQ(events_while_open, 0u);
+
+    std::size_t events_after = 0;
+    for (const ThreadTrace& th : collect_trace().threads) {
+        if (th.name == "first.span") events_after = th.events.size();
+    }
+    EXPECT_EQ(events_after, 1u);
+}
+
 TEST(Trace, CategoryMaskFilters)
 {
     BTS_SKIP_WITHOUT_TELEMETRY();
