@@ -146,16 +146,13 @@ class Barrett
         BTS_DEBUG_ASSERT((v >> 64) < m_, "Barrett: input above m * 2^64");
         const u64 v_lo = static_cast<u64>(v);
         const u64 v_hi = static_cast<u64>(v >> 64);
-        // v * mu >> 128 = v_hi*mu_hi + hi64(v_hi*mu_lo) + hi64(v_lo*mu_hi)
-        //                 + the carry out of the middle column.
-        const u128 lo = static_cast<u128>(v_lo) * mu_lo_;
-        const u128 mid1 = static_cast<u128>(v_hi) * mu_lo_;
-        const u128 mid2 = static_cast<u128>(v_lo) * mu_hi_;
-        const u128 mid = (lo >> 64) + static_cast<u64>(mid1) +
-                         static_cast<u64>(mid2);
-        const u64 qh = v_hi * mu_hi_ + static_cast<u64>(mid1 >> 64) +
-                       static_cast<u64>(mid2 >> 64) +
-                       static_cast<u64>(mid >> 64);
+        // v * mu >> 128 = v_hi*mu_hi + hi64(middle column), where the
+        // middle column v_hi*mu_lo + v_lo*mu_hi + hi64(v_lo*mu_lo) is
+        // below m * 2^64 + 2^128/m + 2^64 < 2^128 because v_hi < m.
+        const u128 mid = static_cast<u128>(v_hi) * mu_lo_ +
+                         static_cast<u128>(v_lo) * mu_hi_ +
+                         ((static_cast<u128>(v_lo) * mu_lo_) >> 64);
+        const u64 qh = v_hi * mu_hi_ + static_cast<u64>(mid >> 64);
         const u64 r = v_lo - qh * m_;
         return r >= m_ ? r - m_ : r;
     }
