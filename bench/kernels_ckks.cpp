@@ -499,8 +499,8 @@ struct FunctionalEnv
  * encryption.
  *
  * Two graph sets: sets[0] is the pass-off baseline (rescale placement
- * only — the minimum needed for an executable graph, no CSE / fusion /
- * lazy residues) and sets[1] is the full pass pipeline. BM_Serving's
+ * only — the minimum needed for an executable graph, no CSE or
+ * fusion) and sets[1] is the full pass pipeline. BM_Serving's
  * second arg selects the set, so the pass-on vs pass-off serving
  * numbers come from the same env, keys, and payloads.
  */

@@ -58,55 +58,27 @@ Evaluator::drop_level_inplace(Ciphertext& ct, int target_level) const
     ct.level = target_level;
 }
 
-void
-Evaluator::align_levels(Ciphertext& a, Ciphertext& b) const
-{
-    const int target = std::min(a.level, b.level);
-    drop_level_inplace(a, target);
-    drop_level_inplace(b, target);
-}
-
 Ciphertext
 Evaluator::add(const Ciphertext& a, const Ciphertext& b) const
 {
-    Ciphertext x = a, y = b;
-    align_levels(x, y);
-    check_scale_match(x.scale, y.scale);
-    x.b.add_inplace(y.b);
-    x.a.add_inplace(y.a);
+    // x holds a's limbs up to the common level; add_inplace reads only
+    // that many rows of b, so b needs no level-dropped copy.
+    Ciphertext x = a;
+    drop_level_inplace(x, std::min(a.level, b.level));
+    check_scale_match(x.scale, b.scale);
+    x.b.add_inplace(b.b);
+    x.a.add_inplace(b.a);
     return x;
 }
 
 Ciphertext
 Evaluator::sub(const Ciphertext& a, const Ciphertext& b) const
 {
-    Ciphertext x = a, y = b;
-    align_levels(x, y);
-    check_scale_match(x.scale, y.scale);
-    x.b.sub_inplace(y.b);
-    x.a.sub_inplace(y.a);
-    return x;
-}
-
-Ciphertext
-Evaluator::add_lazy(const Ciphertext& a, const Ciphertext& b) const
-{
-    Ciphertext x = a, y = b;
-    align_levels(x, y);
-    check_scale_match(x.scale, y.scale);
-    x.b.add_inplace_lazy(y.b);
-    x.a.add_inplace_lazy(y.a);
-    return x;
-}
-
-Ciphertext
-Evaluator::sub_lazy(const Ciphertext& a, const Ciphertext& b) const
-{
-    Ciphertext x = a, y = b;
-    align_levels(x, y);
-    check_scale_match(x.scale, y.scale);
-    x.b.sub_inplace_lazy(y.b);
-    x.a.sub_inplace_lazy(y.a);
+    Ciphertext x = a;
+    drop_level_inplace(x, std::min(a.level, b.level));
+    check_scale_match(x.scale, b.scale);
+    x.b.sub_inplace(b.b);
+    x.a.sub_inplace(b.a);
     return x;
 }
 
@@ -351,9 +323,7 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
         auto [acc_b, acc_a] = evk_inner_product(slices, key, level, &index);
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
-        // ct.b may be lazy; the kLazy2q add canonicalizes it.
-        acc_b.add_inplace(ct.b.automorphism_ntt(index),
-                          RnsPoly::Residues::kLazy2q);
+        acc_b.add_inplace(ct.b.automorphism_ntt(index));
         out.push_back(Ciphertext{std::move(acc_b), std::move(acc_a),
                                  ct.scale, ct.level, ct.slots});
     }
@@ -381,12 +351,8 @@ Evaluator::mult(const Ciphertext& a, const Ciphertext& b,
 
     // Tensor product (Eq. 3) in one pass over both operands' first
     // level+1 limbs, read in place: d0 = b1*b2, d1 = a1*b2 + b1*a2,
-    // d2 = a1*a2. Residues may be lazy in [0, 2q) on both sides
-    // (add_lazy), so a product is below 4q * q; at the 61-bit width cap
-    // lazy_sum_terms(4q) >= 2, so d1's two products sum in 128 bits and
-    // are reduced once.
-    static_assert(kMaxModulusBits <= 61,
-                  "two [0, 2q) x [0, 2q) products must fit one Barrett sum");
+    // d2 = a1*a2. d1's two canonical products sum below 2q^2 <
+    // q * 2^64, Barrett::reduce's bound, so they are reduced once.
     const std::vector<u64> primes(a.b.primes().begin(),
                                   a.b.primes().begin() + limbs);
     RnsPoly d0(n, primes, Domain::kNtt, RnsPoly::Uninit{});
@@ -537,10 +503,9 @@ Ciphertext
 Evaluator::switch_key(const Ciphertext& ct, const EvalKey& rekey_key) const
 {
     // ct = (b, a) with b + a*s_from = m; key-switch the mask so the
-    // result satisfies b' + a'*s_to = m. b may be lazy (a rotation's
-    // permuted input); the kLazy2q add canonicalizes it.
+    // result satisfies b' + a'*s_to = m.
     auto [kb, ka] = key_switch(ct.a, rekey_key, ct.level);
-    kb.add_inplace(ct.b, RnsPoly::Residues::kLazy2q);
+    kb.add_inplace(ct.b);
     return Ciphertext{std::move(kb), std::move(ka), ct.scale, ct.level,
                       ct.slots};
 }
@@ -591,10 +556,9 @@ Evaluator::add_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_scale_match(ct.scale, pt.scale);
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
+    // The add reads the plaintext's first level+1 limbs in place.
     Ciphertext out = ct;
-    out.b.add_inplace(m);
+    out.b.add_inplace(pt.poly);
     return out;
 }
 
@@ -603,10 +567,8 @@ Evaluator::sub_plain(const Ciphertext& ct, const Plaintext& pt) const
 {
     check_scale_match(ct.scale, pt.scale);
     check_plain_chain(ct, pt);
-    RnsPoly m = pt.poly;
-    m.truncate(ct.level + 1);
     Ciphertext out = ct;
-    out.b.sub_inplace(m);
+    out.b.sub_inplace(pt.poly);
     return out;
 }
 

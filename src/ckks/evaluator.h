@@ -12,6 +12,10 @@
  * (Section 4.1). A Galois automorphism is a permutation of NTT slots
  * (ntt_galois_index), so HRot pays exactly HMult's key-switch
  * transforms — the NoC permutation of the paper's Section 5.5.
+ *
+ * Every op takes and returns canonical residues in [0, q). Unreduced
+ * ones (a lazy NTT's output, a multiply-accumulate's 128-bit sums)
+ * stay inside the op that makes them.
  */
 #pragma once
 
@@ -35,24 +39,12 @@ class Evaluator
     const CkksContext& context() const { return ctx_; }
 
     // ----- additive ops -----
+    /** HAdd/HSub at the lower of the two levels: the result starts as
+     *  a copy of @p a's limbs up to that level, and @p b is read in
+     *  place. */
     Ciphertext add(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext sub(const Ciphertext& a, const Ciphertext& b) const;
     Ciphertext negate(const Ciphertext& a) const;
-
-    /**
-     * HAdd/HSub leaving the result residues LAZY in [0, 2q) — the sum
-     * (resp. a + q - b) is stored unreduced, skipping the whole
-     * canonicalization pass. Same value mod q as add()/sub(). The
-     * result violates the canonical-storage invariant, so it must only
-     * feed lazy-tolerant consumers (mult/mult_plain/mult_const's
-     * Barrett and Shoup products; rotations and conjugation, whose
-     * ModUp starts with an iNTT and whose permuted body is added in
-     * kLazy2q form; mod_raise) — never another
-     * add/sub, a rescale, or a decryption. The runtime's lazy-residue
-     * pass (docs/PASSES.md) is the intended caller.
-     */
-    Ciphertext add_lazy(const Ciphertext& a, const Ciphertext& b) const;
-    Ciphertext sub_lazy(const Ciphertext& a, const Ciphertext& b) const;
 
     // ----- multiplicative ops -----
     /** HMult (Eq. 3-4): tensor product + relinearizing key-switch.
@@ -127,7 +119,8 @@ class Evaluator
     // ----- plaintext ops -----
     /** PMult; result scale is scale(ct)*scale(pt). */
     Ciphertext mult_plain(const Ciphertext& ct, const Plaintext& pt) const;
-    /** PAdd; scales must agree (within tolerance). */
+    /** PAdd; scales must agree (within tolerance). Reads the
+     *  plaintext's first level+1 limbs in place. */
     Ciphertext add_plain(const Ciphertext& ct, const Plaintext& pt) const;
     Ciphertext sub_plain(const Ciphertext& ct, const Plaintext& pt) const;
 
@@ -161,9 +154,6 @@ class Evaluator
     // ----- level management -----
     /** Drop to @p target_level by discarding residue polynomials. */
     void drop_level_inplace(Ciphertext& ct, int target_level) const;
-
-    /** Drop whichever operand is higher so both match. */
-    void align_levels(Ciphertext& a, Ciphertext& b) const;
 
     /**
      * ModRaise for bootstrapping: reinterpret a level-0 ciphertext modulo

@@ -199,8 +199,9 @@ LinearTransform::inner_sum(
 {
     // One pass over every limb and coefficient: each residue of b and
     // of a is the sum of its terms' products, accumulated in 128 bits
-    // and reduced once (mid-sum only past lazy_sum_terms(2q) terms: a
-    // baby step may be lazy in [0, 2q), the diagonals are canonical).
+    // and reduced once (mid-sum only past lazy_sum_terms(2q) terms, the
+    // budget for a [0, 2q) residue times a canonical one; baby steps
+    // and diagonals are both canonical, so it holds with room).
     // The ciphertexts and the diagonals' limbs are read in place.
     const std::size_t n = ctx_.n();
     const std::size_t limbs = static_cast<std::size_t>(level_) + 1;

@@ -348,7 +348,7 @@ NttTables::inverse(u64* a) const
 
 void
 NttTables::forward_stage(u64* a, std::size_t m, std::size_t b_begin,
-                         std::size_t b_end, bool lazy_output) const
+                         std::size_t b_end, bool lazy_2q) const
 {
     // Stage m has m groups of t butterflies; butterfly b lives in group
     // g = b / t at offset k, pairing a[2gt + k] with a[2gt + k + t].
@@ -366,7 +366,7 @@ NttTables::forward_stage(u64* a, std::size_t m, std::size_t b_begin,
         u64* y = x + t;
         if (!last) {
             fwd_run<FwdOut::kLazy4q>(x, y, run, s, q, two_q);
-        } else if (lazy_output) {
+        } else if (lazy_2q) {
             fwd_run<FwdOut::kLazy2q>(x, y, run, s, q, two_q);
         } else {
             fwd_run<FwdOut::kCanonical>(x, y, run, s, q, two_q);

@@ -84,9 +84,9 @@ class NttTables
     /** Forward-stage butterflies [b_begin, b_end) for stage @p m
      *  (m = 1, 2, 4, ..., N/2 in execution order). The final stage
      *  (m == N/2) canonicalizes, or reduces only to [0, 2q) when
-     *  @p lazy_output is set — matching forward()/forward_lazy(). */
+     *  @p lazy_2q is set — matching forward()/forward_lazy(). */
     void forward_stage(u64* data, std::size_t m, std::size_t b_begin,
-                       std::size_t b_end, bool lazy_output = false) const;
+                       std::size_t b_end, bool lazy_2q = false) const;
 
     /** Inverse-stage butterflies [b_begin, b_end) for stage @p m
      *  (m = N, N/2, ..., 2 in execution order). The final stage (m == 2)

@@ -145,52 +145,7 @@ class ReducerArray
 } // namespace
 
 void
-RnsPoly::add_inplace(const RnsPoly& other, Residues form)
-{
-    check_compatible(*this, other);
-    const bool lazy = form == Residues::kLazy2q;
-    parallel_for_2d(
-        num_primes(), n_,
-        [&](std::size_t i, std::size_t c0, std::size_t c1) {
-            const u64 q = primes_[i];
-            const u64* src = other.component(i).data();
-            u64* dst = data_.data() + i * n_;
-            if (lazy) {
-                // Fold the [0, 2q) -> [0, q) correction of the source
-                // into the addition instead of a separate sweep.
-                for (std::size_t c = c0; c < c1; ++c) {
-                    const u64 v = src[c] >= q ? src[c] - q : src[c];
-                    dst[c] = add_mod(dst[c], v, q);
-                }
-            } else {
-                for (std::size_t c = c0; c < c1; ++c) {
-                    dst[c] = add_mod(dst[c], src[c], q);
-                }
-            }
-        });
-}
-
-void
-RnsPoly::add_inplace_lazy(const RnsPoly& other)
-{
-    check_compatible(*this, other);
-    parallel_for_2d(
-        num_primes(), n_,
-        [&](std::size_t i, std::size_t c0, std::size_t c1) {
-            const u64 q = primes_[i];
-            (void)q; // only read by the debug assert
-            const u64* src = other.component(i).data();
-            u64* dst = data_.data() + i * n_;
-            for (std::size_t c = c0; c < c1; ++c) {
-                BTS_DEBUG_ASSERT(dst[c] < q && src[c] < q,
-                                 "add_inplace_lazy: unreduced input");
-                dst[c] = dst[c] + src[c]; // [0, 2q), q < 2^62: no wrap
-            }
-        });
-}
-
-void
-RnsPoly::sub_inplace_lazy(const RnsPoly& other)
+RnsPoly::add_inplace(const RnsPoly& other)
 {
     check_compatible(*this, other);
     parallel_for_2d(
@@ -200,9 +155,7 @@ RnsPoly::sub_inplace_lazy(const RnsPoly& other)
             const u64* src = other.component(i).data();
             u64* dst = data_.data() + i * n_;
             for (std::size_t c = c0; c < c1; ++c) {
-                BTS_DEBUG_ASSERT(dst[c] < q && src[c] < q,
-                                 "sub_inplace_lazy: unreduced input");
-                dst[c] = dst[c] + q - src[c]; // (0, 2q)
+                dst[c] = add_mod(dst[c], src[c], q);
             }
         });
 }

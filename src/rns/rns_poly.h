@@ -105,7 +105,7 @@ class RnsPoly
     /** Keep only the first @p count rows (level drop). */
     void truncate(std::size_t count);
 
-    /** How a lazy-aware operation should interpret its SOURCE operand's
+    /** How sub_mul_scalar_inplace should interpret its SOURCE operand's
      *  residues: canonical in [0, q) (the storage invariant) or lazy in
      *  [0, 2q) (fresh out of to_ntt_lazy). The destination polynomial is
      *  always canonical before and after. */
@@ -117,23 +117,11 @@ class RnsPoly
 
     // ----- element-wise arithmetic (both operands in the same domain and
     //       over compatible prime prefixes); all 2-D tiled -----
-    /** this += other. @p form kLazy2q accepts a [0, 2q) source and folds
-     *  its canonicalization into the addition (one pass instead of a
-     *  correction sweep plus an add). */
-    void add_inplace(const RnsPoly& other,
-                     Residues form = Residues::kCanonical);
+    /** this += other, reading @p other's first num_primes() rows in
+     *  place; both operands canonical. */
+    void add_inplace(const RnsPoly& other);
+    /** this -= other, the same way. */
     void sub_inplace(const RnsPoly& other);
-    /** this += other with NO reduction: canonical inputs land in
-     *  [0, 2q). Like to_ntt_lazy, the result violates the canonical-
-     *  storage invariant and is only for transient values immediately
-     *  consumed by a lazy-tolerant op (mul_inplace, to_coeff, the
-     *  Residues::kLazy2q forms). The runtime's lazy-residue pass uses
-     *  this to skip canonicalization across graph-node boundaries. */
-    void add_inplace_lazy(const RnsPoly& other);
-    /** this = this + q - other per limb: canonical inputs land in
-     *  (0, 2q), same value mod q as sub_inplace. Same transient-only
-     *  contract as add_inplace_lazy. */
-    void sub_inplace_lazy(const RnsPoly& other);
     void negate_inplace();
     /** this *= other, element-wise Barrett products, reading @p other's
      *  first num_primes() rows in place. Tolerates residues in [0, 2q)
@@ -168,7 +156,7 @@ class RnsPoly
      * violates the canonical-storage invariant, so it is for transient
      * polynomials that are immediately consumed by a lazy-tolerant op
      * (mul_inplace, the evaluator's key-switch inner product, or the
-     * Residues::kLazy2q forms above) — never for ciphertext storage.
+     * Residues::kLazy2q form above) — never for ciphertext storage.
      */
     void to_ntt_lazy(const std::vector<const NttTables*>& tables);
     /** Inverse NTT on all rows (accepts lazy input; canonical output). */

@@ -38,7 +38,6 @@ class Verifier
         }
         if (opts_.structure) check_metadata();
         if (opts_.noise) check_noise_and_levels();
-        if (opts_.lazy) check_lazy_contract();
         if (opts_.keys) check_keys(*opts_.keys);
         if (opts_.lints) check_lints();
         return std::move(result_);
@@ -513,48 +512,6 @@ class Verifier
     }
 
     // ---------------------------------------------------------------
-    // Lazy-residue contract: a lazy node must be an HAdd/HSub whose
-    // result never leaves the runtime (not a marked output) and whose
-    // every consumer tolerates [0, 2q) residues (docs/PASSES.md).
-    // ---------------------------------------------------------------
-    void
-    check_lazy_contract()
-    {
-        const auto users = g_.value_users();
-        std::vector<char> is_out(g_.num_values(), 0);
-        for (const int id : g_.outputs()) is_out[id] = 1;
-        for (std::size_t i = 0; i < g_.num_nodes(); ++i) {
-            const Node& n = g_.node(i);
-            if (!n.lazy) continue;
-            const int node = static_cast<int>(i);
-            if (!op_info(n.kind).lazy_output) {
-                emit("lazy-contract", Severity::kError, node, n.output,
-                     "lazy mark on a non-add/sub node");
-                continue;
-            }
-            if (is_out[n.output]) {
-                emit("lazy-contract", Severity::kError, node, n.output,
-                     "lazy result is a marked graph output",
-                     "outputs leave the runtime's control and must be "
-                     "canonical");
-            }
-            for (const int u : users[n.output]) {
-                const OpKind ck =
-                    g_.node(static_cast<std::size_t>(u)).kind;
-                if (!op_tolerates_lazy_input(ck)) {
-                    emit("lazy-contract", Severity::kError, node,
-                         n.output,
-                         std::string("consumer node ") +
-                             std::to_string(u) + " (" + op_name(ck) +
-                             ") requires canonical residues",
-                         "clear the lazy mark or reorder the "
-                         "consumers");
-                }
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------
     // Required evaluation keys vs the registered key set.
     // ---------------------------------------------------------------
     void
@@ -754,7 +711,6 @@ to_annotated_dot(const Graph& g, const Analysis& a)
         std::ostringstream label;
         label << "#" << i << " " << op_name(n.kind);
         if (n.kind == OpKind::kHRot) label << " r=" << n.rot_amount;
-        if (n.lazy) label << " [lazy]";
         facts_label(label, n.output);
         bool marks = false;
         for (const int o : n.outputs) marks = marks || is_out[o];

@@ -14,9 +14,9 @@
  * corruption by construction); the structure checks read the same op
  * table's signatures and the key check its key classes. It runs a
  * worst-case noise-budget estimator over the dataflow, checks the
- * lazy-residue and evaluation-key contracts, predicts level-budget
- * exhaustion, and applies the lint rules. Rule catalog, severities and
- * the noise model's constants are documented in docs/ANALYSIS.md.
+ * evaluation-key contract, predicts level-budget exhaustion, and
+ * applies the lint rules. Rule catalog, severities and the noise
+ * model's constants are documented in docs/ANALYSIS.md.
  *
  * Rule ids (stable; the mutation tests pin one fixture per rule):
  *   structure-operand   operand ids out of range / defined after use
@@ -29,7 +29,6 @@
  *   level-budget        rescale of a level-0 operand, or a value needs
  *                       more rescale levels than remain
  *   noise-budget        worst-case noise exhausts the precision budget
- *   lazy-contract       lazy mark on an illegal node / consumer
  *   missing-mult-key    graph multiplies, key set has no mult key
  *   missing-rotation-key  required rotation amount not in the key set
  *   missing-conj-key    graph conjugates without a conjugation key
@@ -98,16 +97,15 @@ struct AnalysisOptions
 {
     bool structure = true; //!< well-formedness + metadata re-inference
     bool noise = true;     //!< noise-budget estimator + level budgets
-    bool lazy = true;      //!< lazy-residue contract
     bool lints = true;     //!< unused-input / dead-node / waterline...
     NoiseModel noise_model;
     /** When set, the graph's required evks are checked against it. */
     std::optional<KeySet> keys;
 
     /** The well-formedness subset the pass pipeline runs between
-     *  passes: structure + metadata + lazy contract, no noise/lints
-     *  (mid-pipeline graphs legitimately carry dead nodes before DVE
-     *  and unshared rescales before fusion). */
+     *  passes: structure + metadata, no noise/lints (mid-pipeline
+     *  graphs legitimately carry dead nodes before DVE and unshared
+     *  rescales before fusion). */
     static AnalysisOptions
     wellformed()
     {

@@ -311,12 +311,10 @@ Executor::exec_node(const Graph& g, const Plan& plan,
         out = eval.add_plain(in_ct(0), in_pt(1));
         break;
     case OpKind::kHAdd:
-        out = n.lazy ? eval.add_lazy(in_ct(0), in_ct(1))
-                     : eval.add(in_ct(0), in_ct(1));
+        out = eval.add(in_ct(0), in_ct(1));
         break;
     case OpKind::kHSub:
-        out = n.lazy ? eval.sub_lazy(in_ct(0), in_ct(1))
-                     : eval.sub(in_ct(0), in_ct(1));
+        out = eval.sub(in_ct(0), in_ct(1));
         break;
     case OpKind::kHRescale:
         out = take_ct(0);

@@ -20,30 +20,26 @@ using Key = KeyClass;
 
 // The op table: one row per OpKind, in enumerator order. Columns:
 // kind, name, builder name, ciphertext operands, plaintext slot,
-// parameters, key class, tolerates lazy inputs, may be lazy,
-// composite, fused parts. Lazy tolerance: add_mod debug-asserts
-// canonical inputs (HAdd/HSub/PAdd), add_const_inplace adds on raw
-// residues (CAdd) and the rescale's centered lift reads canonical
-// residues (HRescale); the rest reduce mod q first or are linear.
+// parameters, key class, composite, fused parts.
 // clang-format off
 constexpr OpInfo kOpTable[] = {
-    {K::kHMult,        "HMult",        "hmult",         2, -1, P::kNone,      Key::kMult,      true,  false, false, std::nullopt},
-    {K::kHRot,         "HRot",         "hrot",          1, -1, P::kRotation,  Key::kRotation,  true,  false, false, std::nullopt},
-    {K::kConj,         "Conj",         "conj",          1, -1, P::kNone,      Key::kConj,      true,  false, false, std::nullopt},
-    {K::kPMult,        "PMult",        "pmult",         1,  1, P::kNone,      Key::kNone,      true,  false, false, std::nullopt},
-    {K::kPAdd,         "PAdd",         "padd",          1,  1, P::kNone,      Key::kNone,      false, false, false, std::nullopt},
-    {K::kHAdd,         "HAdd",         "hadd",          2, -1, P::kNone,      Key::kNone,      false, true,  false, std::nullopt},
-    {K::kHSub,         "HSub",         "hsub",          2, -1, P::kNone,      Key::kNone,      false, true,  false, std::nullopt},
-    {K::kHRescale,     "HRescale",     "hrescale",      1, -1, P::kNone,      Key::kNone,      false, false, false, std::nullopt},
-    {K::kCMult,        "CMult",        "cmult",         1, -1, P::kConstant,  Key::kNone,      true,  false, false, std::nullopt},
-    {K::kCAdd,         "CAdd",         "cadd",          1, -1, P::kConstant,  Key::kNone,      false, false, false, std::nullopt},
-    {K::kModRaise,     "ModRaise",     "mod_raise",     1, -1, P::kNone,      Key::kNone,      true,  false, false, std::nullopt},
-    {K::kBootstrap,    "Bootstrap",    "bootstrap",     1, -1, P::kNone,      Key::kBootstrap, false, false, false, std::nullopt},
-    {K::kHRotHoisted,  "HRotHoisted",  "hrot_hoisted",  1, -1, P::kRotations, Key::kRotation,  true,  false, true,  std::nullopt},
-    {K::kHMultRescale, "HMultRescale", "hmult_rescale", 2, -1, P::kNone,      Key::kMult,      true,  false, true,  OpParts{K::kHMult, K::kHRescale}},
-    {K::kPMultRescale, "PMultRescale", "pmult_rescale", 1,  1, P::kNone,      Key::kNone,      true,  false, true,  OpParts{K::kPMult, K::kHRescale}},
-    {K::kCMultRescale, "CMultRescale", "cmult_rescale", 1, -1, P::kConstant,  Key::kNone,      true,  false, true,  OpParts{K::kCMult, K::kHRescale}},
-    {K::kCMultAdd,     "CMultAdd",     "cmult_add",     1, -1, P::kConstants, Key::kNone,      true,  false, true,  OpParts{K::kCMult, K::kCAdd}},
+    {K::kHMult,        "HMult",        "hmult",         2, -1, P::kNone,      Key::kMult,      false, std::nullopt},
+    {K::kHRot,         "HRot",         "hrot",          1, -1, P::kRotation,  Key::kRotation,  false, std::nullopt},
+    {K::kConj,         "Conj",         "conj",          1, -1, P::kNone,      Key::kConj,      false, std::nullopt},
+    {K::kPMult,        "PMult",        "pmult",         1,  1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kPAdd,         "PAdd",         "padd",          1,  1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kHAdd,         "HAdd",         "hadd",          2, -1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kHSub,         "HSub",         "hsub",          2, -1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kHRescale,     "HRescale",     "hrescale",      1, -1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kCMult,        "CMult",        "cmult",         1, -1, P::kConstant,  Key::kNone,      false, std::nullopt},
+    {K::kCAdd,         "CAdd",         "cadd",          1, -1, P::kConstant,  Key::kNone,      false, std::nullopt},
+    {K::kModRaise,     "ModRaise",     "mod_raise",     1, -1, P::kNone,      Key::kNone,      false, std::nullopt},
+    {K::kBootstrap,    "Bootstrap",    "bootstrap",     1, -1, P::kNone,      Key::kBootstrap, false, std::nullopt},
+    {K::kHRotHoisted,  "HRotHoisted",  "hrot_hoisted",  1, -1, P::kRotations, Key::kRotation,  true,  std::nullopt},
+    {K::kHMultRescale, "HMultRescale", "hmult_rescale", 2, -1, P::kNone,      Key::kMult,      true,  OpParts{K::kHMult, K::kHRescale}},
+    {K::kPMultRescale, "PMultRescale", "pmult_rescale", 1,  1, P::kNone,      Key::kNone,      true,  OpParts{K::kPMult, K::kHRescale}},
+    {K::kCMultRescale, "CMultRescale", "cmult_rescale", 1, -1, P::kConstant,  Key::kNone,      true,  OpParts{K::kCMult, K::kHRescale}},
+    {K::kCMultAdd,     "CMultAdd",     "cmult_add",     1, -1, P::kConstants, Key::kNone,      true,  OpParts{K::kCMult, K::kCAdd}},
 };
 // clang-format on
 static_assert(std::size(kOpTable) == kNumOpKinds,
@@ -81,12 +77,6 @@ bool
 op_needs_evk(OpKind kind)
 {
     return op_info(kind).key != KeyClass::kNone;
-}
-
-bool
-op_tolerates_lazy_input(OpKind kind)
-{
-    return op_info(kind).tolerates_lazy;
 }
 
 bool
@@ -392,9 +382,6 @@ Graph::append(Node n)
             }
         }
     }
-    if (n.lazy && !op.lazy_output) {
-        reject("lazy-contract", "only HAdd/HSub can produce lazy residues");
-    }
     MetaResult meta =
         infer(n.kind, std::span(operands.data(), n.inputs.size()), traits_);
     if (!meta.ok()) {
@@ -567,20 +554,6 @@ Graph::mark_output(Value v)
     outputs_.push_back(v.id);
 }
 
-void
-Graph::mark_lazy(std::size_t node_idx)
-{
-    BTS_CHECK(node_idx < nodes_.size(),
-              "mark_lazy: node index out of range");
-    Node& n = nodes_[node_idx];
-    if (!op_info(n.kind).lazy_output) {
-        throw_node_error(name_, node_idx, "lazy-contract",
-                         op_name(n.kind),
-                         "only HAdd/HSub can produce lazy residues");
-    }
-    n.lazy = true;
-}
-
 const ValueInfo&
 Graph::value(int id) const
 {
@@ -636,7 +609,6 @@ Graph::debug_string() const
         const Node& n = nodes_[i];
         const OpParams params = op_info(n.kind).params;
         oss << "n" << i << ": " << op_name(n.kind);
-        if (n.lazy) oss << "[lazy]";
         if (params == OpParams::kRotation) oss << " by " << n.rot_amount;
         if (!n.amounts.empty()) {
             oss << " by {";

@@ -18,7 +18,7 @@
  * lowering expands into the full ModRaise/CtS/EvalMod/StC plan.
  *
  * Every per-kind fact lives here once: the op table (op_info: names,
- * operand signature, key class, lazy tolerance, a fused kind's parts)
+ * operand signature, key class, a fused kind's parts)
  * and the metadata rule (infer_metadata: output level and scale, or
  * the first failed precondition). The builder, the static verifier,
  * the pass pipeline, the Executor's key resolution, the resource
@@ -106,12 +106,6 @@ struct OpInfo
     int plain_slot; //!< operand slot that takes a plaintext; -1: none
     OpParams params;
     KeyClass key;
-    /** Can consume a lazy [0, 2q) residue operand without
-     *  canonicalization first: ops whose first step reduces mod q
-     *  anyway, or whose math is linear in the residue representation. */
-    bool tolerates_lazy;
-    /** May itself carry a lazy mark (Node::lazy). */
-    bool lazy_output;
     /** Only the pass pipeline emits it (legal to build directly);
      *  lowering expands it back to primitives. */
     bool composite;
@@ -140,12 +134,6 @@ bool op_needs_evk(OpKind kind);
  *  (builder-authored graphs never contain them; lowering expands them
  *  back to primitives). */
 bool op_is_composite(OpKind kind);
-
-/** @return true if the op can consume a lazy [0, 2q) residue operand
- *  without canonicalization first. The lazy-residue pass plants marks
- *  under this predicate and the static verifier's lazy-contract rule
- *  re-checks them (docs/PASSES.md). */
-bool op_tolerates_lazy_input(OpKind kind);
 
 /**
  * Level geometry + scale granularity the metadata inference needs.
@@ -230,11 +218,6 @@ struct Node
     std::vector<int> amounts; //!< kHRotHoisted: one per output
     Complex constant{0.0, 0.0};  //!< kCMult / kCAdd / fused-CMult kinds
     Complex constant2{0.0, 0.0}; //!< kCMultAdd: the added constant
-    /** Set by the lazy-residue pass on kHAdd/kHSub whose every
-     *  consumer tolerates [0, 2q) residues: the Executor dispatches
-     *  Evaluator::add_lazy/sub_lazy instead of add/sub, skipping the
-     *  canonicalization pass (see docs/PASSES.md for the contract). */
-    bool lazy = false;
 };
 
 /** The rotation amounts a kRotation-class node needs keys for:
@@ -352,25 +335,19 @@ class Graph
 
     /**
      * The one validating append behind every builder method and the
-     * pass pipeline's replay. @p n supplies the kind, operand ids,
-     * parameters and lazy mark; its output fields are assigned here,
-     * one fresh value per output. Checks the op-table signature and
-     * the lazy mark, applies infer_metadata and throws the first
-     * violation as a single-diagnostic analysis::VerifyError naming
-     * the node ("node 231 (hrescale): ..."); on success counts the
-     * operand uses and returns the first output.
+     * pass pipeline's replay. @p n supplies the kind, operand ids and
+     * parameters; its output fields are assigned here, one fresh value
+     * per output. Checks the op-table signature, applies
+     * infer_metadata and throws the first violation as a
+     * single-diagnostic analysis::VerifyError naming the node
+     * ("node 231 (hrescale): ..."); on success counts the operand uses
+     * and returns the first output.
      */
     Value append(Node n);
 
     /** Mark @p v as a graph output (kept live; returned by the
      *  executor in mark order). A value can be marked only once. */
     void mark_output(Value v);
-
-    /** Annotate node @p node_idx (kHAdd/kHSub only) as producing lazy
-     *  [0, 2q) residues. Legality — every consumer tolerates lazy
-     *  inputs and the result is not a graph output — is the caller's
-     *  (the lazy-residue pass's) responsibility. */
-    void mark_lazy(std::size_t node_idx);
 
     // ----- introspection -----
     std::size_t num_nodes() const { return nodes_.size(); }
@@ -393,7 +370,7 @@ class Graph
      *  demand; the pass pipeline's use-analysis entry point. */
     std::vector<std::vector<int>> value_users() const;
     /** Canonical one-line-per-node text form (kinds, operands,
-     *  amounts, constants, lazy marks, outputs). Two graphs with equal
+     *  amounts, constants, outputs). Two graphs with equal
      *  debug_string() are structurally identical — the idempotence
      *  pin the pass tests compare with. */
     std::string debug_string() const;

@@ -85,7 +85,7 @@ GraphTraits traits_for(const CkksContext& ctx,
 /**
  * Every generator below runs the pass pipeline (runtime/passes/) on
  * the graph it builds before returning it — callers get the fused /
- * hoisted / lazy-annotated form by default. Pass
+ * hoisted form by default. Pass
  * passes::PassOptions::rescale_only() for the executable-but-
  * unoptimized baseline (the pass-off benchmark arm and the
  * differential tests), or passes::PassOptions::none() for the raw

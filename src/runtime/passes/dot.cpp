@@ -57,7 +57,6 @@ to_dot(const Graph& g)
         if (n.kind == OpKind::kCMultAdd) {
             append_constant(label, "c2", n.constant2);
         }
-        if (n.lazy) label << " [lazy]";
         const ValueInfo& out = g.value(n.output);
         label << "\\nL" << out.level << " s=" << out.scale;
 
@@ -70,22 +69,16 @@ to_dot(const Graph& g)
     }
 
     // Edges: producer -> consumer, labelled with the value id carried.
-    // Lazy producers' outgoing edges are dashed (the [0, 2q) edges).
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
         for (const int in : n.inputs) {
             const ValueInfo& info = g.value(in);
-            const bool lazy_edge =
-                info.producer >= 0 &&
-                g.node(static_cast<std::size_t>(info.producer)).lazy;
             if (info.is_input) {
                 os << "  v" << in << " -> n" << i;
             } else {
                 os << "  n" << info.producer << " -> n" << i;
             }
-            os << " [label=\"v" << in << "\"";
-            if (lazy_edge) os << ", style=dashed";
-            os << "];\n";
+            os << " [label=\"v" << in << "\"];\n";
         }
     }
 

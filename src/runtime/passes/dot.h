@@ -3,8 +3,8 @@
  * Graphviz DOT dumper for runtime Graphs — render a workload's
  * dataflow before/after the pass pipeline (`dot -Tsvg`). Inputs are
  * boxes (plaintexts dashed), nodes are ellipses labelled with kind +
- * level/scale metadata, lazy edges are drawn dashed, and marked
- * outputs get a doubled border.
+ * level/scale metadata, composites are filled, and marked outputs get
+ * a doubled border.
  */
 #pragma once
 

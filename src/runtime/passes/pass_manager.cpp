@@ -86,7 +86,7 @@ emit(Graph& out, Node copy, const Node& n, std::vector<int>& map)
     }
 }
 
-/** Re-emit node @p idx of @p g unchanged, lazy mark included. */
+/** Re-emit node @p idx of @p g unchanged. */
 void
 emit_same(Graph& out, const Graph& g, std::size_t idx,
           std::vector<int>& map)
@@ -359,37 +359,6 @@ fuse_pairs(const Graph& g, PassStats& stats)
     });
 }
 
-// --------------------------------------------------------------------
-// Pass 5: lazy-residue propagation. kHAdd/kHSub whose every consumer
-// tolerates [0, 2q) residues (multiplicative ops through Barrett /
-// Shoup products, key-switched ops whose first step is an inverse
-// NTT, ModRaise) are annotated lazy: the Executor dispatches
-// Evaluator::add_lazy/sub_lazy, skipping the canonicalization sweep.
-// Results that are graph outputs are never lazy (they leave the
-// runtime's control). In-place annotation — no rewrite needed.
-// --------------------------------------------------------------------
-
-void
-propagate_lazy(Graph& g, PassStats& stats)
-{
-    const auto users = g.value_users();
-    std::vector<char> is_out(g.num_values(), 0);
-    for (const int id : g.outputs()) is_out[id] = 1;
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
-        if (!op_info(n.kind).lazy_output || n.lazy) continue;
-        if (is_out[n.output] || users[n.output].empty()) continue;
-        bool ok = true;
-        for (const int u : users[n.output]) {
-            ok = ok && op_tolerates_lazy_input(
-                           g.node(static_cast<std::size_t>(u)).kind);
-        }
-        if (!ok) continue;
-        g.mark_lazy(i);
-        ++stats.lazy_nodes;
-    }
-}
-
 /** Resolve VerifyMode::kAuto: Debug builds always verify; Release
  *  builds verify when BTS_DEBUG is set in the environment. */
 bool
@@ -440,10 +409,6 @@ PassManager::optimize(const Graph& g) const
         if (stats.ops_fused != before.ops_fused) {
             os << " ops_fused=" << (stats.ops_fused - before.ops_fused);
         }
-        if (stats.lazy_nodes != before.lazy_nodes) {
-            os << " lazy_nodes="
-               << (stats.lazy_nodes - before.lazy_nodes);
-        }
         os << "\n";
     };
 
@@ -475,12 +440,12 @@ PassManager::optimize(const Graph& g) const
     };
 
     // Inter-pass verification: the well-formedness subset (structure
-    // cross-links + metadata re-inference + lazy contract) after every
-    // pass, so a corrupting pass fails HERE with its name instead of
-    // corrupting every downstream pass and surfacing as an executor
-    // throw. Cost is linear in graph size, and the rewrites themselves
-    // replay through the validating builder, so kAuto only pays it in
-    // Debug builds (or under BTS_DEBUG=1).
+    // cross-links + metadata re-inference) after every pass, so a
+    // corrupting pass fails HERE with its name instead of corrupting
+    // every downstream pass and surfacing as an executor throw. Cost
+    // is linear in graph size, and the rewrites themselves replay
+    // through the validating builder, so kAuto only pays it in Debug
+    // builds (or under BTS_DEBUG=1).
     const bool verify = verify_enabled(opts_.verify);
     const auto verify_after = [&](const std::string& pass_name) {
         if (!verify) return;
@@ -529,13 +494,6 @@ PassManager::optimize(const Graph& g) const
         log_pass("fusion", before);
         record_delta("fusion");
         verify_after("fusion");
-    }
-    if (opts_.lazy) {
-        const PassStats before = stats;
-        propagate_lazy(cur.graph, stats);
-        log_pass("lazy-residues", before);
-        record_delta("lazy-residues");
-        verify_after("lazy-residues");
     }
     for (const CustomPass& cp : opts_.custom_passes) {
         cp.run(cur.graph);

@@ -4,10 +4,11 @@
  * into an equivalent optimized Graph (same decrypt result, bit-exact
  * on the functional Executor) that restructures the dataflow the way
  * BTS restructures it on-chip — shared key-switch decompositions
- * across rotations, fused op pairs, lazy [0, 2q) intermediates — so
- * every workload inherits the kernel-level wins automatically instead
- * of paying full canonicalization and decomposition at every node
- * boundary.
+ * across rotations, fused op pairs — so every workload inherits the
+ * kernel-level wins automatically instead of paying a decomposition
+ * per rotation and one evaluator call per op of a fusable pair.
+ * Every graph edge carries canonical residues; unreduced residues
+ * stay inside the kernels that produce and consume them.
  *
  * Pass catalog (run in this order; each is individually gateable):
  *
@@ -24,12 +25,8 @@
  *  4. fusion — HMult+HRescale, PMult+HRescale, CMult+HRescale and
  *     CMult+CAdd pairs collapse into single fused nodes the Executor
  *     dispatches as one evaluator call.
- *  5. lazy-residue propagation — kHAdd/kHSub whose every consumer
- *     tolerates [0, 2q) residues are annotated lazy, skipping the
- *     canonicalization pass across the node boundary.
  *
- * Legality rules and the lazy-edge contract are documented in
- * docs/PASSES.md.
+ * Legality rules are documented in docs/PASSES.md.
  */
 #pragma once
 
@@ -68,7 +65,6 @@ struct PassOptions
     bool eliminate_dead = true;
     bool group_rotations = true;
     bool fuse = true;
-    bool lazy = true;
     /** Run analysis::AnalysisOptions::wellformed() over the graph
      *  after every pass, panicking with the offending pass's name on
      *  the first error — turning a silent IR corruption (the PR 7
@@ -86,7 +82,7 @@ struct PassOptions
     {
         PassOptions o;
         o.place_rescales = o.eliminate_dead = o.group_rotations = o.fuse =
-            o.lazy = false;
+            false;
         return o;
     }
 
@@ -119,7 +115,6 @@ struct PassStats
     std::size_t nodes_eliminated = 0;  //!< DVE + rotation-CSE dedupe
     std::size_t rotations_grouped = 0; //!< kHRot folded into groups
     std::size_t ops_fused = 0;         //!< node pairs collapsed
-    std::size_t lazy_nodes = 0;        //!< adds/subs marked lazy
     /** One entry per pass that ran (builtin and custom), in order. */
     std::vector<PassResourceDelta> resource_deltas;
 };

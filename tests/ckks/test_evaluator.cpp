@@ -8,6 +8,7 @@ namespace bts {
 namespace {
 
 using testing::TestEnv;
+using testing::ct_equal;
 using testing::default_env;
 
 std::vector<Complex>
@@ -58,6 +59,37 @@ TEST(Evaluator, AddAlignsLevels)
     const auto expected = elementwise(
         z1, z2, [](Complex a, Complex b) { return a + b; });
     EXPECT_LT(TestEnv::max_err(expected, env.decrypt(sum)), 1e-6);
+}
+
+TEST(Evaluator, MixedLevelAddsMatchLevelDroppedOperands)
+{
+    // An add or sub of a level-5 and a level-2 ciphertext, in either
+    // operand order, equals bit for bit the same op on the level-dropped
+    // copy, and leaves both operands as they were. A plaintext encoded
+    // above the ciphertext's level adds like the same message encoded
+    // at that level.
+    auto& env = default_env();
+    const Evaluator& ev = env.evaluator;
+    const auto z1 = env.random_message(64, 1.0, 62);
+    const auto z2 = env.random_message(64, 1.0, 63);
+    const Ciphertext high = env.encrypt(z1, 5);
+    const Ciphertext low = env.encrypt(z2, 2);
+    const Ciphertext high_before = high;
+    const Ciphertext low_before = low;
+    Ciphertext dropped = high;
+    ev.drop_level_inplace(dropped, 2);
+
+    EXPECT_TRUE(ct_equal(ev.add(high, low), ev.add(dropped, low)));
+    EXPECT_TRUE(ct_equal(ev.add(low, high), ev.add(low, dropped)));
+    EXPECT_TRUE(ct_equal(ev.sub(high, low), ev.sub(dropped, low)));
+    EXPECT_TRUE(ct_equal(ev.sub(low, high), ev.sub(low, dropped)));
+    EXPECT_TRUE(ct_equal(high, high_before));
+    EXPECT_TRUE(ct_equal(low, low_before));
+
+    const Plaintext pt6 = env.encoder.encode(z1, env.ctx.delta(), 6);
+    const Plaintext pt2 = env.encoder.encode(z1, env.ctx.delta(), 2);
+    EXPECT_TRUE(ct_equal(ev.add_plain(low, pt6), ev.add_plain(low, pt2)));
+    EXPECT_TRUE(ct_equal(ev.sub_plain(low, pt6), ev.sub_plain(low, pt2)));
 }
 
 TEST(Evaluator, AddRejectsScaleMismatch)

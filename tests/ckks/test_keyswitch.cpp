@@ -10,8 +10,6 @@
  *    bootstrap digest was recorded again when sparse refreshes began
  *    to pack their real and imaginary parts through one EvalMod, a
  *    different computation of the same message.
- *  - the lazy-input contract: rotations of an add_lazy() sum must equal
- *    rotations of the canonical sum bit for bit;
  *  - KeySwitch.TransformCounts: the NTT limb transforms, BConv calls
  *    and key-switches each op pays, from the kernel and evaluator
  *    telemetry spans.
@@ -28,7 +26,6 @@
 namespace bts {
 namespace {
 
-using testing::ct_equal;
 using testing::TestEnv;
 
 const std::vector<int> kAmounts = {1, 3, 17, 64, -1};
@@ -218,8 +215,9 @@ TEST(KeySwitchGolden, WidePrimesMult)
     const Evaluator& ev = c.env.evaluator;
     EXPECT_EQ(digest(ev.mult(c.x, c.y, c.env.mult_key)),
               0x162279c69453aacfULL);
-    // A lazy [0, 2q) operand: the tensor's products reach 4q^2.
-    EXPECT_EQ(digest(ev.mult(ev.add_lazy(c.x, c.y), c.y, c.env.mult_key)),
+    // A sum operand. The digest was recorded with the sum's residues
+    // left unreduced in [0, 2q); the product is canonical either way.
+    EXPECT_EQ(digest(ev.mult(ev.add(c.x, c.y), c.y, c.env.mult_key)),
               0x7ca870f12401e3fcULL);
 }
 
@@ -260,33 +258,6 @@ TEST(KeySwitchGolden, Bootstrap)
     auto& env = be.env;
     const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
     EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0xc661af485a4032a4ULL);
-}
-
-TEST(KeySwitchGolden, LazyInputsMatchCanonical)
-{
-    // HRot, Conj and HRotHoisted accept [0, 2q) residues (the runtime's
-    // lazy-residue pass feeds them add_lazy sums): the permuted b must
-    // be canonicalized by the final add, and a by the ModUp's iNTT and
-    // the Barrett inner product.
-    KeySwitchCase c;
-    const Evaluator& ev = c.env.evaluator;
-    const Ciphertext lazy = ev.add_lazy(c.x, c.y);
-    const Ciphertext canonical = ev.add(c.x, c.y);
-    ASSERT_FALSE(ct_equal(lazy, canonical)) << "no residue >= q: not lazy";
-
-    for (const int r : kAmounts) {
-        EXPECT_TRUE(ct_equal(ev.rotate(lazy, r, c.keys.at(r)),
-                             ev.rotate(canonical, r, c.keys.at(r))))
-            << "amount " << r;
-    }
-    EXPECT_TRUE(ct_equal(ev.conjugate(lazy, c.env.conj_key),
-                         ev.conjugate(canonical, c.env.conj_key)));
-    const auto lazy_out = ev.rotate_hoisted(lazy, kAmounts, c.keys);
-    const auto canonical_out = ev.rotate_hoisted(canonical, kAmounts, c.keys);
-    for (std::size_t i = 0; i < kAmounts.size(); ++i) {
-        EXPECT_TRUE(ct_equal(lazy_out[i], canonical_out[i]))
-            << "amount " << kAmounts[i];
-    }
 }
 
 /** What one traced call paid: NTT limb transforms (the limb counts the

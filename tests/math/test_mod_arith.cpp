@@ -148,8 +148,8 @@ TEST(ModArith, AddModRejectsUnreducedInputsInDebug)
     // The documented contract is "inputs already reduced"; the old code
     // silently tolerated overflow via a wrap guard. Debug builds now
     // fault loudly instead.
-    const u64 q = (1ULL << 59) + 123;
 #ifndef NDEBUG
+    const u64 q = (1ULL << 59) + 123;
     EXPECT_THROW(add_mod(q, 1, q), std::logic_error);
     EXPECT_THROW(add_mod(0, q + 5, q), std::logic_error);
     EXPECT_THROW(sub_mod(q + 2, 1, q), std::logic_error);

@@ -78,23 +78,6 @@ TEST_F(RnsPolyTest, MulInplaceToleratesLazyOperands)
     EXPECT_TRUE(a_lazy.equals(expect)); // output canonical either way
 }
 
-TEST_F(RnsPolyTest, AddInplaceLazyFormMatchesCanonical)
-{
-    auto acc1 = random_poly(Domain::kCoeff, 43);
-    const auto src = random_poly(Domain::kCoeff, 44);
-    acc1.to_ntt(tables_);
-    auto acc2 = acc1;
-
-    auto src_canon = src;
-    src_canon.to_ntt(tables_);
-    acc1.add_inplace(src_canon);
-
-    auto src_lazy = src;
-    src_lazy.to_ntt_lazy(tables_);
-    acc2.add_inplace(src_lazy, RnsPoly::Residues::kLazy2q);
-    EXPECT_TRUE(acc2.equals(acc1));
-}
-
 TEST_F(RnsPolyTest, SubMulScalarFusedMatchesSeparateOps)
 {
     auto acc1 = random_poly(Domain::kCoeff, 45);

@@ -403,46 +403,6 @@ TEST(VerifierFixture, NoiseFactsTrackTheChain)
 }
 
 // ------------------------------------------------------------------
-// Lazy-residue contract.
-// ------------------------------------------------------------------
-
-TEST(VerifierFixture, LazyContractMarkedOutput)
-{
-    const GraphTraits t = small_traits();
-    Graph g("lazy-out", t);
-    const Value x = g.input(6, t.delta);
-    const Value y = g.input(6, t.delta);
-    g.mark_output(g.hadd(x, y));
-    g.mark_lazy(0); // legal per-op; illegal because it's an output
-    expect_only(analysis::analyze(g), "lazy-contract");
-}
-
-TEST(VerifierFixture, LazyContractIntolerantConsumer)
-{
-    const GraphTraits t = small_traits();
-    Graph g("lazy-use", t);
-    const Value x = g.input(6, t.delta);
-    const Value y = g.input(6, t.delta);
-    const Value s = g.hadd(x, y);
-    g.mark_output(g.hadd(s, x)); // hadd requires canonical residues
-    g.mark_lazy(0);
-    const Analysis a = analysis::analyze(g);
-    expect_only(a, "lazy-contract");
-    EXPECT_NE(a.diags[0].message.find("canonical"), std::string::npos);
-}
-
-TEST(VerifierFixture, LazyContractWrongKind)
-{
-    const GraphTraits t = small_traits();
-    Graph g("lazy-kind", t);
-    const Value x = g.input(6, t.delta);
-    const Value m = g.cmult(x, 2.0);
-    g.mark_output(g.hrescale(m));
-    g.mutable_node(0).lazy = true; // builder would refuse mark_lazy
-    expect_only(analysis::analyze(g), "lazy-contract");
-}
-
-// ------------------------------------------------------------------
 // Evaluation-key requirements.
 // ------------------------------------------------------------------
 

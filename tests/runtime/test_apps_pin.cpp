@@ -152,48 +152,48 @@ struct MetaGolden
 // builder's and the pass pipeline's stored metadata, value for value.
 // clang-format off
 const MetaGolden kMetaGolden[] = {
-    {"tmult/INS-1/raw", 0xe5a11d8bb9b50573ull},
-    {"dot_product/INS-1/raw", 0x5927e132ea2edd3eull},
-    {"poly_eval/INS-1/raw", 0x7d720703337d1c2cull},
-    {"bootstrap_refresh/INS-1/raw", 0xc920afc530962709ull},
-    {"helr/INS-1/raw", 0x4861e24eaaf04ce6ull},
-    {"resnet/INS-1/raw", 0xd21e11b0e09fe08dull},
-    {"sort/INS-1/raw", 0x2a3adeabc95c8936ull},
-    {"tmult/INS-1/opt", 0x4f6d5761e885ccebull},
-    {"dot_product/INS-1/opt", 0x526a0a11f31afe8aull},
-    {"poly_eval/INS-1/opt", 0x670d1c3ea2ca8369ull},
-    {"bootstrap_refresh/INS-1/opt", 0xc920afc530962709ull},
-    {"helr/INS-1/opt", 0x8be8af8d1f7ac4deull},
-    {"resnet/INS-1/opt", 0x6c3fdde38fe32a54ull},
-    {"sort/INS-1/opt", 0x5d27f4845cca5a12ull},
-    {"tmult/INS-2/raw", 0x108f5acc1bf0af13ull},
-    {"dot_product/INS-2/raw", 0xe41d0ba86797547eull},
-    {"poly_eval/INS-2/raw", 0x123ad8b3b5662080ull},
-    {"bootstrap_refresh/INS-2/raw", 0x8924e74163041165ull},
-    {"helr/INS-2/raw", 0xcb23898d5b73877aull},
-    {"resnet/INS-2/raw", 0xc8a4cd0f05c69ae8ull},
-    {"sort/INS-2/raw", 0xf7f2da61ff01e24dull},
-    {"tmult/INS-2/opt", 0x3ec961d457771cdbull},
-    {"dot_product/INS-2/opt", 0x9b9b4950e882122eull},
-    {"poly_eval/INS-2/opt", 0x005434601ed938a5ull},
-    {"bootstrap_refresh/INS-2/opt", 0x8924e74163041165ull},
-    {"helr/INS-2/opt", 0xb95371086832c4f6ull},
-    {"resnet/INS-2/opt", 0x5095e16f13d1e700ull},
-    {"sort/INS-2/opt", 0xd121d7933cec5035ull},
-    {"tmult/INS-3/raw", 0xc1a342c56f3c8dd8ull},
-    {"dot_product/INS-3/raw", 0x61a95b4d03ff9964ull},
-    {"poly_eval/INS-3/raw", 0xcaf1e81e2c52e279ull},
-    {"bootstrap_refresh/INS-3/raw", 0x6895a410e286c508ull},
-    {"helr/INS-3/raw", 0xd56eaa3da1456ccbull},
-    {"resnet/INS-3/raw", 0x4bbd5aaecd3f22e8ull},
-    {"sort/INS-3/raw", 0x456d90b26e0614d8ull},
-    {"tmult/INS-3/opt", 0x3b3fe8cac97292d6ull},
-    {"dot_product/INS-3/opt", 0x1bff6ae1bef8455full},
-    {"poly_eval/INS-3/opt", 0x01ee19542970b898ull},
-    {"bootstrap_refresh/INS-3/opt", 0x6895a410e286c508ull},
-    {"helr/INS-3/opt", 0x6cba9ac5754d9597ull},
-    {"resnet/INS-3/opt", 0xe8a635fee231d6deull},
-    {"sort/INS-3/opt", 0xa96657ace0e4c22bull},
+    {"tmult/INS-1/raw", 0xe4871680d27f9701ull},
+    {"dot_product/INS-1/raw", 0x8e53d89668788936ull},
+    {"poly_eval/INS-1/raw", 0x4e4cde1e6d3d4526ull},
+    {"bootstrap_refresh/INS-1/raw", 0xe9323e0d66801e8full},
+    {"helr/INS-1/raw", 0xbc34f66115beacdaull},
+    {"resnet/INS-1/raw", 0x1c363585d974f2e1ull},
+    {"sort/INS-1/raw", 0xc7c3868dd3122bdaull},
+    {"tmult/INS-1/opt", 0xdd3617cd778642c9ull},
+    {"dot_product/INS-1/opt", 0xd2583d71f3f23ef6ull},
+    {"poly_eval/INS-1/opt", 0x9fe54f6f8c824cfbull},
+    {"bootstrap_refresh/INS-1/opt", 0xe9323e0d66801e8full},
+    {"helr/INS-1/opt", 0xb04f41d92e99836aull},
+    {"resnet/INS-1/opt", 0xd08e1b699c07bd53ull},
+    {"sort/INS-1/opt", 0x7343c883308d6000ull},
+    {"tmult/INS-2/raw", 0xa8221424cddb5171ull},
+    {"dot_product/INS-2/raw", 0x77b85ce9381fb876ull},
+    {"poly_eval/INS-2/raw", 0x7f8fab4e72aa082aull},
+    {"bootstrap_refresh/INS-2/raw", 0xadd52e2bb31f44c3ull},
+    {"helr/INS-2/raw", 0xd3cd4ef4a3cb1706ull},
+    {"resnet/INS-2/raw", 0x9faeacde045b47beull},
+    {"sort/INS-2/raw", 0xa19e13bca4c8c129ull},
+    {"tmult/INS-2/opt", 0x5d196346f378a2d1ull},
+    {"dot_product/INS-2/opt", 0xeb044ad5b1de2fe2ull},
+    {"poly_eval/INS-2/opt", 0x011fdecefa566c37ull},
+    {"bootstrap_refresh/INS-2/opt", 0xadd52e2bb31f44c3ull},
+    {"helr/INS-2/opt", 0x131adb75c651bcb6ull},
+    {"resnet/INS-2/opt", 0xdd9256207b8b96adull},
+    {"sort/INS-2/opt", 0xf6b54f6c68ea1551ull},
+    {"tmult/INS-3/raw", 0xdd1b2b8478e63104ull},
+    {"dot_product/INS-3/raw", 0x9424cfed6150a85cull},
+    {"poly_eval/INS-3/raw", 0xc0dede4869378867ull},
+    {"bootstrap_refresh/INS-3/raw", 0x878a4fdf1521329cull},
+    {"helr/INS-3/raw", 0x7ee08d797f47b099ull},
+    {"resnet/INS-3/raw", 0xd7bf8b4c07db948aull},
+    {"sort/INS-3/raw", 0x630d9ccbf071cc60ull},
+    {"tmult/INS-3/opt", 0x4aec243a18ddfe86ull},
+    {"dot_product/INS-3/opt", 0xa429b8fca19cb5f5ull},
+    {"poly_eval/INS-3/opt", 0x40e154e22ebe03feull},
+    {"bootstrap_refresh/INS-3/opt", 0x878a4fdf1521329cull},
+    {"helr/INS-3/opt", 0xfae6669525ba2e8dull},
+    {"resnet/INS-3/opt", 0x127d5443ae322789ull},
+    {"sort/INS-3/opt", 0x40da829d33d540d5ull},
 };
 // clang-format on
 
@@ -227,7 +227,6 @@ graph_digest(const Graph& g)
         mix(std::bit_cast<u64>(n.constant.imag()));
         mix(std::bit_cast<u64>(n.constant2.real()));
         mix(std::bit_cast<u64>(n.constant2.imag()));
-        mix_int(n.lazy ? 1 : 0);
     }
     mix_list(g.outputs());
     return h;

@@ -210,8 +210,8 @@ TEST(Graph, OpTableRowsDescribeTheirKind)
 TEST(Graph, AppendRejectsSignatureViolationsWithoutSideEffects)
 {
     // The validating append behind every builder method and the pass
-    // replay: a node that breaks its op-table signature or carries an
-    // illegal lazy mark is rejected before anything is counted.
+    // replay: a node that breaks its op-table signature is rejected
+    // before anything is counted.
     const GraphTraits t = small_traits();
     Graph g("append", t);
     const Value x = g.input(4, t.delta);
@@ -236,11 +236,6 @@ TEST(Graph, AppendRejectsSignatureViolationsWithoutSideEffects)
     empty_group.kind = OpKind::kHRotHoisted;
     empty_group.inputs = {x.id};
     EXPECT_EQ(rejected_rule(empty_group), "structure-arity");
-    Node lazy_mult;
-    lazy_mult.kind = OpKind::kHMult;
-    lazy_mult.inputs = {x.id, x.id};
-    lazy_mult.lazy = true;
-    EXPECT_EQ(rejected_rule(lazy_mult), "lazy-contract");
     EXPECT_EQ(g.num_nodes(), 0u);
     EXPECT_EQ(g.num_values(), 2u);
     EXPECT_EQ(g.value(x.id).num_uses, 0);

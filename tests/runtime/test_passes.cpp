@@ -1,6 +1,6 @@
 // Pass-pipeline unit tests: pure graph-level pins (no crypto) for the
-// waterline rescale placement, dead-value elimination, rotation CSE,
-// fusion and lazy-residue passes — legality rules, stats accounting,
+// waterline rescale placement, dead-value elimination, rotation CSE
+// and fusion passes — legality rules, stats accounting,
 // value-map correctness, idempotence and the DOT/logging satellites.
 // Bit-exactness of optimized execution is pinned separately in
 // test_passes_differential.cpp.
@@ -26,15 +26,6 @@ small_traits()
     t.bootstrap_out_level = 6;
     t.delta = std::ldexp(1.0, 40);
     return t;
-}
-
-/** Sum of Node::lazy marks. */
-std::size_t
-count_lazy(const Graph& g)
-{
-    std::size_t n = 0;
-    for (const Node& node : g.nodes()) n += node.lazy;
-    return n;
 }
 
 TEST(PassManager, NoneIsAStructuralCopyWithFreshUid)
@@ -258,41 +249,6 @@ TEST(PassFusion, ValueMapDropsTheFusedIntermediate)
     EXPECT_FALSE(r.remap(Value{}).valid()); // invalid stays invalid
 }
 
-TEST(PassLazy, MarksAddsWhoseConsumersAllTolerate)
-{
-    const GraphTraits t = small_traits();
-    Graph g("lazy", t);
-    const Value a = g.input(6, t.delta);
-    const Value b = g.input(6, t.delta);
-    const Value s = g.hadd(a, b); // consumers: hmult -> lazy
-    g.mark_output(g.hrescale(g.hmult(s, s)));
-    const Value u = g.hsub(a, b); // consumer: hrot -> lazy
-    g.mark_output(g.hrot(u, 2));
-    const Value v = g.hadd(a, b); // consumer: cadd -> canonical
-    g.mark_output(g.cadd(v, Complex(1.0, 0.0)));
-    const Value w = g.hadd(a, b); // graph output -> canonical
-    g.mark_output(w);
-
-    passes::PassOptions o = passes::PassOptions::none();
-    o.lazy = true;
-    const passes::OptimizeResult r = passes::PassManager(o).optimize(g);
-    EXPECT_EQ(r.stats.lazy_nodes, 2u);
-    EXPECT_EQ(count_lazy(r.graph), 2u);
-    // With every other pass off the node indexing is preserved.
-    EXPECT_TRUE(
-        r.graph.node(static_cast<std::size_t>(g.value(s.id).producer))
-            .lazy);
-    EXPECT_TRUE(
-        r.graph.node(static_cast<std::size_t>(g.value(u.id).producer))
-            .lazy);
-    EXPECT_FALSE(
-        r.graph.node(static_cast<std::size_t>(g.value(v.id).producer))
-            .lazy);
-    EXPECT_FALSE(
-        r.graph.node(static_cast<std::size_t>(g.value(w.id).producer))
-            .lazy);
-}
-
 TEST(PassManager, PipelineIsIdempotent)
 {
     const GraphTraits t = small_traits();
@@ -310,15 +266,13 @@ TEST(PassManager, PipelineIsIdempotent)
         EXPECT_EQ(again.stats.nodes_eliminated, 0u) << once.name();
         EXPECT_EQ(again.stats.rotations_grouped, 0u) << once.name();
         EXPECT_EQ(again.stats.ops_fused, 0u) << once.name();
-        EXPECT_EQ(again.stats.lazy_nodes, 0u) << once.name();
     }
 }
 
 TEST(PassManager, SortGraphExercisesEveryPass)
 {
     // The bitonic-sort app is the pipeline's richest client: paired
-    // +/-d rotations group, mult+rescale chains fuse, and the
-    // sum/difference adds feed only multiplicative consumers.
+    // +/-d rotations group and mult+rescale chains fuse.
     const GraphTraits t = small_traits();
     apps::SortConfig cfg = apps::SortConfig::functional();
     cfg.optimize = false;
@@ -331,7 +285,6 @@ TEST(PassManager, SortGraphExercisesEveryPass)
         passes::PassManager(o).optimize(raw.graph);
     EXPECT_GT(r.stats.rotations_grouped, 0u);
     EXPECT_GT(r.stats.ops_fused, 0u);
-    EXPECT_GT(r.stats.lazy_nodes, 0u);
     EXPECT_GT(r.graph.count_kind(OpKind::kHRotHoisted), 0);
     EXPECT_LT(r.graph.num_nodes(), raw.graph.num_nodes());
     // Per-pass stats logging (the observability satellite).
@@ -386,9 +339,8 @@ TEST(Dot, RendersStructureLazinessAndComposites)
     EXPECT_EQ(dot.rfind("digraph", 0), 0u);
     EXPECT_NE(dot.find("HMultRescale"), std::string::npos);
     EXPECT_NE(dot.find("lightblue"), std::string::npos); // composite fill
-    EXPECT_NE(dot.find("dashed"), std::string::npos);    // lazy edge + pt
+    EXPECT_NE(dot.find("dashed"), std::string::npos);    // pt input
     EXPECT_NE(dot.find("peripheries=2"), std::string::npos); // outputs
-    EXPECT_NE(dot.find("lazy"), std::string::npos);
     // The digraph closes.
     EXPECT_NE(dot.find("\n}"), std::string::npos);
 }

@@ -2,10 +2,8 @@
 // execute BIT-IDENTICALLY to its unoptimized form — same output
 // ciphertexts, limb for limb — at 1 and 8 scheduler lanes. This is the
 // pipeline's core soundness contract (docs/PASSES.md): rotation CSE
-// shares a decomposition the single-rotation path also uses, fused
-// nodes dispatch the same two-step evaluator arithmetic, and lazy
-// [0, 2q) residues are canonicalized by every consumer before they can
-// influence a result.
+// shares a decomposition the single-rotation path also uses, and fused
+// nodes dispatch the same two-step evaluator arithmetic.
 //
 // Bit-exactness holds only when the rescale-placement pass is a no-op
 // (an inserted rescale changes the arithmetic, approximately-but-not-
@@ -125,8 +123,8 @@ expect_bit_exact(const EvalResources& res, const Graph& raw,
 /**
  * Seeded conformant random graph: ~40 ops over mults (fused or kept
  * double-scale), rotations biased onto shared sources (CSE fodder,
- * duplicate amounts included), adds/subs that become lazy candidates,
- * conjugations, and deferred double-scale add+rescale chains. Every
+ * duplicate amounts included), adds/subs, conjugations, and deferred
+ * double-scale add+rescale chains. Every
  * value's scale class is tracked so the waterline pass is provably a
  * no-op on the result.
  */
@@ -211,7 +209,7 @@ build_fuzz_graph(const GraphTraits& t, u64 seed)
             }
             break;
         }
-        case 6: { // HAdd/HSub of canonical values: lazy candidates
+        case 6: { // HAdd/HSub of canonical values
             const int a = pick(false, 0), b = pick(false, 0);
             if (a < 0 || b < 0) break;
             pool.push_back({rng.uniform(2) == 0
@@ -258,7 +256,7 @@ TEST(PassDifferential, FuzzedConformantGraphsAreBitExact)
         // otherwise the bit-exact comparison below is vacuous.
         ASSERT_EQ(opt.stats.rescales_inserted, 0u) << "seed " << seed;
         exercised += opt.stats.rotations_grouped + opt.stats.ops_fused +
-                     opt.stats.lazy_nodes + opt.stats.nodes_eliminated;
+                     opt.stats.nodes_eliminated;
         const Inputs in = make_inputs(raw, e.env, slots, seed * 1000);
         expect_bit_exact(e.resources(), raw, opt, in,
                          "fuzz seed " + std::to_string(seed));
@@ -339,7 +337,6 @@ TEST(PassDifferential, SortAppOptimizedIsBitExact)
     const passes::OptimizeResult opt =
         passes::PassManager().optimize(raw.graph);
     EXPECT_GT(opt.stats.rotations_grouped, 0u);
-    EXPECT_GT(opt.stats.lazy_nodes, 0u);
 
     const RotationKeys keys = e.be.env.keygen.gen_rotation_keys(
         e.be.env.sk, raw.graph.required_rotations());

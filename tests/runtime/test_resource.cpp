@@ -327,8 +327,7 @@ TEST(PassResourceDeltas, EveryPassRecordsABeforeAfterPair)
     const passes::OptimizeResult res = passes::PassManager().optimize(g);
     // One delta per enabled builtin pass, in pipeline order.
     const std::vector<std::string> expect = {
-        "place-rescales", "dead-value-elim", "rotation-cse", "fusion",
-        "lazy-residues"};
+        "place-rescales", "dead-value-elim", "rotation-cse", "fusion"};
     ASSERT_EQ(res.stats.resource_deltas.size(), expect.size());
     for (std::size_t i = 0; i < expect.size(); ++i) {
         EXPECT_EQ(res.stats.resource_deltas[i].pass, expect[i]);
