@@ -12,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
 
 #include "ckks/bootstrapper.h"
@@ -319,12 +320,10 @@ BENCHMARK(BM_RescaleLowLevel)
  *  Bootstrapper (with its rotation keys) per (params, radix). */
 struct BootBench
 {
-    BootBench(CkksParams p, std::size_t slots, int radix, int sine_degree)
-        : env(p)
+    BootBench(CkksParams p, std::size_t slots, int radix) : env(p)
     {
         BootstrapConfig cfg;
         cfg.slots = slots;
-        cfg.sine_degree = sine_degree;
         cfg.cts_radix = radix;
         cfg.stc_radix = radix;
         boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder, env.eval,
@@ -347,6 +346,7 @@ struct BootBench
                     "BootBench: refreshed slot differs from the input");
             }
         }
+        counts = count_run();
     }
 
     /** Seconds each stage took, summed over run() calls. */
@@ -355,7 +355,52 @@ struct BootBench
         double subsum = 0, cts = 0, eval_mod = 0, stc = 0;
     };
 
-    /** One timed bootstrap (before the normalizing rescale). */
+    /** One refresh's work, from its evaluator and kernel telemetry
+     *  spans: counts do not drift with the host as times do. All 0
+     *  when built without BTS_TELEMETRY. */
+    struct Counts
+    {
+        double keyswitch = 0; //!< keyswitch spans (hoisted fronts aside)
+        double rescale = 0;
+        double ntt_limbs = 0; //!< limbs the ntt.* spans transform
+        double bconv = 0;
+    };
+
+    /** Counts of one traced run(). */
+    Counts
+    count_run() const
+    {
+        namespace tel = runtime::telemetry;
+        const u32 saved = tel::enabled_mask();
+        tel::set_enabled(0);
+        tel::reset_trace();
+        tel::set_enabled(static_cast<u32>(tel::Category::kKernel) |
+                         static_cast<u32>(tel::Category::kEvaluator));
+        StageSeconds unused;
+        (void)run(unused);
+        tel::set_enabled(0);
+        const tel::Trace trace = tel::collect_trace();
+        tel::reset_trace();
+        tel::set_enabled(saved);
+        if (trace.total_dropped() != 0) {
+            throw std::runtime_error("BootBench: the trace dropped events");
+        }
+        Counts c;
+        for (const tel::ThreadTrace& th : trace.threads) {
+            for (const tel::TraceEvent& ev : th.events) {
+                const std::string_view name = ev.name;
+                if (name.starts_with("ntt.")) {
+                    c.ntt_limbs += static_cast<double>(ev.arg);
+                }
+                c.bconv += name.starts_with("bconv");
+                c.keyswitch += name == "keyswitch";
+                c.rescale += name == "rescale";
+            }
+        }
+        return c;
+    }
+
+    /** One timed bootstrap. */
     Ciphertext
     run(StageSeconds& sec) const
     {
@@ -384,30 +429,30 @@ struct BootBench
     RotationKeys rot_keys;
     EvalKey conj;
     Ciphertext ct;
+    Counts counts;
 };
 
 void
 run_boot_bench(benchmark::State& state, std::size_t n_log2,
-               std::size_t slots, int sine_degree)
+               std::size_t slots, int max_level)
 {
     // Arg(0) is the CtS/StC radix (0 = dense oracle). One cached
-    // Env+Bootstrapper per (ring, radix); per-stage timings land in
-    // the counters.
+    // Env+Bootstrapper per (ring, radix); per-stage timings and the
+    // per-refresh counts land in the counters.
     const int radix = static_cast<int>(state.range(0));
     CkksParams p;
     p.n = std::size_t{1} << n_log2;
-    p.max_level = 14;
+    p.max_level = max_level;
     p.dnum = 3;
     p.q0_bits = 50;
     p.hamming_weight = 32;
     static std::map<std::tuple<std::size_t, std::size_t, int, int>,
                     std::unique_ptr<BootBench>>
         cache;
-    const auto key = std::make_tuple(n_log2, slots, sine_degree, radix);
+    const auto key = std::make_tuple(n_log2, slots, max_level, radix);
     auto it = cache.find(key);
     if (it == cache.end()) {
-        it = cache.emplace(key, std::make_unique<BootBench>(
-                                    p, slots, radix, sine_degree))
+        it = cache.emplace(key, std::make_unique<BootBench>(p, slots, radix))
                  .first;
     }
     BootBench& bb = *it->second;
@@ -423,14 +468,19 @@ run_boot_bench(benchmark::State& state, std::size_t n_log2,
     state.counters["rot_keys"] =
         static_cast<double>(bb.boot->required_rotations().size());
     state.counters["radix"] = radix;
+    state.counters["keyswitch"] = bb.counts.keyswitch;
+    state.counters["rescale"] = bb.counts.rescale;
+    state.counters["ntt_limbs"] = bb.counts.ntt_limbs;
+    state.counters["bconv"] = bb.counts.bconv;
 }
 
 void
 BM_Bootstrap(benchmark::State& state)
 {
     // Full bootstrap at slots=64 (gap=2), dense oracle vs factored
-    // CtS/StC. Small ring so the CI bench job can afford it.
-    run_boot_bench(state, 8, 64, 119);
+    // CtS/StC. Small ring so the CI bench job can afford it. L=15 fits
+    // radix 4's 3 + 3 stages around EvalMod's 9 levels.
+    run_boot_bench(state, 8, 64, 15);
 }
 BENCHMARK(BM_Bootstrap)->Arg(0)->Arg(4)->Arg(8)->Unit(
     benchmark::kMillisecond);
@@ -441,7 +491,7 @@ BM_BootstrapLarge(benchmark::State& state)
     // The paper-scale (for this repo) instance: N=2^11, slots=512.
     // Excluded from the CI bench job (seconds per iteration); run
     // locally for the dense-vs-factored acceptance numbers.
-    run_boot_bench(state, 11, 512, 119);
+    run_boot_bench(state, 11, 512, 14);
 }
 BENCHMARK(BM_BootstrapLarge)
     ->Arg(0)

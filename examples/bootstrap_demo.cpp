@@ -41,8 +41,9 @@ main()
 
     BootstrapConfig cfg;
     cfg.slots = 512;
+    // EvalMod's range: a degree-28 cosine series and 3 double angles
+    // cover K = 12 (gap 2 at hamming weight 32).
     cfg.k_range = 12.0;
-    cfg.sine_degree = 119;
     // Factored CtS/StC (radix 32 -> 2 sparse stages per direction, ~5x
     // fewer diagonal PMults and >2x fewer key-switches than the dense
     // single-shot transform); set both to 0 for the dense oracle.

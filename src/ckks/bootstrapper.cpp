@@ -9,6 +9,34 @@
 
 namespace bts {
 
+namespace {
+
+/** The smallest r with K + 1/4 <= 2^(r+1): the series then spans at
+ *  most two periods of its cosine on each side of 0. */
+int
+double_angles_for(double k_range)
+{
+    BTS_CHECK(std::isfinite(k_range) && k_range > 0.0,
+              "k_range must be positive and finite, got " << k_range);
+    int r = 0;
+    while (k_range + 0.25 > std::ldexp(2.0, r)) ++r;
+    return r;
+}
+
+/** cos(2*pi*x/2^r) on [-(K+1/4), K+1/4]: even on a symmetric interval,
+ *  so its odd coefficients are exact zeros. */
+ChebyshevSeries
+cos_series_for(double k_range, int r)
+{
+    const double period = std::ldexp(1.0, r);
+    const double bound = k_range + 0.25;
+    return ChebyshevSeries::interpolate(
+        [period](double x) { return std::cos(2.0 * M_PI * x / period); },
+        -bound, bound, Bootstrapper::kSeriesDegree);
+}
+
+} // namespace
+
 Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
                            const Evaluator& eval,
                            const BootstrapConfig& config)
@@ -18,9 +46,8 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
       config_(config),
       gap_(ctx.n() / 2 / config.slots),
       packed_(2 * config.slots <= ctx.n() / 2),
-      sine_series_(ChebyshevSeries::interpolate(
-          [](double u) { return std::sin(2.0 * M_PI * u) / (2.0 * M_PI); },
-          -config.k_range, config.k_range, config.sine_degree))
+      double_angles_(double_angles_for(config.k_range)),
+      cos_series_(cos_series_for(config.k_range, double_angles_))
 {
     BTS_CHECK(is_power_of_two(config_.slots) &&
                   config_.slots <= ctx.n() / 2,
@@ -54,10 +81,11 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
                    ctx_.max_level());
 
     // SlotToCoeff compiles eagerly too, at the exact level the pipeline
-    // reaches after CtS and EvalMod (the Chebyshev depth is known at
-    // setup), so required_rotations() is exact from construction.
+    // reaches after CtS and EvalMod (the series' levels come from the
+    // walk its evaluation runs, plus one per double angle), so
+    // required_rotations() is exact from construction.
     const int eval_mod_levels =
-        ChebyshevEvaluator::depth(config_.sine_degree) + 1;
+        ChebyshevEvaluator::levels(cos_series_) + double_angles_;
     stc_input_level_ = ctx_.max_level() - cts_levels() - eval_mod_levels;
     const int stc_needs =
         config_.stc_radix == 0
@@ -71,8 +99,19 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
     stc_ = compile(DftDirection::kSlotToCoeff, config_.stc_radix,
                    stc_input_level_);
     output_level_ = stc_input_level_ - stc_levels();
-    if (config_.normalize_output_scale && output_level_ >= 1) {
-        --output_level_;
+
+    // Scale plan. The last double angle leaves sin(2*pi*u), about
+    // 2*pi*gap*Delta*m/q0 in value; at scale q0/(2*pi*gap) its slots
+    // read m at exactly Delta, which StC keeps. A double angle at
+    // level l squares its input's scale s and rescales by q_l, so walk
+    // back s = sqrt(s' * q_l) through the squarings to the scale the
+    // series must land on.
+    const double q0 = static_cast<double>(ctx_.q_primes()[0]);
+    series_scale_ = q0 / (2.0 * M_PI * static_cast<double>(gap_));
+    for (int level = stc_input_level_ + 1;
+         level <= stc_input_level_ + double_angles_; ++level) {
+        series_scale_ = std::sqrt(
+            series_scale_ * static_cast<double>(ctx_.q_primes()[level]));
     }
 }
 
@@ -170,14 +209,34 @@ Ciphertext
 Bootstrapper::stage_eval_mod(const Ciphertext& u) const
 {
     BTS_TRACE_SPAN(kBootstrap, "bootstrap.evalmod");
-    const ChebyshevEvaluator cheby(eval_);
-    Ciphertext v = cheby.evaluate(u, sine_series_, *mult_key_);
-    // The sine output is gap*m_k/q0 in value; fold gap, Delta and q0
-    // back into the scale metadata so the slots read message
-    // coefficients at the canonical scale.
+    // sin(2*pi*u) = cos(2*pi*(u - 1/4)); the shift is a free CAdd.
+    Ciphertext x = u;
+    eval_.add_const_inplace(x, Complex(-0.25, 0.0));
+    Ciphertext c = ChebyshevEvaluator(eval_).evaluate(x, cos_series_,
+                                                      *mult_key_,
+                                                      series_scale_);
+    // r double angles take cos(2*pi*x/2^r) to cos(2*pi*x). The product
+    // doubles by adding itself (no level); the -1 is added after the
+    // rescale, since at the squared scale it would overflow the 62-bit
+    // constant encoder.
+    for (int k = 0; k < double_angles_; ++k) {
+        Ciphertext sq = eval_.square(c, *mult_key_);
+        sq.b.add_inplace(sq.b);
+        sq.a.add_inplace(sq.a);
+        eval_.rescale_inplace(sq);
+        eval_.add_const_inplace(sq, Complex(-1.0, 0.0));
+        c = std::move(sq);
+    }
+    // c is sin(2*pi*u) at the constructor's planned scale, which reads
+    // the message coefficients at Delta: state it exactly (the plan's
+    // square roots round below an ulp per step).
     const double q0 = static_cast<double>(ctx_.q_primes()[0]);
-    v.scale = v.scale * static_cast<double>(gap_) * ctx_.delta() / q0;
-    return v;
+    const double read =
+        c.scale * 2.0 * M_PI * static_cast<double>(gap_) * ctx_.delta() / q0;
+    BTS_ASSERT(std::abs(read / ctx_.delta() - 1.0) < 1e-9,
+               "EvalMod left scale " << read << ", planned " << ctx_.delta());
+    c.scale = ctx_.delta();
+    return c;
 }
 
 Ciphertext
@@ -210,10 +269,6 @@ Bootstrapper::bootstrap(const Ciphertext& ct) const
     std::vector<Ciphertext> parts = stage_coeff_to_slot(raised);
     for (Ciphertext& part : parts) part = stage_eval_mod(part);
     Ciphertext out = stage_slot_to_coeff(parts);
-
-    if (config_.normalize_output_scale && out.level >= 1) {
-        out = eval_.mult_const_to_scale(out, 1.0, ctx_.delta());
-    }
     BTS_ASSERT(out.level == output_level_,
                "bootstrap refreshed to level " << out.level
                                                << ", output_level() says "

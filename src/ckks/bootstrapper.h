@@ -16,9 +16,12 @@
  *                   travel packed in one real 2n-slot ciphertext (the
  *                   lifts in dft_factor.h); at full slots they are two
  *                   ciphertexts.
- *   4. EvalMod    — approximate modular reduction by q_0 via the scaled
- *                   sine sin(2*pi*u)/(2*pi), evaluated as a Chebyshev
- *                   series on [-K, K]; once per part (one when packed).
+ *   4. EvalMod    — approximate modular reduction by q_0 via
+ *                   sin(2*pi*u) = cos(2*pi*(u - 1/4)) (Han-Ki): an even
+ *                   degree-28 Chebyshev series of cos(2*pi*x/2^r) on
+ *                   [-(K+1/4), K+1/4], then r double angles
+ *                   cos 2t = 2 cos^2 t - 1, with the 1/(2*pi) folded
+ *                   into the scale; once per part (one when packed).
  *   5. SlotToCoeff— the inverse transform A, recombining the parts.
  *
  * The heavy cost structure the paper accelerates — hundreds of HMult and
@@ -48,12 +51,18 @@ struct BootstrapConfig
      * EvalMod interval [-K, K]. Must bound |u| at the EvalMod input:
      * SubSum sums gap = N/(2*slots) rotated copies of the ModRaise
      * integer part, so K scales ~linearly with gap (12 covers gap = 2
-     * at hamming weight 32; gap = 4 needs ~24). sine_degree must grow
-     * with K too (> e*pi*K for the Chebyshev series to converge).
+     * at hamming weight 32; gap = 4 needs ~24). The series' degree is
+     * fixed; K sets the double-angle count r, the smallest with
+     * K + 1/4 <= 2^(r+1) (3 for 7.75 < K <= 15.75, 4 up to 31.75): doubling K
+     * costs one level and one key-switch.
      */
     double k_range = 12.0;
-    int sine_degree = 119;    //!< Chebyshev degree for the scaled sine
-    bool normalize_output_scale = true; //!< end at the canonical scale
+    /**
+     * Inert: nothing reads it. EvalMod's series degree is fixed
+     * (Bootstrapper::kSeriesDegree). Kept only because perfbench/'s
+     * frozen sources still assign it; it goes with their next change.
+     */
+    int sine_degree = 119;
     /**
      * CtS / StC decomposition radix: a power of two >= 2 factors the
      * transform into ceil(log2(slots)/log2(radix)) sparse stages (one
@@ -86,18 +95,25 @@ class Bootstrapper
 
     /**
      * Refresh @p ct (level 0, canonical scale) to a high level.
-     * @return a ciphertext of the same message with fresh levels.
+     * @return a ciphertext of the same message with fresh levels, at
+     *         exactly the canonical scale Delta.
      */
     Ciphertext bootstrap(const Ciphertext& ct) const;
 
     /**
-     * Level bootstrap() returns: StC's input level minus its stages,
-     * minus the normalizing rescale when it runs. Like
-     * required_rotations(), exact from construction on.
+     * Level bootstrap() returns: StC's input level minus its stages.
+     * Like required_rotations(), exact from construction on.
      */
     int output_level() const { return output_level_; }
 
-    const ChebyshevSeries& sine_series() const { return sine_series_; }
+    /** Degree of EvalMod's even cosine series, whatever K is. */
+    static constexpr int kSeriesDegree = 28;
+
+    /** cos(2*pi*x/2^r) on [-(K+1/4), K+1/4], the series EvalMod
+     *  evaluates on u - 1/4 before its double angles. */
+    const ChebyshevSeries& cos_series() const { return cos_series_; }
+    /** r: the double angles after the series, from k_range alone. */
+    int double_angles() const { return double_angles_; }
     const BootstrapConfig& config() const { return config_; }
 
     /** Levels CtS / StC consume (1 for dense, #stages for factored). */
@@ -108,7 +124,7 @@ class Bootstrapper
 
     // Individual stages, exposed for tests and diagnostics. bootstrap()
     // is stage_slot_to_coeff of stage_eval_mod of each part
-    // stage_coeff_to_slot returns, then the normalizing rescale.
+    // stage_coeff_to_slot returns.
     Ciphertext stage_raise_and_subsum(const Ciphertext& ct) const;
     /** One packed 2n-slot part (2n <= N/2), else the real and the
      *  imaginary part. */
@@ -126,7 +142,12 @@ class Bootstrapper
 
     std::size_t gap_;        // N/2 / slots
     bool packed_;            // 2 * slots <= N/2: one EvalMod part
-    ChebyshevSeries sine_series_;
+    int double_angles_;      // r
+    ChebyshevSeries cos_series_;
+    // The scale the series lands on, so that r squarings later the
+    // slots read the message at exactly Delta (set in the constructor,
+    // from the primes the squarings drop).
+    double series_scale_ = 0.0;
     // Dense oracle (radix == 0) or factored stages, both set eagerly in
     // the constructor. (The previous lazy StC compile mutated state
     // inside const bootstrap() with no synchronization — a data race

@@ -1,5 +1,6 @@
 #include "ckks/chebyshev.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/bit_ops.h"
@@ -113,20 +114,6 @@ ChebyshevEvaluator::baby_step_count(int degree)
     return std::max(2, m);
 }
 
-int
-ChebyshevEvaluator::depth(int degree)
-{
-    const int m = baby_step_count(degree);
-    int d = log2_exact(static_cast<u64>(m)); // T_m depth
-    int g = m;
-    while (2 * g <= degree) {
-        g *= 2;
-        ++d; // each giant T_{2g} adds one squaring level
-    }
-    ++d; // final recombination products
-    return d;
-}
-
 namespace {
 
 /** The giant step a node of degree @p deg >= m divides by: the largest
@@ -159,7 +146,45 @@ mark_powers(const std::vector<double>& coeffs, int m, std::vector<bool>& need)
     mark_powers(remainder, m, need);
 }
 
+/** Levels T_j sits below T_1: build_power_basis makes it from
+ *  T_{floor(j/2)} and T_{ceil(j/2)} with one rescale. */
+int
+power_depth(int j)
+{
+    return log2_ceil(static_cast<u64>(j));
+}
+
+/** Walk eval_recurse's divmod tree without ciphertexts: the levels its
+ *  result lands below T_1. A leaf rescales once below the deepest T_j
+ *  it reads; a node's product rescales once below its quotient and its
+ *  giant, and the sum sits at the lower of the product and the
+ *  remainder. */
+int
+tree_depth(const std::vector<double>& coeffs, int m)
+{
+    const int deg = static_cast<int>(coeffs.size()) - 1;
+    if (deg < m) {
+        int d = 0;
+        for (int j = 1; j <= deg; ++j) {
+            if (coeffs[j] != 0.0) d = std::max(d, power_depth(j));
+        }
+        return d + 1;
+    }
+    const int g = giant_for(deg, m);
+    std::vector<double> quotient, remainder;
+    chebyshev_divmod(coeffs, g, quotient, remainder);
+    const int product =
+        std::max(tree_depth(quotient, m), power_depth(g)) + 1;
+    return std::max(product, tree_depth(remainder, m));
+}
+
 } // namespace
+
+int
+ChebyshevEvaluator::levels(const ChebyshevSeries& series)
+{
+    return 1 + tree_depth(series.coeffs(), baby_step_count(series.degree()));
+}
 
 ChebyshevEvaluator::PowerBasis
 ChebyshevEvaluator::build_power_basis(const Ciphertext& y,
@@ -224,6 +249,9 @@ ChebyshevEvaluator::build_power_basis(const Ciphertext& y,
     mark_powers(coeffs, m, need);
     for (int j = 2; j <= top; ++j) {
         if (need[j]) get(j);
+        BTS_ASSERT(!basis.have[j] ||
+                       basis.t[j].level == y.level - power_depth(j),
+                   "power T_" << j << " off its planned level");
     }
     return basis;
 }
@@ -232,20 +260,7 @@ int
 ChebyshevEvaluator::level_of(const std::vector<double>& coeffs,
                              const PowerBasis& basis) const
 {
-    const int deg = static_cast<int>(coeffs.size()) - 1;
-    if (deg < basis.m) {
-        // The leaf reads the T_j with c_j != 0 and rescales once.
-        int lvl = basis.t[1].level;
-        for (int j = 1; j <= deg; ++j) {
-            if (coeffs[j] != 0.0) lvl = std::min(lvl, basis.t[j].level);
-        }
-        return lvl - 1;
-    }
-    const int g = giant_for(deg, basis.m);
-    std::vector<double> quotient, remainder;
-    chebyshev_divmod(coeffs, g, quotient, remainder);
-    const int lq = level_of(quotient, basis);
-    return std::min(lq, basis.t[g].level) - 1; // product + rescale
+    return basis.t[1].level - tree_depth(coeffs, basis.m);
 }
 
 Ciphertext
@@ -331,20 +346,46 @@ ChebyshevEvaluator::evaluate(const Ciphertext& ct,
                              const ChebyshevSeries& series,
                              const EvalKey& mult_key) const
 {
+    return evaluate(ct, series, mult_key, eval_.context().delta());
+}
+
+Ciphertext
+ChebyshevEvaluator::evaluate(const Ciphertext& ct,
+                             const ChebyshevSeries& series,
+                             const EvalKey& mult_key,
+                             double target_scale) const
+{
     BTS_CHECK(series.degree() >= 1, "series must have degree >= 1");
     const double a = series.lower();
     const double b = series.upper();
     const double delta = eval_.context().delta();
 
-    // Affine normalization y = (2x - (a+b)) / (b-a), one level.
-    Ciphertext y = eval_.mult_const_to_scale(ct, 2.0 / (b - a), delta);
+    // Affine normalization y = (2x - (a+b)) / (b-a), one level. The
+    // slope is applied as the integer k that lands the rescale near
+    // Delta; from a high-scale input (the bootstrap's, at q0 = 2^50)
+    // k has only about 30 bits. y's scale is derived from k itself, so
+    // the slots read y without k's rounding (5e-9 relative, which on
+    // EvalMod's [-12, 12] became the refresh's largest error) and the
+    // scale sits within that rounding of Delta.
+    BTS_CHECK(ct.level >= 1, "needs one level for the normalization");
+    const double slope = 2.0 / (b - a);
+    const double q_top = static_cast<double>(ct.b.prime(ct.level));
+    const double k = std::round(slope * delta * q_top / ct.scale);
+    BTS_CHECK(k != 0.0, "normalization constant rounds to 0");
+    Ciphertext y = eval_.mult_const(ct, k, 1.0);
+    y.scale = ct.scale * k / slope;
+    eval_.rescale_inplace(y);
     if (a + b != 0.0) {
         eval_.add_const_inplace(y, Complex(-(a + b) / (b - a), 0.0));
     }
 
     const PowerBasis basis =
         build_power_basis(y, series.coeffs(), mult_key);
-    return eval_recurse(series.coeffs(), basis, mult_key, delta);
+    Ciphertext out =
+        eval_recurse(series.coeffs(), basis, mult_key, target_scale);
+    BTS_ASSERT(out.level == ct.level - levels(series),
+               "Chebyshev evaluation landed off its planned level");
+    return out;
 }
 
 } // namespace bts

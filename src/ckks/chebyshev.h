@@ -3,13 +3,15 @@
  * Chebyshev-basis polynomial approximation and its homomorphic
  * evaluation (Paterson-Stockmeyer baby-step/giant-step).
  *
- * Bootstrapping's EvalMod approximates modular reduction with a scaled
- * sine (Section 2.4 of the paper, following Cheon et al. / Han-Ki):
- * non-polynomial functions in CKKS are always evaluated as high-degree
+ * Bootstrapping's EvalMod approximates modular reduction with a sine
+ * (Section 2.4 of the paper, following Cheon et al. / Han-Ki), which it
+ * evaluates as a low-degree cosine series followed by double angles:
+ * non-polynomial functions in CKKS are always evaluated as
  * polynomials, which is also why ReLU/comparison-heavy workloads
  * (ResNet-20, sorting) consume so many levels. This module supplies the
  * generic machinery: numeric Chebyshev interpolation, Chebyshev-basis
- * division by T_g, and a depth-optimal homomorphic evaluator.
+ * division by T_g, and a depth-optimal homomorphic evaluator whose
+ * level count is known before it runs.
  */
 #pragma once
 
@@ -79,17 +81,24 @@ class ChebyshevEvaluator
     explicit ChebyshevEvaluator(const Evaluator& eval) : eval_(eval) {}
 
     /**
-     * Evaluate @p series on @p ct homomorphically. Consumes at most
-     * depth(series.degree()) + 1 levels (one for the affine
-     * normalization onto [-1, 1]); fewer when the powers the series
-     * reads sit higher. The result is reported at the context's
-     * canonical scale.
+     * Evaluate @p series on @p ct homomorphically. Consumes exactly
+     * levels(series) levels and lands exactly on @p target_scale (the
+     * context's canonical scale when omitted).
      */
     Ciphertext evaluate(const Ciphertext& ct, const ChebyshevSeries& series,
                         const EvalKey& mult_key) const;
+    Ciphertext evaluate(const Ciphertext& ct, const ChebyshevSeries& series,
+                        const EvalKey& mult_key, double target_scale) const;
 
-    /** Multiplicative depth the evaluation consumes (excl. normalize). */
-    static int depth(int degree);
+    /**
+     * Levels evaluate() consumes on @p series: one for the affine
+     * normalization onto [-1, 1] plus the depth of the divmod tree
+     * below it, from the same walk evaluate() runs. Coefficients that
+     * are exactly zero count: the powers only they would read are not
+     * built, so an even or odd series can sit a level higher than a
+     * full one of its degree.
+     */
+    static int levels(const ChebyshevSeries& series);
 
     /** Baby-step count m for a given degree (power of two ~ sqrt(d)). */
     static int baby_step_count(int degree);
@@ -109,7 +118,8 @@ class ChebyshevEvaluator
                                  const std::vector<double>& coeffs,
                                  const EvalKey& mult_key) const;
 
-    /** Level the evaluation of @p coeffs will land on (dry run). */
+    /** Level the evaluation of @p coeffs will land on (the
+     *  ciphertext-free walk levels() runs, below basis.t[1]). */
     int level_of(const std::vector<double>& coeffs,
                  const PowerBasis& basis) const;
 

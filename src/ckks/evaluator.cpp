@@ -58,14 +58,28 @@ Evaluator::drop_level_inplace(Ciphertext& ct, int target_level) const
     ct.level = target_level;
 }
 
+namespace {
+
+/** @p a's limbs up to @p level, copied without the ones above it. */
+Ciphertext
+prefix_copy(const Ciphertext& a, int level)
+{
+    BTS_CHECK(level >= 0 && level <= a.level,
+              "cannot raise level by dropping");
+    const std::size_t limbs = static_cast<std::size_t>(level) + 1;
+    return Ciphertext{a.b.prefix(limbs), a.a.prefix(limbs), a.scale, level,
+                      a.slots};
+}
+
+} // namespace
+
 Ciphertext
 Evaluator::add(const Ciphertext& a, const Ciphertext& b) const
 {
     // x holds a's limbs up to the common level; add_inplace reads only
     // that many rows of b, so b needs no level-dropped copy.
-    Ciphertext x = a;
-    drop_level_inplace(x, std::min(a.level, b.level));
-    check_scale_match(x.scale, b.scale);
+    check_scale_match(a.scale, b.scale);
+    Ciphertext x = prefix_copy(a, std::min(a.level, b.level));
     x.b.add_inplace(b.b);
     x.a.add_inplace(b.a);
     return x;
@@ -74,9 +88,8 @@ Evaluator::add(const Ciphertext& a, const Ciphertext& b) const
 Ciphertext
 Evaluator::sub(const Ciphertext& a, const Ciphertext& b) const
 {
-    Ciphertext x = a;
-    drop_level_inplace(x, std::min(a.level, b.level));
-    check_scale_match(x.scale, b.scale);
+    check_scale_match(a.scale, b.scale);
+    Ciphertext x = prefix_copy(a, std::min(a.level, b.level));
     x.b.sub_inplace(b.b);
     x.a.sub_inplace(b.a);
     return x;
@@ -92,32 +105,35 @@ Evaluator::negate(const Ciphertext& a) const
 }
 
 std::pair<RnsPoly, RnsPoly>
-Evaluator::evk_inner_product(const std::vector<RnsPoly>& slices,
+Evaluator::evk_inner_product(const RnsPoly& d,
+                             const std::vector<RnsPoly>& raised,
                              const EvalKey& evk, int level,
                              const std::vector<u32>* index) const
 {
     // evk polynomials live over {q_0..q_L, p_0..p_{k-1}}; the slices
     // and the result over {q_0..q_l, p_0..p_{k-1}}. Ext limb i reads key
-    // limb i (q part) or L+1+(i-level-1) (special part) in place. With
-    // an @p index map, each slice is read through it: the product is
-    // that of its automorphism image, which is never built.
+    // limb i (q part) or L+1+(i-level-1) (special part) in place, and
+    // slice j's limb i in place too: d's own row when q_i is one of the
+    // slice's primes, else the next row of raised[j]. With an @p index
+    // map, each slice is read through it: the product is that of its
+    // automorphism image, which is never built.
     //
-    // The slices may carry LAZY residues in [0, 2q) (from to_ntt_lazy)
-    // against canonical key residues: every product is below 2q * q, so
-    // a residue's sum over the slices accumulates in 128 bits and is
-    // reduced once (mid-sum only past lazy_sum_terms(2q) slices).
+    // The converted rows are LAZY residues in [0, 2q) (from
+    // to_ntt_lazy) against canonical key residues: every product is
+    // below 2q * q, so a residue's sum over the slices accumulates in
+    // 128 bits and is reduced once (mid-sum only past
+    // lazy_sum_terms(2q) slices).
     const int L = ctx_.max_level();
     const std::size_t n = ctx_.n();
-    const std::size_t dnum = slices.size();
+    const std::size_t dnum = raised.size();
     const auto ext = ctx_.extended_primes(level);
     const std::size_t count = ext.size();
     BTS_ASSERT(dnum <= evk.slices.size(), "evaluation key has too few slices");
     BTS_ASSERT(index == nullptr || index->size() == n,
                "evk inner product index map size mismatch");
-    for (const RnsPoly& f : slices) {
-        BTS_ASSERT(f.domain() == Domain::kNtt && f.num_primes() == count,
-                   "evk inner product operand mismatch");
-    }
+    BTS_ASSERT(d.domain() == Domain::kNtt &&
+                   d.num_primes() == static_cast<std::size_t>(level) + 1,
+               "evk inner product operand mismatch");
 
     // Per limb: its reducer and term budget, and row pointers
     // [limb][slice] into the slices and both key polynomials.
@@ -125,6 +141,21 @@ Evaluator::evk_inner_product(const std::vector<RnsPoly>& slices,
     std::vector<std::size_t> terms(count);
     std::vector<const u64*> fr(count * dnum), kb(count * dnum),
         ka(count * dnum);
+    for (std::size_t j = 0; j < dnum; ++j) {
+        const auto [begin, end] =
+            ctx_.slice_range(static_cast<int>(j), level);
+        const std::size_t own = static_cast<std::size_t>(end - begin);
+        BTS_ASSERT(raised[j].domain() == Domain::kNtt &&
+                       raised[j].num_primes() == count - own,
+                   "evk inner product operand mismatch");
+        for (std::size_t i = 0; i < count; ++i) {
+            const int ii = static_cast<int>(i);
+            fr[i * dnum + j] =
+                ii >= begin && ii < end
+                    ? d.component(i).data()
+                    : raised[j].component(ii < begin ? i : i - own).data();
+        }
+    }
     for (std::size_t i = 0; i < count; ++i) {
         barrett[i] = Barrett(ext[i]);
         terms[i] = lazy_sum_terms(2 * ext[i]);
@@ -133,7 +164,6 @@ Evaluator::evk_inner_product(const std::vector<RnsPoly>& slices,
                 ? i
                 : static_cast<std::size_t>(L + 1) - (level + 1) + i;
         for (std::size_t j = 0; j < dnum; ++j) {
-            fr[i * dnum + j] = slices[j].component(i).data();
             kb[i * dnum + j] = evk.slices[j].first.component(ki).data();
             ka[i * dnum + j] = evk.slices[j].second.component(ki).data();
         }
@@ -177,7 +207,6 @@ RnsPoly
 Evaluator::mod_up(const RnsPoly& d, int slice, int level) const
 {
     BTS_CHECK(d.domain() == Domain::kNtt, "ModUp expects NTT domain");
-    const auto ext = ctx_.extended_primes(level);
     const auto q_primes = ctx_.level_primes(level);
     const auto [begin, end] = ctx_.slice_range(slice, level);
 
@@ -199,20 +228,7 @@ Evaluator::mod_up(const RnsPoly& d, int slice, int level) const
     // product, which tolerates [0, 2q) inputs.
     RnsPoly converted = ctx_.converter(src, tgt).convert(d_slice);
     converted.to_ntt_lazy(ctx_.tables_for(tgt));
-
-    // Reassemble the extended polynomial: slice components stay in the
-    // NTT domain untouched; converted components fill the rest.
-    RnsPoly f(ctx_.n(), ext, Domain::kNtt, RnsPoly::Uninit{});
-    std::size_t conv_idx = 0;
-    for (std::size_t i = 0; i < ext.size(); ++i) {
-        const int ii = static_cast<int>(i);
-        if (ii >= begin && ii < end && ii <= level) {
-            f.component(i).copy_from(d.component(i));
-        } else {
-            f.component(i).copy_from(converted.component(conv_idx++));
-        }
-    }
-    return f;
+    return converted;
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -232,7 +248,7 @@ Evaluator::key_switch(const RnsPoly& d, const EvalKey& evk, int level) const
     std::vector<RnsPoly> raised;
     raised.reserve(static_cast<std::size_t>(slices));
     for (int j = 0; j < slices; ++j) raised.push_back(mod_up(d, j, level));
-    auto [acc_b, acc_a] = evk_inner_product(raised, evk, level);
+    auto [acc_b, acc_a] = evk_inner_product(d, raised, evk, level);
     mod_down_inplace(acc_b, level);
     mod_down_inplace(acc_a, level);
     return {std::move(acc_b), std::move(acc_a)};
@@ -299,9 +315,9 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
     // automorphism commutes with BConv (base conversion is coefficient-
     // wise), so every amount reads these slices through its own NTT
     // index map.
-    std::vector<RnsPoly> slices;
+    std::vector<RnsPoly> raised;
     for (int j = 0; j < ctx_.num_slices(level); ++j) {
-        slices.push_back(mod_up(ct.a, j, level));
+        raised.push_back(mod_up(ct.a, j, level));
     }
 
     std::vector<Ciphertext> out;
@@ -316,11 +332,12 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
         BTS_CHECK(keys[k] != nullptr, "missing rotation key " << r);
         const EvalKey& key = *keys[k];
         BTS_CHECK(key.galois_exp == exp, "rotation key mismatch");
-        BTS_CHECK(slices.size() <= key.slices.size(),
+        BTS_CHECK(raised.size() <= key.slices.size(),
                   "rotation key has too few slices");
         const std::vector<u32> index = ntt_galois_index(ctx_.n(), exp);
 
-        auto [acc_b, acc_a] = evk_inner_product(slices, key, level, &index);
+        auto [acc_b, acc_a] =
+            evk_inner_product(ct.a, raised, key, level, &index);
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
         acc_b.add_inplace(ct.b.automorphism_ntt(index));

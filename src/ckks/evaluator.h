@@ -181,21 +181,24 @@ class Evaluator
   private:
     /**
      * (sum_j f_j * evk_j.b, sum_j f_j * evk_j.a) over the level-l
-     * extended base, f_j = @p slices[j] (ModUp outputs). One pass: the
-     * key's components are read in place through the {q_0..q_l, p_*} ->
-     * evk-base index map, and each residue's sum is accumulated in 128
-     * bits and reduced once. With @p index (an ntt_galois_index map),
-     * every f_j is read through it: the product of its automorphism
-     * image, unbuilt.
+     * extended base, f_j the ModUp of slice j of @p d: its own limbs
+     * are d's rows and the rest are @p raised[j]'s (mod_up's output),
+     * each read in place. One pass: the key's components are read in
+     * place through the {q_0..q_l, p_*} -> evk-base index map, and
+     * each residue's sum is accumulated in 128 bits and reduced once.
+     * With @p index (an ntt_galois_index map), every f_j is read
+     * through it: the product of its automorphism image, unbuilt.
      */
     std::pair<RnsPoly, RnsPoly>
-    evk_inner_product(const std::vector<RnsPoly>& slices, const EvalKey& evk,
-                      int level,
+    evk_inner_product(const RnsPoly& d, const std::vector<RnsPoly>& raised,
+                      const EvalKey& evk, int level,
                       const std::vector<u32>* index = nullptr) const;
 
-    /** ModUp of dnum slice @p slice of @p d (level-l base, NTT) onto
-     *  {q_0..q_l, p_*}: the slice's limbs as stored, the rest base-
-     *  converted from its iNTT and forward-NTT'd lazily ([0, 2q)). */
+    /** ModUp of dnum slice @p slice of @p d (level-l base, NTT): the
+     *  slice base-converted from its iNTT onto the rest of
+     *  {q_0..q_l, p_*} in that order, forward-NTT'd lazily ([0, 2q)).
+     *  The slice's own limbs are not copied; the inner product reads
+     *  them from @p d. */
     RnsPoly mod_up(const RnsPoly& d, int slice, int level) const;
 
     /** sigma_{galois_exp} as an NTT slot permutation of @p ct, then

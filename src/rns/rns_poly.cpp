@@ -100,6 +100,16 @@ RnsPoly::truncate(std::size_t count)
     data_.resize(count * n_);
 }
 
+RnsPoly
+RnsPoly::prefix(std::size_t count) const
+{
+    BTS_CHECK(count <= primes_.size(), "prefix beyond size");
+    RnsPoly out(n_, {primes_.begin(), primes_.begin() + count}, domain_,
+                Uninit{});
+    std::copy(data_.begin(), data_.begin() + count * n_, out.data_.begin());
+    return out;
+}
+
 namespace {
 
 void

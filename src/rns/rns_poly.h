@@ -105,6 +105,10 @@ class RnsPoly
     /** Keep only the first @p count rows (level drop). */
     void truncate(std::size_t count);
 
+    /** A copy of the first @p count rows: a level-dropped copy that
+     *  never copies the rows it drops. */
+    RnsPoly prefix(std::size_t count) const;
+
     /** How sub_mul_scalar_inplace should interpret its SOURCE operand's
      *  residues: canonical in [0, q) (the storage invariant) or lazy in
      *  [0, 2q) (fresh out of to_ntt_lazy). The destination polynomial is

@@ -28,7 +28,6 @@ functional_boot_config()
 {
     BootstrapConfig cfg;
     cfg.slots = 64;
-    cfg.sine_degree = 119;
     cfg.cts_radix = 8;
     cfg.stc_radix = 8;
     return cfg;

@@ -58,8 +58,8 @@ CkksParams functional_params(int max_level, u64 seed);
 /**
  * The functional instance's refresh: 64 slots (gap 2), radix-8
  * CtS/StC (2 + 2 levels; radix 4 would spend 3 + 3 and refresh L=14
- * to level 0), a degree-119 sine (8 levels) over the default K = 12,
- * and the normalized output scale.
+ * to level 0), and EvalMod over the default K = 12 (9 levels: the
+ * cosine series' 6 and 3 double angles).
  */
 BootstrapConfig functional_boot_config();
 

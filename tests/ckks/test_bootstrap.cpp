@@ -35,12 +35,12 @@ struct BootEnv
     {
         // Factored CtS/StC (the paper's assumed radix decomposition):
         // radix 32 splits the 512-slot DFT into 2 stages per direction,
-        // fitting L=14 alongside the degree-119 EvalMod (8 levels):
-        // 14 - 2 (CtS) - 8 (EvalMod) - 2 (StC) - 1 (normalize) = 1.
+        // fitting L=14 alongside EvalMod (9 levels: the cosine series'
+        // 6 and 3 double angles at K = 12):
+        // 14 - 2 (CtS) - 9 (EvalMod) - 2 (StC) = 1.
         BootstrapConfig cfg;
         cfg.slots = 512; // gap = 2
         cfg.k_range = 12.0;
-        cfg.sine_degree = 119;
         cfg.cts_radix = 32;
         cfg.stc_radix = 32;
         boot = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
@@ -50,18 +50,17 @@ struct BootEnv
         boot->set_keys(&env.mult_key, &rot_keys, &env.conj_key);
 
         // A second bootstrapper on the same context/keys: sparse slot
-        // count under the factored path (radix 16 -> 2 stages as well).
-        // SubSum sums gap copies of the ModRaise integer part, so the
-        // EvalMod range K must grow ~linearly with gap (|u| reaches 16
-        // at gap = 4) and the sine degree with K (> e*pi*K for the
-        // Chebyshev series to converge on [-K, K]).
+        // count under the factored path. SubSum sums gap copies of the
+        // ModRaise integer part, so the EvalMod range K must grow
+        // ~linearly with gap (|u| reaches 16 at gap = 4), and K = 24
+        // takes a fourth double angle (10 levels). CtS keeps radix 16
+        // (2 stages); StC runs as one radix-256 stage, so the refresh
+        // still ends at level 1: 14 - 2 - 10 - 1 = 1.
         BootstrapConfig sparse_cfg = cfg;
         sparse_cfg.slots = 256; // gap = 4
         sparse_cfg.k_range = 24.0;
-        sparse_cfg.sine_degree = 239;
         sparse_cfg.cts_radix = 16;
-        sparse_cfg.stc_radix = 16;
-        sparse_cfg.normalize_output_scale = false; // spend the last level
+        sparse_cfg.stc_radix = 256;
         sparse = std::make_unique<Bootstrapper>(env.ctx, env.encoder,
                                                 env.evaluator, sparse_cfg);
         sparse_rot_keys = env.keygen.gen_rotation_keys(
@@ -203,7 +202,6 @@ dense_config()
 {
     BootstrapConfig cfg;
     cfg.slots = 64;
-    cfg.sine_degree = 119;
     return cfg;
 }
 
@@ -290,9 +288,10 @@ TEST(Bootstrap, RejectsMixedDenseFactoredConfig)
 }
 
 /** A fresh Bootstrapper for @p cfg on @p env: output_level(), read
- *  before its first bootstrap(), must be the level bootstrap returns. */
+ *  before its first bootstrap(), must be the level bootstrap returns,
+ *  and the refresh must land exactly on the canonical scale. */
 void
-expect_output_level_known(TestEnv& env, const BootstrapConfig& cfg)
+expect_output_known(TestEnv& env, const BootstrapConfig& cfg)
 {
     Bootstrapper boot(env.ctx, env.encoder, env.evaluator, cfg);
     const int announced = boot.output_level();
@@ -300,34 +299,42 @@ expect_output_level_known(TestEnv& env, const BootstrapConfig& cfg)
         env.keygen.gen_rotation_keys(env.sk, boot.required_rotations());
     boot.set_keys(&env.mult_key, &rot_keys, &env.conj_key);
     const auto z = env.random_message(cfg.slots, 0.3, 208);
-    EXPECT_EQ(boot.bootstrap(env.encrypt(z, 0)).level, announced)
+    const Ciphertext fresh = boot.bootstrap(env.encrypt(z, 0));
+    EXPECT_EQ(fresh.level, announced)
+        << "L = " << env.ctx.max_level() << ", slots = " << cfg.slots
+        << ", radix " << cfg.cts_radix;
+    EXPECT_EQ(fresh.scale, env.ctx.delta())
         << "L = " << env.ctx.max_level() << ", slots = " << cfg.slots
         << ", radix " << cfg.cts_radix;
 }
 
 TEST(Bootstrap, OutputLevelKnownAtConstruction)
 {
-    // Every config this suite bootstraps with, plus radix 2 at L=20:
-    // 20 - 6 (CtS) - 8 (EvalMod) - 6 (StC) leaves level 0, so the
-    // normalizing rescale is skipped.
+    // Every config this suite bootstraps with, plus radix 2, which
+    // spends 6 (CtS) + 9 (EvalMod) + 6 (StC) levels: L=21 refreshes to
+    // level 0, and L=20 cannot fit it.
     auto& be = boot_env();
-    expect_output_level_known(be.env, be.boot->config());
-    expect_output_level_known(be.env, be.sparse->config());
-    expect_output_level_known(dense_env(), dense_config());
+    expect_output_known(be.env, be.boot->config());
+    expect_output_known(be.env, be.sparse->config());
+    expect_output_known(dense_env(), dense_config());
     testing::BootTestEnv l14(7321, {}, 14);
-    expect_output_level_known(l14.env, l14.boot->config());
+    expect_output_known(l14.env, l14.boot->config());
     testing::BootTestEnv l20(7321, {}, 20);
-    expect_output_level_known(l20.env, l20.boot->config());
-    expect_output_level_known(l20.env, FullSlotBoot::config());
+    expect_output_known(l20.env, l20.boot->config());
+    expect_output_known(l20.env, FullSlotBoot::config());
 
     BootstrapConfig radix2 = l20.boot->config();
     radix2.cts_radix = 2;
     radix2.stc_radix = 2;
-    EXPECT_EQ(Bootstrapper(l20.env.ctx, l20.env.encoder, l20.env.evaluator,
+    EXPECT_THROW(Bootstrapper(l20.env.ctx, l20.env.encoder,
+                              l20.env.evaluator, radix2),
+                 std::invalid_argument);
+    testing::BootTestEnv l21(7321, {}, 21);
+    EXPECT_EQ(Bootstrapper(l21.env.ctx, l21.env.encoder, l21.env.evaluator,
                            radix2)
                   .output_level(),
               0);
-    expect_output_level_known(l20.env, radix2);
+    expect_output_known(l21.env, radix2);
 }
 
 /** Spans named @p names[k] that @p fn emits, with only @p category's
@@ -369,15 +376,16 @@ count_keyswitch_and_rescale(const std::function<void()>& fn)
 
 TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
 {
-    // The degree-119 sine costs 14 power-basis products (T_10, T_12 and
-    // T_14 are never read: the odd series has exact-zero even
-    // coefficients) plus 7 Paterson-Stockmeyer products, and 30
-    // rescales: the normalization, the 21 products and one per leaf
-    // (8 leaves). At 64 slots on N=2^8 the bootstrap runs EvalMod once,
-    // on the packed real and imaginary parts; around it, SubSum,
-    // the conjugation, the StC head's half turn and 8 giant steps
-    // key-switch, and the 4 CtS/StC stages and the normalization
-    // rescale.
+    // The even degree-28 cosine costs 6 power-basis products (T_2, T_3,
+    // T_4, T_6, T_8, T_16: the odd coefficients are exact zeros) plus 3
+    // Paterson-Stockmeyer products, then 3 double angles (K = 12): 12
+    // key-switches. 17 rescales: the normalization, the 12 products and
+    // one per leaf (4 leaves). At 64 slots on N=2^8 the bootstrap runs
+    // EvalMod once, on the packed real and imaginary parts; around it,
+    // SubSum, the conjugation, the StC head's half turn and 8 giant
+    // steps key-switch, and the 4 CtS/StC stages rescale. (The direct
+    // degree-119 sine it replaced paid 21 and 30, and its refresh 32
+    // and 35 with a normalizing rescale.)
 #if !defined(BTS_TELEMETRY)
     GTEST_SKIP() << "built without BTS_TELEMETRY";
 #endif
@@ -391,21 +399,22 @@ TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
     Ciphertext v;
     EXPECT_EQ(count_keyswitch_and_rescale(
                   [&] { v = be.boot->stage_eval_mod(parts[0]); }),
-              std::make_pair(21, 30));
+              std::make_pair(12, 17));
     EXPECT_EQ(v.level, be.boot->stc_input_level());
+    EXPECT_EQ(v.scale, env.ctx.delta());
 
     EXPECT_EQ(count_keyswitch_and_rescale(
                   [&] { (void)be.boot->bootstrap(ct); }),
-              std::make_pair(32, 35));
+              std::make_pair(23, 21));
 }
 
 TEST(Bootstrap, FullSlotRefreshMatchesPlaintext)
 {
-    // L=20: 3 (CtS) + 8 (EvalMod) + 3 (StC) + 1 (normalize) levels
-    // leave level 5. PrecisionHoldsAcrossDraws' protocol and bound at
-    // 128 slots: the worst draw's max slot error measures 2.70e-4
-    // (draw 9).
-    constexpr double kBound = 4e-4;
+    // L=20: 3 (CtS) + 9 (EvalMod) + 3 (StC) levels leave level 5.
+    // PrecisionHoldsAcrossDraws' protocol at 128 slots: the worst
+    // draw's max slot error measures 9.78e-5 (draw 6; 2.70e-4 with the
+    // direct sine); the bound adds a ~20% margin.
+    constexpr double kBound = 1.2e-4;
     testing::BootTestEnv be(7321, {}, 20);
     FullSlotBoot full(be);
     auto& env = be.env;
@@ -443,11 +452,12 @@ TEST(Bootstrap, EvalModRunsOncePerPart)
 TEST(Bootstrap, PrecisionHoldsAcrossDraws)
 {
     // Refresh precision against the plaintext on the apps' instance
-    // (N=2^8, L=20, slots 64, degree-119 sine): 12 seeded draws in
-    // [-0.3, 0.3], each encrypted fresh, every refreshed slot compared
-    // with its input. The worst draw's max slot error measures 3.25e-4
-    // (draw 6; none garbles); the bound adds a ~20% margin.
-    constexpr double kBound = 4e-4;
+    // (N=2^8, L=20, slots 64, K = 12): 12 seeded draws in [-0.3, 0.3],
+    // each encrypted fresh, every refreshed slot compared with its
+    // input. The worst draw's max slot error measures 3.09e-5 (draw
+    // 11; none garbles; 3.25e-4 with the direct sine); the bound adds
+    // a ~30% margin.
+    constexpr double kBound = 4e-5;
     testing::BootTestEnv be(7321, {}, 20);
     auto& env = be.env;
     for (u64 draw = 0; draw < 12; ++draw) {
@@ -458,14 +468,39 @@ TEST(Bootstrap, PrecisionHoldsAcrossDraws)
     }
 }
 
-TEST(Bootstrap, SineSeriesIsAccurate)
+TEST(Bootstrap, EvalModMapIsAccurate)
 {
-    auto& be = boot_env();
-    const auto& series = be.boot->sine_series();
-    EXPECT_LT(series.max_error([](double u) {
-        return std::sin(2 * M_PI * u) / (2 * M_PI);
-    }),
-              1e-8);
+    // EvalMod in clear math: the cosine series on u - 1/4, r double
+    // angles, then the 1/(2*pi) the scale folds in, against
+    // sin(2*pi*u)/(2*pi) on [-K, K]. The series' degree is fixed and
+    // r follows from K alone. Maximum errors measured on this grid:
+    // 2.00e-11, 1.09e-9 and 5.71e-11.
+    struct Case
+    {
+        double k;
+        int r;
+        double bound;
+    };
+    auto& env = dense_env();
+    for (const Case& c : {Case{12.0, 3, 1e-10}, Case{14.0, 3, 1e-8},
+                          Case{24.0, 4, 1e-9}}) {
+        BootstrapConfig cfg = dense_config();
+        cfg.k_range = c.k;
+        const Bootstrapper boot(env.ctx, env.encoder, env.evaluator, cfg);
+        EXPECT_EQ(boot.double_angles(), c.r) << "K = " << c.k;
+        const ChebyshevSeries& series = boot.cos_series();
+        EXPECT_EQ(series.degree(), Bootstrapper::kSeriesDegree);
+        constexpr int kSamples = 1 << 16;
+        double worst = 0.0;
+        for (int i = 0; i <= kSamples; ++i) {
+            const double u = c.k * (2.0 * i / kSamples - 1.0);
+            double v = series.evaluate(u - 0.25);
+            for (int s = 0; s < c.r; ++s) v = 2.0 * v * v - 1.0;
+            worst = std::max(worst, std::abs(v - std::sin(2 * M_PI * u)) /
+                                        (2 * M_PI));
+        }
+        EXPECT_LT(worst, c.bound) << "K = " << c.k;
+    }
 }
 
 } // namespace

@@ -45,9 +45,10 @@ TEST(ChebyshevSeries, InterpolatesSmoothFunctions)
 
 TEST(ChebyshevSeries, ScaledSineForEvalMod)
 {
-    // The bootstrapping workhorse: sin(2 pi u)/(2 pi) over [-12, 12]
-    // at degree 159 must be accurate to ~1e-9 — this pins the degree
-    // budget the bootstrapper uses.
+    // A direct EvalMod sine: sin(2 pi u)/(2 pi) over [-12, 12] needs a
+    // degree above e*pi*K (here 159 for ~1e-9), which is why the
+    // bootstrapper evaluates a degree-28 cosine and double angles
+    // instead.
     const double k = 12.0;
     const auto series = ChebyshevSeries::interpolate(
         [](double u) { return std::sin(2 * M_PI * u) / (2 * M_PI); }, -k, k,
@@ -96,11 +97,11 @@ TEST(ChebyshevSeries, ParityGivesExactZeroCoefficients)
         check(ChebyshevSeries::interpolate(cos3, -1, 1, degree), 1,
               "cos(3x)");
     }
-    // The bootstrap's EvalMod sine.
+    // The bootstrap's EvalMod cosine (K = 12, r = 3).
     check(ChebyshevSeries::interpolate(
-              [](double u) { return std::sin(2 * M_PI * u) / (2 * M_PI); },
-              -12, 12, 119),
-          0, "sine");
+              [](double x) { return std::cos(2 * M_PI * x / 8); }, -12.25,
+              12.25, 28),
+          1, "cosine");
 }
 
 TEST(ChebyshevDivmod, ReconstructsOriginal)
@@ -127,14 +128,45 @@ TEST(ChebyshevDivmod, ReconstructsOriginal)
     }
 }
 
-TEST(ChebyshevEvaluator, DepthFormula)
+TEST(ChebyshevEvaluator, LevelsMatchEvaluate)
 {
-    // degree < m: just baby steps; larger degrees add giant squarings.
+    // levels() walks the divmod tree evaluate() runs, so it must equal
+    // the levels evaluate() consumes at every degree. exp has no zero
+    // coefficient: every power up to the top giant is read. The
+    // refresh's even degree-28 cosine reads no odd power and sits a
+    // level higher than a full degree-28 series.
     EXPECT_EQ(ChebyshevEvaluator::baby_step_count(15), 4);
     EXPECT_EQ(ChebyshevEvaluator::baby_step_count(31), 8);
-    EXPECT_GE(ChebyshevEvaluator::depth(31), 4);
-    EXPECT_LE(ChebyshevEvaluator::depth(31), 7);
-    EXPECT_LE(ChebyshevEvaluator::depth(159), 9);
+    auto& env =
+        testing::cached_env("cheby-levels", runtime::functional_params(10, 91));
+    std::vector<Complex> z(64);
+    Xoshiro256 rng(92);
+    for (auto& v : z) v = Complex(2 * rng.uniform_real() - 1, 0);
+    const Ciphertext ct = env.encrypt(z);
+    const ChebyshevEvaluator cheby(env.evaluator);
+    const auto consumed = [&](const ChebyshevSeries& series) {
+        return ct.level - cheby.evaluate(ct, series, env.mult_key).level;
+    };
+    for (int degree = 1; degree <= 130; ++degree) {
+        const auto series = ChebyshevSeries::interpolate(
+            [](double x) { return std::exp(x); }, -1, 1, degree);
+        EXPECT_EQ(ChebyshevEvaluator::levels(series), consumed(series))
+            << "degree " << degree;
+    }
+    const auto cosine = ChebyshevSeries::interpolate(
+        [](double x) { return std::cos(2 * M_PI * x / 8); }, -12.25, 12.25,
+        28);
+    EXPECT_EQ(ChebyshevEvaluator::levels(cosine), 6);
+    EXPECT_EQ(consumed(cosine), 6);
+    // Endpoints of the old closed form's misses: one level too many at
+    // degree 1, one too few at 7 and 127.
+    const auto exp_levels = [](int degree) {
+        return ChebyshevEvaluator::levels(ChebyshevSeries::interpolate(
+            [](double x) { return std::exp(x); }, -1, 1, degree));
+    };
+    EXPECT_EQ(exp_levels(1), 2);
+    EXPECT_EQ(exp_levels(7), 5);
+    EXPECT_EQ(exp_levels(127), 9);
 }
 
 /** One homomorphic-evaluation case on [-1, 1]. */

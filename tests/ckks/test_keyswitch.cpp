@@ -8,8 +8,9 @@
  *    NTT(sigma(a)) is an exact permutation of NTT(a), so any change of
  *    a single output bit is a bug, not a new golden value. The
  *    bootstrap digest was recorded again when sparse refreshes began
- *    to pack their real and imaginary parts through one EvalMod, a
- *    different computation of the same message.
+ *    to pack their real and imaginary parts through one EvalMod, and
+ *    again when EvalMod became a cosine series with double angles:
+ *    each time a different computation of the same message.
  *  - KeySwitch.TransformCounts: the NTT limb transforms, BConv calls
  *    and key-switches each op pays, from the kernel and evaluator
  *    telemetry spans.
@@ -257,7 +258,7 @@ TEST(KeySwitchGolden, Bootstrap)
     testing::BootTestEnv be(31);
     auto& env = be.env;
     const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
-    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0xc661af485a4032a4ULL);
+    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0x55f36d02096ddaeaULL);
 }
 
 /** What one traced call paid: NTT limb transforms (the limb counts the
@@ -346,9 +347,9 @@ TEST(KeySwitch, TransformCounts)
         be.env.encrypt(be.env.random_message(64, 0.3, 32), 0);
     const TransformCounts boot =
         count_transforms([&] { (void)be.boot->bootstrap(ct); });
-    EXPECT_EQ(boot.ntt_limbs, 2505);
-    EXPECT_EQ(boot.bconv, 171);
-    EXPECT_EQ(boot.keyswitch, 32);
+    EXPECT_EQ(boot.ntt_limbs, 1975);
+    EXPECT_EQ(boot.bconv, 134);
+    EXPECT_EQ(boot.keyswitch, 23);
 }
 
 } // namespace
