@@ -5,9 +5,10 @@
  * SlotToCoeff), then keep computing — the capability that makes FHE
  * "fully" homomorphic and the operation BTS accelerates.
  *
- * Runs a genuine (small, insecure-parameter) bootstrap; expect a few
- * seconds of CPU time — the point of the paper is that BTS does the
- * equivalent full-size refresh in ~10 ms.
+ * Runs a genuine (small, insecure-parameter) bootstrap at N = 2^11;
+ * expect a few tenths of a second of CPU time for the refresh — the
+ * point of the paper is that BTS does a full-size (N = 2^17) refresh
+ * in ~10 ms.
  */
 #include <chrono>
 #include <cstdio>
@@ -52,6 +53,10 @@ main()
     printf("setting up bootstrapper (factored DFT stages + rotation "
            "keys)...\n");
     Bootstrapper boot(ctx, encoder, eval, cfg);
+    printf("EvalMod: degree-%d cosine series + %d double angles; "
+           "refreshes to level %d\n",
+           Bootstrapper::kSeriesDegree, boot.double_angles(),
+           boot.output_level());
     const RotationKeys rot_keys =
         keygen.gen_rotation_keys(sk, boot.required_rotations());
     boot.set_keys(&mult_key, &rot_keys, &conj_key);

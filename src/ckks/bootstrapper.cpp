@@ -11,6 +11,15 @@ namespace bts {
 
 namespace {
 
+/** N/2 / slots, once slots is checked (0 would divide by zero). */
+std::size_t
+gap_for(const CkksContext& ctx, std::size_t slots)
+{
+    BTS_CHECK(is_power_of_two(slots) && slots <= ctx.n() / 2,
+              "slots must be a power of two <= N/2");
+    return ctx.n() / 2 / slots;
+}
+
 /** The smallest r with K + 1/4 <= 2^(r+1): the series then spans at
  *  most two periods of its cosine on each side of 0. */
 int
@@ -44,14 +53,11 @@ Bootstrapper::Bootstrapper(const CkksContext& ctx, const CkksEncoder& encoder,
       encoder_(encoder),
       eval_(eval),
       config_(config),
-      gap_(ctx.n() / 2 / config.slots),
+      gap_(gap_for(ctx, config.slots)),
       packed_(2 * config.slots <= ctx.n() / 2),
       double_angles_(double_angles_for(config.k_range)),
       cos_series_(cos_series_for(config.k_range, double_angles_))
 {
-    BTS_CHECK(is_power_of_two(config_.slots) &&
-                  config_.slots <= ctx.n() / 2,
-              "slots must be a power of two <= N/2");
     BTS_CHECK((config_.cts_radix == 0) == (config_.stc_radix == 0),
               "cts_radix/stc_radix must be both zero (dense oracle) or "
               "both nonzero: the factored stages defer the DFT "

@@ -53,8 +53,8 @@ struct BootstrapConfig
      * integer part, so K scales ~linearly with gap (12 covers gap = 2
      * at hamming weight 32; gap = 4 needs ~24). The series' degree is
      * fixed; K sets the double-angle count r, the smallest with
-     * K + 1/4 <= 2^(r+1) (3 for 7.75 < K <= 15.75, 4 up to 31.75): doubling K
-     * costs one level and one key-switch.
+     * K + 1/4 <= 2^(r+1) (3 for 7.75 < K <= 15.75, 4 up to 31.75):
+     * doubling K costs one level and one key-switch.
      */
     double k_range = 12.0;
     /**

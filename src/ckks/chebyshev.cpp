@@ -364,9 +364,9 @@ ChebyshevEvaluator::evaluate(const Ciphertext& ct,
     // slope is applied as the integer k that lands the rescale near
     // Delta; from a high-scale input (the bootstrap's, at q0 = 2^50)
     // k has only about 30 bits. y's scale is derived from k itself, so
-    // the slots read y without k's rounding (5e-9 relative, which on
-    // EvalMod's [-12, 12] became the refresh's largest error) and the
-    // scale sits within that rounding of Delta.
+    // the slots read y without k's rounding (up to 5e-9 relative, which
+    // on EvalMod's [-12.25, 12.25] would be the refresh's largest
+    // error) and the scale sits within that rounding of Delta.
     BTS_CHECK(ct.level >= 1, "needs one level for the normalization");
     const double slope = 2.0 / (b - a);
     const double q_top = static_cast<double>(ct.b.prime(ct.level));

@@ -93,10 +93,8 @@ class ChebyshevEvaluator
     /**
      * Levels evaluate() consumes on @p series: one for the affine
      * normalization onto [-1, 1] plus the depth of the divmod tree
-     * below it, from the same walk evaluate() runs. Coefficients that
-     * are exactly zero count: the powers only they would read are not
-     * built, so an even or odd series can sit a level higher than a
-     * full one of its degree.
+     * below it, from the same walk evaluate() runs (which skips the
+     * powers only exact-zero coefficients would read).
      */
     static int levels(const ChebyshevSeries& series);
 

@@ -64,8 +64,6 @@ namespace {
 Ciphertext
 prefix_copy(const Ciphertext& a, int level)
 {
-    BTS_CHECK(level >= 0 && level <= a.level,
-              "cannot raise level by dropping");
     const std::size_t limbs = static_cast<std::size_t>(level) + 1;
     return Ciphertext{a.b.prefix(limbs), a.a.prefix(limbs), a.scale, level,
                       a.slots};

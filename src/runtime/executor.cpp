@@ -187,14 +187,10 @@ check_executed_metadata(const Graph& g, const Node& n,
                        << ", metadata says " << info.level);
     // Scales are approximate bookkeeping (rescale divides by the real
     // top prime, not delta) — a loose check that still catches
-    // mismatched-operand graph bugs. Bootstrap's output scale depends
-    // on the bootstrapper's normalize setting, so it is exempt.
-    if (n.kind != OpKind::kBootstrap) {
-        BTS_CHECK(std::abs(out.scale / info.scale - 1.0) < 1e-2,
-                  g.name() << ": " << op_name(n.kind)
-                           << " produced scale " << out.scale
-                           << ", metadata says " << info.scale);
-    }
+    // mismatched-operand graph bugs. A refresh lands on exactly delta.
+    BTS_CHECK(std::abs(out.scale / info.scale - 1.0) < 1e-2,
+              g.name() << ": " << op_name(n.kind) << " produced scale "
+                       << out.scale << ", metadata says " << info.scale);
 }
 
 } // namespace

@@ -284,6 +284,21 @@ TEST(Bootstrap, RejectsMixedDenseFactoredConfig)
     EXPECT_THROW(
         Bootstrapper(env.ctx, env.encoder, env.evaluator, cfg),
         std::invalid_argument);
+
+    // Regression: 0 slots divided by zero computing the SubSum gap
+    // (SIGFPE) before the slot count was checked.
+    cfg.stc_radix = 4;
+    cfg.slots = 0;
+    EXPECT_THROW(
+        Bootstrapper(env.ctx, env.encoder, env.evaluator, cfg),
+        std::invalid_argument);
+
+    // r is derived from K, which must be a positive finite range.
+    cfg.slots = 64;
+    cfg.k_range = 0.0;
+    EXPECT_THROW(
+        Bootstrapper(env.ctx, env.encoder, env.evaluator, cfg),
+        std::invalid_argument);
     (void)be;
 }
 
@@ -383,9 +398,7 @@ TEST(Bootstrap, EvalModKeySwitchAndRescaleCounts)
     // one per leaf (4 leaves). At 64 slots on N=2^8 the bootstrap runs
     // EvalMod once, on the packed real and imaginary parts; around it,
     // SubSum, the conjugation, the StC head's half turn and 8 giant
-    // steps key-switch, and the 4 CtS/StC stages rescale. (The direct
-    // degree-119 sine it replaced paid 21 and 30, and its refresh 32
-    // and 35 with a normalizing rescale.)
+    // steps key-switch, and the 4 CtS/StC stages rescale.
 #if !defined(BTS_TELEMETRY)
     GTEST_SKIP() << "built without BTS_TELEMETRY";
 #endif
@@ -412,8 +425,8 @@ TEST(Bootstrap, FullSlotRefreshMatchesPlaintext)
 {
     // L=20: 3 (CtS) + 9 (EvalMod) + 3 (StC) levels leave level 5.
     // PrecisionHoldsAcrossDraws' protocol at 128 slots: the worst
-    // draw's max slot error measures 9.78e-5 (draw 6; 2.70e-4 with the
-    // direct sine); the bound adds a ~20% margin.
+    // draw's max slot error measures 9.78e-5 (draw 6); the bound adds a
+    // ~20% margin.
     constexpr double kBound = 1.2e-4;
     testing::BootTestEnv be(7321, {}, 20);
     FullSlotBoot full(be);
@@ -455,8 +468,7 @@ TEST(Bootstrap, PrecisionHoldsAcrossDraws)
     // (N=2^8, L=20, slots 64, K = 12): 12 seeded draws in [-0.3, 0.3],
     // each encrypted fresh, every refreshed slot compared with its
     // input. The worst draw's max slot error measures 3.09e-5 (draw
-    // 11; none garbles; 3.25e-4 with the direct sine); the bound adds
-    // a ~30% margin.
+    // 11; none garbles); the bound adds a ~30% margin.
     constexpr double kBound = 4e-5;
     testing::BootTestEnv be(7321, {}, 20);
     auto& env = be.env;

@@ -133,8 +133,7 @@ TEST(ChebyshevEvaluator, LevelsMatchEvaluate)
     // levels() walks the divmod tree evaluate() runs, so it must equal
     // the levels evaluate() consumes at every degree. exp has no zero
     // coefficient: every power up to the top giant is read. The
-    // refresh's even degree-28 cosine reads no odd power and sits a
-    // level higher than a full degree-28 series.
+    // refresh's even degree-28 cosine reads no odd power.
     EXPECT_EQ(ChebyshevEvaluator::baby_step_count(15), 4);
     EXPECT_EQ(ChebyshevEvaluator::baby_step_count(31), 8);
     auto& env =
@@ -158,15 +157,6 @@ TEST(ChebyshevEvaluator, LevelsMatchEvaluate)
         28);
     EXPECT_EQ(ChebyshevEvaluator::levels(cosine), 6);
     EXPECT_EQ(consumed(cosine), 6);
-    // Endpoints of the old closed form's misses: one level too many at
-    // degree 1, one too few at 7 and 127.
-    const auto exp_levels = [](int degree) {
-        return ChebyshevEvaluator::levels(ChebyshevSeries::interpolate(
-            [](double x) { return std::exp(x); }, -1, 1, degree));
-    };
-    EXPECT_EQ(exp_levels(1), 2);
-    EXPECT_EQ(exp_levels(7), 5);
-    EXPECT_EQ(exp_levels(127), 9);
 }
 
 /** One homomorphic-evaluation case on [-1, 1]. */
