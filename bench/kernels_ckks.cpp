@@ -685,22 +685,19 @@ BENCHMARK(BM_Serving)
 void
 BM_ServingCostAdmission(benchmark::State& state)
 {
-    // Cost-aware admission vs FIFO on one lane, mixed traffic: each
-    // iteration front-loads 2 expensive bootstrap-refresh jobs and
-    // then 6 cheap dot products. Under FIFO the cheap jobs queue
-    // behind the refreshes; with cost-aware admission (Arg(0)=1) SJF
-    // pulls them ahead, which is the cheap-client p99 the counters
-    // expose. est_ratio vs exec_ratio is the predicted-vs-measured
-    // calibration check: the static cost model's expensive/cheap cost
-    // ratio against the wall-clock one (model seconds are simulator
-    // time, so only the ratio is comparable).
+    // Cost-aware admission on one lane, mixed traffic: each iteration
+    // front-loads 2 expensive bootstrap-refresh jobs and then 6 cheap
+    // dot products. SJF pulls the cheap jobs ahead of the queued
+    // refreshes, which is the cheap-client p99 the counters expose.
+    // est_ratio vs exec_ratio is the predicted-vs-measured calibration
+    // check: the static cost model's expensive/cheap cost ratio
+    // against the wall-clock one (model seconds are simulator time, so
+    // only the ratio is comparable).
     const ServeBench& sb = serve_bench();
-    const bool cost_aware = state.range(0) != 0;
     const ServeBench::GraphSet& gs = sb.sets[1];
 
     runtime::ServerOptions opts;
     opts.lanes = 1; // queue ordering, not lane count, under test
-    opts.cost_aware = cost_aware;
     runtime::GraphServer server(sb.resources(), opts);
     // Register so admission has cost estimates, and rebind the
     // prebuilt payloads onto the server's cached optimized graphs.
@@ -759,7 +756,6 @@ BM_ServingCostAdmission(benchmark::State& state)
     server.drain();
     const runtime::ServerStats s = server.stats();
     state.SetItemsProcessed(state.iterations() * (kRefresh + kDot));
-    state.counters["cost_aware"] = cost_aware ? 1 : 0;
     const auto it = s.p99_latency_by_client_s.find("cheap");
     state.counters["cheap_p99_ms"] =
         it == s.p99_latency_by_client_s.end() ? 0.0
@@ -773,8 +769,6 @@ BM_ServingCostAdmission(benchmark::State& state)
                      : 0;
 }
 BENCHMARK(BM_ServingCostAdmission)
-    ->Arg(0)
-    ->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -17,16 +17,19 @@ namespace {
  * Serial-schedule liveness walk, mirroring Executor::run_serial op for
  * op: bind ciphertext inputs (drop unused ones immediately, sample the
  * peak once after binding), then per node — materialize outputs,
- * sample the peak, release input uses, drop dead outputs. @p bytes_of
- * maps a value's level to its residency cost (bytes, or limb units for
- * the instance-free profile); @p per_node (optional) receives the
- * post-node live set.
+ * sample the peak, release input uses, drop dead outputs. A value at
+ * `level` weighs 2 (level+1) N 8 bytes: the two RnsPoly components of
+ * (level+1) residue rows of N words. Fills @p s's peaks and every
+ * node's post-node live set.
  */
 void
-liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
-              std::size_t& peak_values, double& peak_bytes,
-              std::vector<NodeResource>* per_node)
+liveness_walk(const Graph& g, const hw::CkksInstance& inst,
+              ResourceSummary& s)
 {
+    const double n_words = static_cast<double>(inst.n);
+    const auto bytes_of = [n_words](int level) {
+        return 2.0 * (level + 1) * n_words * 8.0;
+    };
     std::vector<int> uses_left(g.num_values(), 0);
     for (std::size_t id = 0; id < g.num_values(); ++id) {
         const ValueInfo& info = g.value(static_cast<int>(id));
@@ -47,8 +50,8 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
         live_bytes += bytes_of(info.level);
         if (uses_left[id] == 0) drop(id); // declared but unused
     }
-    peak_values = live;
-    peak_bytes = live_bytes;
+    s.peak_live_values = live;
+    s.peak_live_bytes = live_bytes;
 
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         const Node& n = g.node(i);
@@ -56,8 +59,8 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
             ++live;
             live_bytes += bytes_of(g.value(out).level);
         }
-        peak_values = std::max(peak_values, live);
-        peak_bytes = std::max(peak_bytes, live_bytes);
+        s.peak_live_values = std::max(s.peak_live_values, live);
+        s.peak_live_bytes = std::max(s.peak_live_bytes, live_bytes);
         for (const int in : n.inputs) {
             if (uses_left[in] <= 0) continue; // plaintext slots stay 0
             if (--uses_left[in] == 0) drop(in);
@@ -65,27 +68,9 @@ liveness_walk(const Graph& g, const std::function<double(int)>& bytes_of,
         for (const int out : n.outputs) {
             if (uses_left[out] == 0) drop(out); // dead result
         }
-        if (per_node != nullptr) {
-            (*per_node)[i].live_after = live;
-            (*per_node)[i].live_bytes_after = live_bytes;
-        }
+        s.nodes[i].live_after = live;
+        s.nodes[i].live_bytes_after = live_bytes;
     }
-}
-
-/** Count evk-bearing primitive ops of one node (grouped rotations
- *  count one per amount). Instance-free: a bootstrap's internal plan
- *  depends on the instance, so the composite node counts as one. */
-std::size_t
-node_evk_ops(const Node& n)
-{
-    switch (op_info(n.kind).key) {
-    case KeyClass::kNone: return 0;
-    case KeyClass::kRotation: return node_rotations(n).size();
-    case KeyClass::kMult:
-    case KeyClass::kConj:
-    case KeyClass::kBootstrap: return 1;
-    }
-    return 0;
 }
 
 /**
@@ -166,20 +151,6 @@ human_bytes(double bytes)
 
 } // namespace
 
-LivenessStats
-analyze_liveness(const Graph& g)
-{
-    LivenessStats s;
-    s.nodes = g.num_nodes();
-    for (const Node& n : g.nodes()) s.evk_ops += node_evk_ops(n);
-    double peak_limbs = 0;
-    liveness_walk(
-        g, [](int level) { return 2.0 * (level + 1); },
-        s.peak_live_values, peak_limbs, nullptr);
-    s.peak_live_limbs = static_cast<std::size_t>(std::lround(peak_limbs));
-    return s;
-}
-
 ResourceSummary
 analyze_resources(const Graph& g, const hw::CkksInstance& inst,
                   const sim::BtsConfig& hw)
@@ -231,15 +202,7 @@ analyze_resources(const Graph& g, const hw::CkksInstance& inst,
             std::max(s.evk_working_set_bytes, node_evk_resident);
     }
 
-    // Liveness: ciphertext bytes(level) = 2 (level+1) N 8 — the two
-    // RnsPoly components of (level+1) residue rows of N words.
-    const double n_words = static_cast<double>(inst.n);
-    liveness_walk(
-        g,
-        [n_words](int level) {
-            return 2.0 * (level + 1) * n_words * 8.0;
-        },
-        s.peak_live_values, s.peak_live_bytes, &s.nodes);
+    liveness_walk(g, inst, s);
 
     // Critical path: longest cost-weighted dependence chain.
     std::vector<double> finish(g.num_nodes(), 0);

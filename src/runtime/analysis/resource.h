@@ -100,24 +100,6 @@ struct ResourceSummary
     std::vector<NodeResource> nodes; //!< per graph node, in order
 };
 
-/** Instance-free liveness profile — the pass pipeline's per-pass
- *  resource delta (PassManager has no CkksInstance in scope, so bytes
- *  are reported in limb units: one unit = one residue polynomial,
- *  2 (level+1) such units per ciphertext at `level`). */
-struct LivenessStats
-{
-    std::size_t nodes = 0;            //!< graph nodes
-    std::size_t evk_ops = 0;          //!< evk-bearing primitive ops
-                                      //!< (hoisted groups count per
-                                      //!< amount)
-    std::size_t peak_live_values = 0; //!< serial-schedule peak
-    std::size_t peak_live_limbs = 0;  //!< peak sum of 2 (level+1)
-};
-
-/** Serial-schedule liveness only — no instance, no cost model.
- *  The exact value-count/limb analysis analyze_resources() embeds. */
-LivenessStats analyze_liveness(const Graph& g);
-
 /**
  * Run the full resource analysis of @p g on @p inst under @p hw.
  * Inherits lower_to_trace's level-geometry preconditions (value levels

@@ -49,7 +49,6 @@ struct Executor::Sched
     std::size_t in_flight = 0;
     std::size_t live = 0;
     std::size_t live_bytes = 0;
-    std::size_t window = 1;
     ExecStats stats;
     std::exception_ptr error;
     /** The run's static resource analysis (telemetry span cost tags);
@@ -111,7 +110,6 @@ Executor::Executor(EvalResources res, ExecOptions opts)
     BTS_CHECK(res_.eval != nullptr && res_.encoder != nullptr,
               "executor needs an evaluator and an encoder");
     BTS_CHECK(opts_.lanes >= 1, "executor lanes must be >= 1");
-    BTS_CHECK(opts_.max_in_flight >= 0, "max_in_flight must be >= 0");
     if (opts_.lanes > 1) {
         pool_ = std::make_unique<ThreadPool>(opts_.lanes);
     }
@@ -481,17 +479,13 @@ Executor::run(const Graph& g, Binding inputs, ExecStats* stats,
     Sched sched;
     sched.predicted = predicted;
     init_sched(g, inputs, sched);
-    sched.window = opts_.max_in_flight > 0
-                       ? static_cast<std::size_t>(opts_.max_in_flight)
-                       : static_cast<std::size_t>(opts_.lanes);
 
     const auto worker = [&]() {
         for (;;) {
             std::unique_lock<std::mutex> lock(sched.m);
             sched.cv.wait(lock, [&] {
                 return sched.error || sched.done == sched.num_nodes ||
-                       (!sched.ready.empty() &&
-                        sched.in_flight < sched.window);
+                       !sched.ready.empty();
             });
             if (sched.error || sched.done == sched.num_nodes) return;
             const std::size_t node_idx = sched.ready.front();
@@ -547,7 +541,6 @@ Executor::run_serial(const Graph& g, Binding inputs,
     const Plan& plan = *plan_owner;
     Sched sched;
     init_sched(g, inputs, sched);
-    sched.window = 1;
 
     // Program order IS a topological order (SSA by construction), so
     // the reference backend is a plain loop over the node list.

@@ -6,7 +6,7 @@
  * This adds *inter-op* parallelism on top of the library's intra-op
  * limb/coefficient tiling (src/common/parallel.h): independent HMult /
  * HRot / rescale chains of one graph execute concurrently on worker
- * lanes, bounded by an in-flight window. Every node runs the exact
+ * lanes, one node per lane at a time. Every node runs the exact
  * same Evaluator call regardless of schedule, so results are
  * bit-identical at any lane count — run_serial() executes the same
  * per-node code in program order and is the reference the tests pin
@@ -65,11 +65,9 @@ struct EvalResources
 /** Scheduler knobs. */
 struct ExecOptions
 {
-    /** Worker lanes (1 = inline on the calling thread). */
+    /** Worker lanes (1 = inline on the calling thread); each runs
+     *  one node at a time, so at most this many nodes are in flight. */
     int lanes = 1;
-    /** Max concurrently-executing nodes; 0 = lanes. Bounding below
-     *  lanes trades parallelism for a smaller live working set. */
-    int max_in_flight = 0;
 };
 
 /** Observability for tests and the serving harness. nodes and the

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
-#include <ostream>
 #include <utility>
 
 #include "common/check.h"
@@ -390,55 +389,6 @@ PassManager::optimize(const Graph& g) const
         emit_same(out, g, idx, map);
     });
 
-    const auto log_pass = [&](const char* name, const PassStats& before) {
-        if (!opts_.log) return;
-        std::ostream& os = *opts_.log;
-        os << "[passes] " << g.name() << " · " << name << ":";
-        if (stats.rescales_inserted != before.rescales_inserted) {
-            os << " rescales_inserted="
-               << (stats.rescales_inserted - before.rescales_inserted);
-        }
-        if (stats.nodes_eliminated != before.nodes_eliminated) {
-            os << " nodes_eliminated="
-               << (stats.nodes_eliminated - before.nodes_eliminated);
-        }
-        if (stats.rotations_grouped != before.rotations_grouped) {
-            os << " rotations_grouped="
-               << (stats.rotations_grouped - before.rotations_grouped);
-        }
-        if (stats.ops_fused != before.ops_fused) {
-            os << " ops_fused=" << (stats.ops_fused - before.ops_fused);
-        }
-        os << "\n";
-    };
-
-    // Per-pass resource deltas: re-profile the (instance-free) liveness
-    // after every pass that ran, so regressions like "fusion raised the
-    // peak live set" are attributable to one pass from stats alone.
-    analysis::LivenessStats live = analysis::analyze_liveness(cur.graph);
-    const auto record_delta = [&](const std::string& name) {
-        PassResourceDelta d;
-        d.pass = name;
-        d.before = live;
-        d.after = analysis::analyze_liveness(cur.graph);
-        live = d.after;
-        if (opts_.log &&
-            (d.after.nodes != d.before.nodes ||
-             d.after.evk_ops != d.before.evk_ops ||
-             d.after.peak_live_values != d.before.peak_live_values ||
-             d.after.peak_live_limbs != d.before.peak_live_limbs)) {
-            *opts_.log << "[passes] " << g.name() << " · " << name
-                       << " resources: nodes " << d.before.nodes << "->"
-                       << d.after.nodes << ", evk_ops "
-                       << d.before.evk_ops << "->" << d.after.evk_ops
-                       << ", peak_live " << d.before.peak_live_values
-                       << "->" << d.after.peak_live_values << " ct ("
-                       << d.before.peak_live_limbs << "->"
-                       << d.after.peak_live_limbs << " limbs)\n";
-        }
-        stats.resource_deltas.push_back(std::move(d));
-    };
-
     // Inter-pass verification: the well-formedness subset (structure
     // cross-links + metadata re-inference) after every pass, so a
     // corrupting pass fails HERE with its name instead of corrupting
@@ -468,36 +418,23 @@ PassManager::optimize(const Graph& g) const
     };
 
     if (opts_.place_rescales) {
-        const PassStats before = stats;
         apply(place_rescales(cur.graph, stats));
-        log_pass("place-rescales", before);
-        record_delta("place-rescales");
         verify_after("place-rescales");
     }
     if (opts_.eliminate_dead) {
-        const PassStats before = stats;
         apply(eliminate_dead(cur.graph, stats));
-        log_pass("dead-value-elim", before);
-        record_delta("dead-value-elim");
         verify_after("dead-value-elim");
     }
     if (opts_.group_rotations) {
-        const PassStats before = stats;
         apply(group_rotations(cur.graph, stats));
-        log_pass("rotation-cse", before);
-        record_delta("rotation-cse");
         verify_after("rotation-cse");
     }
     if (opts_.fuse) {
-        const PassStats before = stats;
         apply(fuse_pairs(cur.graph, stats));
-        log_pass("fusion", before);
-        record_delta("fusion");
         verify_after("fusion");
     }
     for (const CustomPass& cp : opts_.custom_passes) {
         cp.run(cur.graph);
-        record_delta(cp.name);
         verify_after(cp.name);
     }
     return OptimizeResult{std::move(cur.graph), stats,

@@ -31,11 +31,9 @@
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "runtime/analysis/resource.h"
 #include "runtime/graph.h"
 
 namespace bts::runtime::passes {
@@ -73,8 +71,6 @@ struct PassOptions
     VerifyMode verify = VerifyMode::kAuto;
     /** Extra in-place passes run after the builtin pipeline. */
     std::vector<CustomPass> custom_passes;
-    /** When set, PassManager logs one stats line per pass. */
-    std::ostream* log = nullptr;
 
     /** Everything off: optimize() degenerates to a structural copy. */
     static PassOptions
@@ -97,17 +93,6 @@ struct PassOptions
     }
 };
 
-/** Before/after resource profile of one pass that ran — what the pass
- *  did to the graph's static cost shape, not just its node count.
- *  Instance-free (analysis::analyze_liveness), so it is available for
- *  every optimize() call without a CkksInstance in scope. */
-struct PassResourceDelta
-{
-    std::string pass;
-    analysis::LivenessStats before;
-    analysis::LivenessStats after;
-};
-
 /** Aggregate pass statistics for one optimize() call. */
 struct PassStats
 {
@@ -115,8 +100,6 @@ struct PassStats
     std::size_t nodes_eliminated = 0;  //!< DVE + rotation-CSE dedupe
     std::size_t rotations_grouped = 0; //!< kHRot folded into groups
     std::size_t ops_fused = 0;         //!< node pairs collapsed
-    /** One entry per pass that ran (builtin and custom), in order. */
-    std::vector<PassResourceDelta> resource_deltas;
 };
 
 /** optimize() result: the rewritten graph plus the value-id remap

@@ -170,7 +170,6 @@ std::future<JobResult>
 GraphServer::submit(JobRequest req)
 {
     BTS_CHECK(req.graph != nullptr, "job has no graph");
-    BTS_CHECK(req.deadline_s >= 0, "deadline must be >= 0");
     BTS_TRACE_INSTANT(kServer, "job.submitted", req.graph->uid());
     Job job;
     job.req = std::move(req);
@@ -179,34 +178,16 @@ GraphServer::submit(JobRequest req)
         MutexLock lock(mutex_);
         const auto est = summaries_.find(job.req.graph->uid());
         if (est != summaries_.end()) job.summary = &est->second;
-        // Charged to the cost budget only when there IS an estimate.
-        const double charge = std::max(job.est_cost_s(), 0.0);
         // stop_ must be part of the wait predicate: a submitter blocked
         // on a full queue can otherwise wake after the lanes exited and
-        // enqueue a job nobody will ever pop (broken promise). The cost
-        // budget admits into an empty queue unconditionally, so one
-        // over-budget job can never deadlock admission.
-        while (!(stop_ ||
-                 (queue_.size() < opts_.queue_capacity &&
-                  (opts_.max_queued_cost_s <= 0 || queue_.empty() ||
-                   queued_cost_s_ + charge <=
-                       opts_.max_queued_cost_s)))) {
+        // enqueue a job nobody will ever pop (broken promise).
+        while (!stop_ && queue_.size() >= opts_.queue_capacity) {
             space_cv_.wait(mutex_);
         }
         BTS_CHECK(!stop_, "server is shutting down");
         job.submitted = Clock::now();
-        if (job.req.deadline_s > 0) {
-            job.has_deadline = true;
-            job.deadline =
-                job.submitted +
-                std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(job.req.deadline_s));
-        }
         if (submitted_ == 0) first_submit_ = job.submitted;
         ++submitted_;
-        queued_cost_s_ += charge;
-        peak_queued_cost_s_ = std::max(peak_queued_cost_s_,
-                                       queued_cost_s_);
         queue_.push_back(std::move(job));
         BTS_TRACE_INSTANT(kServer, "job.admitted", queue_.size());
         BTS_TRACE_COUNTER(kServer, "server.queue_depth", queue_.size());
@@ -228,30 +209,18 @@ GraphServer::drain()
 std::size_t
 GraphServer::pick_job() const
 {
-    if (!opts_.cost_aware) return 0;
-    // Priority desc, then earliest deadline (deadline jobs ahead of
-    // deadline-free ones), then smallest estimate (SJF — keeps cheap
-    // traffic from queueing behind one expensive job; no estimate
-    // orders as infinitely expensive), then FIFO. O(queue) per pickup,
-    // bounded by queue_capacity.
-    const auto cost_key = [](const Job& j) {
+    // Smallest estimate (SJF — keeps cheap traffic from queueing
+    // behind one expensive job; no estimate orders as infinitely
+    // expensive), then FIFO. O(queue) per pickup, bounded by
+    // queue_capacity.
+    const auto cost = [](const Job& j) {
         return j.summary == nullptr
                    ? std::numeric_limits<double>::infinity()
-                   : j.est_cost_s();
-    };
-    const auto better = [&](const Job& a, const Job& b) {
-        if (a.req.priority != b.req.priority) {
-            return a.req.priority > b.req.priority;
-        }
-        if (a.has_deadline != b.has_deadline) return a.has_deadline;
-        if (a.has_deadline && a.deadline != b.deadline) {
-            return a.deadline < b.deadline;
-        }
-        return cost_key(a) < cost_key(b);
+                   : j.summary->total_work_s;
     };
     std::size_t best = 0;
     for (std::size_t i = 1; i < queue_.size(); ++i) {
-        if (better(queue_[i], queue_[best])) best = i;
+        if (cost(queue_[i]) < cost(queue_[best])) best = i;
     }
     return best;
 }
@@ -274,7 +243,6 @@ GraphServer::lane_loop(int lane_idx)
             job = std::move(queue_[idx]);
             queue_.erase(queue_.begin() +
                          static_cast<std::ptrdiff_t>(idx));
-            queued_cost_s_ -= std::max(job.est_cost_s(), 0.0);
             ++active_;
             BTS_TRACE_INSTANT(kServer, "job.scheduled",
                               job.req.graph->uid());
@@ -283,15 +251,15 @@ GraphServer::lane_loop(int lane_idx)
             ServerMetrics::instance().queue_depth.set(
                 static_cast<double>(queue_.size()));
         }
-        // notify_all, not notify_one: with cost backpressure,
-        // submitters block on different budgets — the one woken might
-        // not be the one whose predicate just became true.
-        space_cv_.notify_all();
+        // One freed slot admits one submitter: every blocked submitter
+        // waits on the same predicate.
+        space_cv_.notify_one();
 
         const Clock::time_point start = Clock::now();
         JobResult result;
         result.queue_s = seconds(start - job.submitted);
-        result.est_cost_s = std::max(job.est_cost_s(), 0.0);
+        result.est_cost_s =
+            job.summary != nullptr ? job.summary->total_work_s : 0.0;
         bool ok = true;
         {
             BTS_TRACE_SPAN_VAR(job_span, kServer, "job");
@@ -363,8 +331,6 @@ GraphServer::stats() const
         s.completed = completed_;
         s.failed = failed_;
         s.completed_by_client = completed_by_client_;
-        s.queued_cost_s = queued_cost_s_;
-        s.peak_queued_cost_s = peak_queued_cost_s_;
         sorted = latencies_s_;
         client_sorted = client_latencies_s_;
         if (completed_ > 0) {

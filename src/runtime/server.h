@@ -7,9 +7,13 @@
  * above single Evaluator calls: clients submit (graph, inputs) jobs
  * and receive futures; each lane owns an Executor (so evk handles and
  * CMult plaintexts stay warm across that lane's jobs) and drains the
- * queue FIFO. Backpressure is by admission: submit() blocks while the
- * queue is at capacity, bounding the server's resident ciphertext
- * footprint.
+ * queue shortest-job-first: a lane picks the queued job with the
+ * smallest estimated cost (the ResourceSummary register_graph()
+ * caches), then FIFO, so a stream of cheap jobs does not queue behind
+ * one expensive one. A job whose graph has no summary is picked after
+ * every estimated one but is never rejected. Backpressure is by
+ * admission: submit() blocks while the queue is at capacity, bounding
+ * the server's resident ciphertext footprint.
  *
  * Throughput scales with lanes because jobs are independent: each
  * lane's Evaluator calls run concurrently against the shared immutable
@@ -43,13 +47,6 @@ struct JobRequest
     const Graph* graph = nullptr;
     Binding inputs;
     std::string client; //!< ServerStats::completed_by_client bucket
-    /** Scheduling class (cost-aware mode): higher-priority jobs are
-     *  always picked before lower, regardless of cost or deadline. */
-    int priority = 0;
-    /** Relative deadline in seconds from submission; 0 = none. Within
-     *  a priority class, deadline jobs run earliest-deadline-first
-     *  ahead of deadline-free ones. */
-    double deadline_s = 0;
 };
 
 /** What a completed job hands back through its future. */
@@ -70,24 +67,6 @@ struct ServerOptions
     int lanes = 1;        //!< concurrent jobs (one Executor per lane)
     int lanes_per_job = 1; //!< intra-graph executor lanes on each lane
     std::size_t queue_capacity = 64; //!< admission bound (backpressure)
-    /**
-     * Cost-aware admission (default on): lanes pick the queued job
-     * with the highest priority, then the earliest deadline, then the
-     * smallest estimated cost (shortest-job-first keeps a stream of
-     * cheap jobs from queueing behind one expensive one), then FIFO.
-     * Estimates come from the ResourceSummary register_graph() caches;
-     * a job whose graph has no summary is ordered as if infinitely
-     * expensive (conservative) but is never rejected. Off = pure FIFO,
-     * the pre-cost-model behaviour.
-     */
-    bool cost_aware = true;
-    /**
-     * Cost backpressure: submit() additionally blocks while the
-     * estimated cost already queued exceeds this many seconds (so the
-     * queue is bounded by predicted work, not just job count). An
-     * empty queue always admits one job of any size. 0 = unlimited.
-     */
-    double max_queued_cost_s = 0;
 };
 
 /** Aggregate serving metrics since construction. */
@@ -106,10 +85,6 @@ struct ServerStats
     double mean_exec_s = 0;
     /** completed / (last completion - first admission). */
     double jobs_per_s = 0;
-    /** Estimated cost currently sitting in the queue, and its
-     *  high-water mark (cost backpressure observability). */
-    double queued_cost_s = 0;
-    double peak_queued_cost_s = 0;
 };
 
 /**
@@ -185,24 +160,15 @@ class GraphServer
         JobRequest req;
         std::promise<JobResult> promise;
         Clock::time_point submitted;
-        Clock::time_point deadline{}; //!< absolute; valid iff has_deadline
-        bool has_deadline = false;
         /** The graph's cached resource analysis (an entry of
          *  summaries_, which outlives every job); null = no estimate
-         *  (ordered as infinitely expensive, charged 0 to the cost
-         *  backpressure, node spans tagged with zero cost). */
+         *  (picked last, node spans tagged with zero cost). */
         const analysis::ResourceSummary* summary = nullptr;
-
-        double
-        est_cost_s() const
-        {
-            return summary != nullptr ? summary->total_work_s : -1.0;
-        }
     };
 
     void lane_loop(int lane_idx);
     /** Index of the job a lane should take next (queue must be
-     *  non-empty). FIFO front unless cost_aware. */
+     *  non-empty): the smallest estimate, then FIFO. */
     std::size_t pick_job() const BTS_REQUIRES(mutex_);
 
     EvalResources res_;
@@ -229,9 +195,6 @@ class GraphServer
      *  (what jobs submit against); the admission cost estimates. */
     std::map<u64, analysis::ResourceSummary> summaries_
         BTS_GUARDED_BY(mutex_);
-    /** Estimated cost queued but not yet picked up (backpressure). */
-    double queued_cost_s_ BTS_GUARDED_BY(mutex_) = 0;
-    double peak_queued_cost_s_ BTS_GUARDED_BY(mutex_) = 0;
 
     // Stats, under mutex_.
     std::size_t submitted_ BTS_GUARDED_BY(mutex_) = 0;

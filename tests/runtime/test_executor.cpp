@@ -190,23 +190,6 @@ TEST(Executor, PlanCacheSurvivesGraphAddressReuse)
     }
 }
 
-TEST(Executor, InFlightWindowBoundsParallelism)
-{
-    auto& e = renv();
-    const Graph g = fanout_graph(e.traits());
-    Binding b;
-    b.bind(Value{g.input_ids()[0]},
-           e.env.encrypt(e.env.random_message(e.env.ctx.n() / 2, 1.0, 5)));
-
-    ExecOptions opts;
-    opts.lanes = 8;
-    opts.max_in_flight = 2;
-    const Executor exec(e.resources(), opts);
-    ExecStats stats;
-    exec.run(g, std::move(b), &stats);
-    EXPECT_LE(stats.peak_in_flight, 2u);
-}
-
 TEST(Executor, PlaintextHandleCacheWarmsAcrossRuns)
 {
     auto& e = renv();

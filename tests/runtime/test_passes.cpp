@@ -1,13 +1,12 @@
 // Pass-pipeline unit tests: pure graph-level pins (no crypto) for the
 // waterline rescale placement, dead-value elimination, rotation CSE
 // and fusion passes — legality rules, stats accounting,
-// value-map correctness, idempotence and the DOT/logging satellites.
+// value-map correctness, idempotence and the DOT renderer.
 // Bit-exactness of optimized execution is pinned separately in
 // test_passes_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <string>
 
 #include "runtime/apps/sort.h"
@@ -278,20 +277,12 @@ TEST(PassManager, SortGraphExercisesEveryPass)
     cfg.optimize = false;
     const apps::SortApp raw = apps::build_sort(cfg, t);
 
-    std::ostringstream log;
-    passes::PassOptions o; // default: everything on
-    o.log = &log;
     const passes::OptimizeResult r =
-        passes::PassManager(o).optimize(raw.graph);
+        passes::PassManager().optimize(raw.graph);
     EXPECT_GT(r.stats.rotations_grouped, 0u);
     EXPECT_GT(r.stats.ops_fused, 0u);
     EXPECT_GT(r.graph.count_kind(OpKind::kHRotHoisted), 0);
     EXPECT_LT(r.graph.num_nodes(), raw.graph.num_nodes());
-    // Per-pass stats logging (the observability satellite).
-    const std::string text = log.str();
-    EXPECT_NE(text.find("[passes] sort_app"), std::string::npos);
-    EXPECT_NE(text.find("rotation-cse"), std::string::npos);
-    EXPECT_NE(text.find("ops_fused="), std::string::npos);
 }
 
 TEST(Graph, ValidationErrorsNameNodeIndexAndKind)
@@ -323,7 +314,7 @@ TEST(Graph, ValidationErrorsNameNodeIndexAndKind)
     }
 }
 
-TEST(Dot, RendersStructureLazinessAndComposites)
+TEST(Dot, RendersStructureAndComposites)
 {
     const GraphTraits t = small_traits();
     Graph g("viz", t);

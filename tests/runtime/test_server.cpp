@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include "ckks/test_utils.h"
@@ -185,6 +186,44 @@ TEST(GraphServer, TinyQueueBackpressures)
     // drain() — not future.get() — is the stats sync point.
     server.drain();
     EXPECT_EQ(server.stats().completed, 6u);
+}
+
+TEST(GraphServer, ConcurrentSubmittersShareATinyQueue)
+{
+    // Several submitters block on one full slot at once. Each freed
+    // slot wakes one of them, and none may be left waiting: a lost
+    // wakeup hangs this test.
+    auto& e = senv();
+    ServerOptions opts;
+    opts.lanes = 2;
+    opts.queue_capacity = 1;
+    GraphServer server(e.resources(), opts);
+    constexpr int kThreads = 4;
+    constexpr int kJobsEach = 3;
+    // Encrypt up front: the environment's samplers are not shared
+    // across threads.
+    std::vector<std::vector<JobRequest>> reqs(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        for (int j = 0; j < kJobsEach; ++j) {
+            reqs[t].push_back(e.poly_job(600 + 10 * t + j));
+        }
+    }
+    std::vector<std::vector<std::future<JobResult>>> futures(kThreads);
+    std::vector<std::thread> submitters;
+    for (int t = 0; t < kThreads; ++t) {
+        submitters.emplace_back([&, t] {
+            for (JobRequest& req : reqs[t]) {
+                futures[t].push_back(server.submit(std::move(req)));
+            }
+        });
+    }
+    for (std::thread& th : submitters) th.join();
+    for (auto& per_thread : futures) {
+        for (auto& f : per_thread) EXPECT_EQ(f.get().outputs.size(), 1u);
+    }
+    server.drain();
+    EXPECT_EQ(server.stats().completed,
+              static_cast<std::size_t>(kThreads * kJobsEach));
 }
 
 TEST(GraphServer, RegisterGraphOptimizesOnceAndServesBitExact)
