@@ -133,6 +133,11 @@ class CkksContext
      *  constants; P^{-1} does not depend on the level). */
     const std::vector<ShoupMul>& p_inv_shoup() const { return p_inv_shoup_; }
 
+    /** Shoup contexts for [P]_{q_i}, i = 0..L: P times a level-l
+     *  polynomial on the Q limbs of an extended-base (Q*P) one, where
+     *  its special-prime limbs are 0 (double-hoisted transforms). */
+    const std::vector<ShoupMul>& p_shoup() const { return p_shoup_; }
+
     /** Cached base converter (built lazily, keyed by source/target). */
     const BaseConverter& converter(const std::vector<u64>& source,
                                    const std::vector<u64>& target) const;
@@ -151,6 +156,7 @@ class CkksContext
     std::vector<std::vector<u64>> rescale_q_mod_;      // [top][i], i < top
     std::vector<std::vector<ShoupMul>> rescale_inv_;   // [top][i], i < top
     std::vector<ShoupMul> p_inv_shoup_;                // [i], i <= L
+    std::vector<ShoupMul> p_shoup_;                    // [i], i <= L
     RnsBase p_base_;
     int log_pq_bits_;
     std::map<u64, std::unique_ptr<NttTables>> ntt_tables_;

@@ -97,6 +97,20 @@ Plaintext
 CkksEncoder::encode(const std::vector<Complex>& values, double scale,
                     int level) const
 {
+    return encode_on(values, scale, level, ctx_.level_primes(level));
+}
+
+Plaintext
+CkksEncoder::encode_extended(const std::vector<Complex>& values,
+                             double scale, int level) const
+{
+    return encode_on(values, scale, level, ctx_.extended_primes(level));
+}
+
+Plaintext
+CkksEncoder::encode_on(const std::vector<Complex>& values, double scale,
+                       int level, const std::vector<u64>& primes) const
+{
     const std::size_t n_slots = values.size();
     BTS_CHECK(is_power_of_two(n_slots) && n_slots <= max_slots(),
               "slot count must be a power of two <= N/2");
@@ -111,7 +125,6 @@ CkksEncoder::encode(const std::vector<Complex>& values, double scale,
 
     // Spread the size-n_slots embedding across the ring at stride `gap`:
     // real parts to the low half, imaginary parts to the high half.
-    const auto primes = ctx_.level_primes(level);
     RnsPoly poly(n, primes, Domain::kCoeff);
     for (std::size_t j = 0; j < n_slots; ++j) {
         const double re = w[j].real() * scale;

@@ -42,6 +42,16 @@ class CkksEncoder
     Plaintext encode(const std::vector<Complex>& values, double scale,
                      int level) const;
 
+    /**
+     * encode() onto extended_primes(level), {q_0..q_l, p_*}: the same
+     * rounded coefficients, reduced by the special primes too (its
+     * first l+1 limbs are encode()'s). The diagonals of a
+     * double-hoisted linear transform, which multiply baby steps held
+     * over Q*P.
+     */
+    Plaintext encode_extended(const std::vector<Complex>& values,
+                              double scale, int level) const;
+
     /** Real-vector convenience overload. */
     Plaintext encode_real(const std::vector<double>& values, double scale,
                           int level) const;
@@ -80,6 +90,10 @@ class CkksEncoder
     void fft_special_inv(std::vector<Complex>& v) const;
 
   private:
+    /** encode() onto the chain @p primes; @p level is the label. */
+    Plaintext encode_on(const std::vector<Complex>& values, double scale,
+                        int level, const std::vector<u64>& primes) const;
+
     /** Centered big-integer coefficients divided by scale. */
     std::vector<double> coeffs_to_double(const Plaintext& pt) const;
 

@@ -297,6 +297,61 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
     return rotate_hoisted(ct, amounts, resolved);
 }
 
+std::vector<std::pair<RnsPoly, RnsPoly>>
+Evaluator::hoisted_products(const RnsPoly& d, int level,
+                            const std::vector<const EvalKey*>& keys,
+                            const std::vector<std::vector<u32>>& indices) const
+{
+    BTS_ASSERT(keys.size() == indices.size(), "one index map per key");
+    if (keys.empty()) return {};
+    // Shared prefix: one decompose + ModUp of d. The automorphism
+    // commutes with BConv (base conversion is coefficient-wise), so
+    // every key reads these slices through its own NTT index map.
+    std::vector<RnsPoly> raised;
+    for (int j = 0; j < ctx_.num_slices(level); ++j) {
+        raised.push_back(mod_up(d, j, level));
+    }
+    std::vector<std::pair<RnsPoly, RnsPoly>> out;
+    out.reserve(keys.size());
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+        BTS_CHECK(raised.size() <= keys[k]->slices.size(),
+                  "rotation key has too few slices");
+        out.push_back(
+            evk_inner_product(d, raised, *keys[k], level, &indices[k]));
+    }
+    return out;
+}
+
+void
+Evaluator::add_p_times(RnsPoly& acc, const RnsPoly& src,
+                       const std::vector<u32>* index) const
+{
+    // P*src is 0 mod every special prime: only acc's Q limbs change.
+    const std::size_t n = ctx_.n();
+    const std::size_t limbs = src.num_primes();
+    BTS_ASSERT(acc.num_primes() > limbs && acc.domain() == Domain::kNtt &&
+                   src.domain() == Domain::kNtt,
+               "P*src goes onto the Q limbs of an extended polynomial");
+    const std::vector<ShoupMul>& p_mod = ctx_.p_shoup();
+    const u32* const ix = index == nullptr ? nullptr : index->data();
+    parallel_for_2d(
+        limbs, n, [&](std::size_t l, std::size_t c0, std::size_t c1) {
+            const u64 q = acc.prime(l);
+            const ShoupMul& pm = p_mod[l];
+            const u64* from = src.component(l).data();
+            u64* to = acc.component(l).data();
+            if (ix == nullptr) {
+                for (std::size_t c = c0; c < c1; ++c) {
+                    to[c] = add_mod(to[c], pm.mul(from[c], q), q);
+                }
+            } else {
+                for (std::size_t c = c0; c < c1; ++c) {
+                    to[c] = add_mod(to[c], pm.mul(from[ix[c]], q), q);
+                }
+            }
+        });
+}
+
 std::vector<Ciphertext>
 Evaluator::rotate_hoisted(const Ciphertext& ct,
                           const std::vector<int>& amounts,
@@ -309,40 +364,97 @@ Evaluator::rotate_hoisted(const Ciphertext& ct,
               "one key per rotation amount expected");
     const int level = ct.level;
 
-    // Shared prefix: one decompose + ModUp of the mask polynomial. The
-    // automorphism commutes with BConv (base conversion is coefficient-
-    // wise), so every amount reads these slices through its own NTT
-    // index map.
-    std::vector<RnsPoly> raised;
-    for (int j = 0; j < ctx_.num_slices(level); ++j) {
-        raised.push_back(mod_up(ct.a, j, level));
+    std::vector<const EvalKey*> rotating;
+    std::vector<std::vector<u32>> indices;
+    for (std::size_t k = 0; k < amounts.size(); ++k) {
+        const int r = amounts[k];
+        if (r == 0) continue;
+        const u64 exp = ctx_.galois_exp_for_rotation(r);
+        BTS_CHECK(keys[k] != nullptr, "missing rotation key " << r);
+        BTS_CHECK(keys[k]->galois_exp == exp, "rotation key mismatch");
+        rotating.push_back(keys[k]);
+        indices.push_back(ntt_galois_index(ctx_.n(), exp));
     }
+    auto products = hoisted_products(ct.a, level, rotating, indices);
 
     std::vector<Ciphertext> out;
     out.reserve(amounts.size());
-    for (std::size_t k = 0; k < amounts.size(); ++k) {
-        const int r = amounts[k];
+    std::size_t next = 0;
+    for (const int r : amounts) {
         if (r == 0) {
             out.push_back(ct);
             continue;
         }
-        const u64 exp = ctx_.galois_exp_for_rotation(r);
-        BTS_CHECK(keys[k] != nullptr, "missing rotation key " << r);
-        const EvalKey& key = *keys[k];
-        BTS_CHECK(key.galois_exp == exp, "rotation key mismatch");
-        BTS_CHECK(raised.size() <= key.slices.size(),
-                  "rotation key has too few slices");
-        const std::vector<u32> index = ntt_galois_index(ctx_.n(), exp);
-
-        auto [acc_b, acc_a] =
-            evk_inner_product(ct.a, raised, key, level, &index);
+        auto& [acc_b, acc_a] = products[next];
         mod_down_inplace(acc_b, level);
         mod_down_inplace(acc_a, level);
-        acc_b.add_inplace(ct.b.automorphism_ntt(index));
+        acc_b.add_inplace(ct.b.automorphism_ntt(indices[next]));
         out.push_back(Ciphertext{std::move(acc_b), std::move(acc_a),
                                  ct.scale, ct.level, ct.slots});
+        ++next;
     }
     return out;
+}
+
+std::pair<RnsPoly, RnsPoly>
+Evaluator::to_ext(const Ciphertext& ct) const
+{
+    const auto ext = ctx_.extended_primes(ct.level);
+    std::pair<RnsPoly, RnsPoly> out{RnsPoly(ctx_.n(), ext, Domain::kNtt),
+                                    RnsPoly(ctx_.n(), ext, Domain::kNtt)};
+    add_p_times(out.first, ct.b, nullptr);
+    add_p_times(out.second, ct.a, nullptr);
+    return out;
+}
+
+std::vector<std::pair<RnsPoly, RnsPoly>>
+Evaluator::rotate_hoisted_ext(const Ciphertext& ct,
+                              const std::vector<const EvalKey*>& keys) const
+{
+    BTS_TRACE_SPAN_VAR(trace_span, kEvaluator, "rotate.hoisted");
+    trace_span.set_level(ct.level);
+    trace_span.set_arg(static_cast<i64>(keys.size()));
+    std::vector<std::vector<u32>> indices;
+    indices.reserve(keys.size());
+    for (const EvalKey* key : keys) {
+        BTS_CHECK(key != nullptr, "missing rotation key");
+        indices.push_back(ntt_galois_index(ctx_.n(), key->galois_exp));
+    }
+    // (u, v) + P*sigma(b) on u's Q limbs: ModDown(u + P*sigma(b)) =
+    // ModDown(u) + sigma(b) residue for residue, since P*sigma(b) leaves
+    // the special-prime limbs ModDown lifts from untouched and P^{-1}
+    // cancels it exactly.
+    auto pairs = hoisted_products(ct.a, ct.level, keys, indices);
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        add_p_times(pairs[k].first, ct.b, &indices[k]);
+    }
+    return pairs;
+}
+
+std::pair<RnsPoly, RnsPoly>
+Evaluator::rotate_ext(std::pair<RnsPoly, RnsPoly> ext, int r,
+                      const EvalKey& rot_key, int level) const
+{
+    BTS_TRACE_SPAN_VAR(trace_span, kEvaluator, "keyswitch");
+    trace_span.set_level(level);
+    auto& [body, mask] = ext;
+    const std::size_t count = ctx_.extended_primes(level).size();
+    BTS_CHECK(body.num_primes() == count && mask.num_primes() == count,
+              "a Q*P pair must span the level's extended base");
+    const u64 exp = ctx_.galois_exp_for_rotation(r);
+    BTS_CHECK(rot_key.galois_exp == exp, "rotation key mismatch");
+
+    // Only the mask needs the level-l base: it is what the key
+    // switches. sigma(body) + sigma(mask)*sigma(s) = sigma(P*m), and
+    // the key-switch of sigma(ModDown(mask)) stands for
+    // P*sigma(ModDown(mask))*sigma(s), within ModDown's rounding.
+    mod_down_inplace(mask, level);
+    const std::vector<std::vector<u32>> index = {
+        ntt_galois_index(ctx_.n(), exp)};
+    auto products = hoisted_products(mask, level, {&rot_key}, index);
+    auto& [switched_b, switched_a] = products.front();
+    switched_b.add_inplace(body.automorphism_ntt(index.front()));
+    return {std::move(switched_b), std::move(switched_a)};
 }
 
 Ciphertext

@@ -13,6 +13,16 @@
  * (ntt_galois_index), so HRot pays exactly HMult's key-switch
  * transforms — the NoC permutation of the paper's Section 5.5.
  *
+ * Hoisted rotations split at their ModDown: rotate_hoisted and
+ * rotate_hoisted_ext share the ModUp and the per-amount inner products
+ * (hoisted_products); rotate_hoisted ModDowns each, while
+ * rotate_hoisted_ext leaves each rotation as a pair over the extended
+ * base Q*P whose ModDown is rotate_hoisted's. A double-hoisted linear
+ * transform
+ * (linear_transform.h) multiplies and sums those Q*P pairs, rotates
+ * the sums with rotate_ext and pays one mod_down_inplace per
+ * polynomial at the end.
+ *
  * Every op takes and returns canonical residues in [0, q). Unreduced
  * ones (a lazy NTT's output, a multiply-accumulate's 128-bit sums)
  * stay inside the op that makes them.
@@ -109,6 +119,44 @@ class Evaluator
     rotate_hoisted(const Ciphertext& ct, const std::vector<int>& amounts,
                    const std::vector<const EvalKey*>& keys) const;
 
+    // ----- the extended base Q*P (double-hoisted transforms) -----
+    // A "Q*P pair" is two NTT-domain polynomials over
+    // extended_primes(level) that stand for P times a level-l
+    // ciphertext: their ModDown (mod_down_inplace on each) is that
+    // ciphertext. Sums of Q*P pairs stay Q*P pairs, so a transform can
+    // sum many rotations and pay one ModDown.
+
+    /** The Q*P pair of @p ct: P*(b, a) on the Q limbs, 0 on the
+     *  special-prime limbs. Its ModDown is @p ct exactly. */
+    std::pair<RnsPoly, RnsPoly> to_ext(const Ciphertext& ct) const;
+
+    /**
+     * rotate_hoisted without its ModDowns: one decompose+ModUp of
+     * @p ct's mask shared by every key, then per key the evk inner
+     * product (u, v) read through its NTT slot permutation, and
+     * P*sigma(b) added on u's Q limbs. Entry k is the Q*P pair of
+     * rotation k; its ModDown is rotate_hoisted's output bit for bit.
+     * Every key must be non-null (amount 0 pays no key-switch).
+     */
+    std::vector<std::pair<RnsPoly, RnsPoly>>
+    rotate_hoisted_ext(const Ciphertext& ct,
+                       const std::vector<const EvalKey*>& keys) const;
+
+    /**
+     * Rotate the Q*P pair @p ext (P times a level-@p level ciphertext)
+     * by @p r slots and keep the result a Q*P pair: ModDown only the
+     * mask, key-switch its rotation (ModUp, inner product, no ModDown)
+     * and permute the body over Q*P. A double-hoisted giant step: one
+     * keyswitch span, 1 + (slices) BConvs.
+     */
+    std::pair<RnsPoly, RnsPoly> rotate_ext(std::pair<RnsPoly, RnsPoly> ext,
+                                           int r, const EvalKey& rot_key,
+                                           int level) const;
+
+    /** ModDown by P: @p acc (extended base, NTT) -> level-l base, the
+     *  SSA step of Fig. 3a. */
+    void mod_down_inplace(RnsPoly& acc, int level) const;
+
     /**
      * Re-key a ciphertext to another party's secret using a key from
      * KeyGenerator::gen_rekey_key (server-side proxy re-encryption).
@@ -204,13 +252,27 @@ class Evaluator
      *  them from @p d. */
     RnsPoly mod_up(const RnsPoly& d, int slice, int level) const;
 
+    /**
+     * The key-switch front hoisted rotations share: one ModUp of every
+     * slice of @p d, then per key k the evk inner product read through
+     * @p indices[k] (its ntt_galois_index map). Every slice's ModUp is
+     * held at once, so each residue's inner product over the slices is
+     * reduced once.
+     */
+    std::vector<std::pair<RnsPoly, RnsPoly>>
+    hoisted_products(const RnsPoly& d, int level,
+                     const std::vector<const EvalKey*>& keys,
+                     const std::vector<std::vector<u32>>& indices) const;
+
+    /** @p acc's first src.num_primes() limbs += P * @p src, read
+     *  through @p index when given (P*src is 0 on the special primes). */
+    void add_p_times(RnsPoly& acc, const RnsPoly& src,
+                     const std::vector<u32>* index) const;
+
     /** sigma_{galois_exp} as an NTT slot permutation of @p ct, then
      *  switch_key with @p key (the body of rotate and conjugate). */
     Ciphertext switch_galois(const Ciphertext& ct, u64 galois_exp,
                              const EvalKey& key) const;
-
-    /** ModDown by P: acc (extended base, NTT) -> level-l base. */
-    void mod_down_inplace(RnsPoly& acc, int level) const;
 
     /** Rescale one polynomial of a ciphertext by its top prime. */
     void rescale_poly(RnsPoly& poly) const;

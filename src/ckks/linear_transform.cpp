@@ -108,7 +108,7 @@ LinearTransform::LinearTransform(const CkksContext& ctx,
         for (std::size_t j = 0; j < n_; ++j) {
             rotated[j] = (*diags[idx])[(j + n_ - gi % n_) % n_];
         }
-        entry.plaintext = encoder_.encode(rotated, pt_scale, level_);
+        entry.plaintext = encoder_.encode_extended(rotated, pt_scale, level_);
         if (entry.baby != 0) rotations.insert(entry.baby);
         if (gi != 0) rotations.insert(gi % static_cast<int>(n_));
         if (entry.turned) turn_ = span;
@@ -123,45 +123,66 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
                        const RotationKeys& rot_keys) const
 {
     BTS_CHECK(ct.slots == n_, "slot count does not match the transform");
-    Ciphertext input = ct;
-    BTS_CHECK(input.level >= level_,
+    BTS_CHECK(ct.level >= level_,
               "ciphertext level below the transform's compiled level");
-    if (input.level > level_) eval.drop_level_inplace(input, level_);
+    // Read in place at the compiled level; above it, a copy of the
+    // limbs the transform keeps.
+    const std::size_t limbs = static_cast<std::size_t>(level_) + 1;
+    const Ciphertext dropped =
+        ct.level == level_
+            ? Ciphertext{}
+            : Ciphertext{ct.b.prefix(limbs), ct.a.prefix(limbs), ct.scale,
+                         level_, ct.slots};
+    const Ciphertext& input = ct.level == level_ ? ct : dropped;
 
-    // Baby-step rotations of each input the diagonals read, hoisted:
-    // all amounts share a single decompose+ModUp of its mask polynomial.
+    const auto key_for = [&rot_keys](int r) {
+        const auto it = rot_keys.find(r);
+        BTS_CHECK(it != rot_keys.end(), "missing rotation key " << r);
+        return &it->second;
+    };
+
+    // Baby steps of each input the diagonals read, as Q*P pairs (P
+    // times the rotation): baby 0 is the input's own pair, and the
+    // amounts share one ModUp of its mask and pay one inner product
+    // each, with no ModDown.
     const auto baby_front = [&](const Ciphertext& src, bool turned) {
+        std::vector<ExtPair> baby(static_cast<std::size_t>(g_));
         std::vector<int> amounts;
+        std::vector<const EvalKey*> keys;
+        bool base = false;
         for (const auto& d : diag_values_) {
-            if (d.turned == turned && d.baby != 0 &&
-                std::find(amounts.begin(), amounts.end(), d.baby) ==
-                    amounts.end()) {
+            if (d.turned != turned) continue;
+            if (d.baby == 0) {
+                base = true;
+            } else if (std::find(amounts.begin(), amounts.end(), d.baby) ==
+                       amounts.end()) {
                 amounts.push_back(d.baby);
+                keys.push_back(key_for(d.baby));
             }
         }
-        std::vector<Ciphertext> baby(g_);
-        baby[0] = src;
-        auto rotated = eval.rotate_hoisted(src, amounts, rot_keys);
-        for (std::size_t i = 0; i < amounts.size(); ++i) {
-            baby[amounts[i]] = std::move(rotated[i]);
+        if (base) baby[0] = eval.to_ext(src);
+        if (!keys.empty()) {
+            auto rotated = eval.rotate_hoisted_ext(src, keys);
+            for (std::size_t i = 0; i < amounts.size(); ++i) {
+                baby[amounts[i]] = std::move(rotated[i]);
+            }
         }
         return baby;
     };
-    const std::vector<Ciphertext> baby = baby_front(input, false);
-    std::vector<Ciphertext> turned_baby;
+    const std::vector<ExtPair> baby = baby_front(input, false);
+    std::vector<ExtPair> turned_baby;
     if (turn_ != 0) {
-        const auto it = rot_keys.find(turn_);
-        BTS_CHECK(it != rot_keys.end(), "missing rotation key " << turn_);
         turned_baby =
-            baby_front(eval.rotate(input, turn_, it->second), true);
+            baby_front(eval.rotate(input, turn_, *key_for(turn_)), true);
     }
 
-    // Giant steps: inner sums of plaintext products, then one rotation.
+    // Giant steps: each inner sum over Q*P, rotated (mask ModDown,
+    // key-switch, body permuted) and accumulated over Q*P.
     int max_giant = 0;
     for (const auto& d : diag_values_) max_giant = std::max(max_giant, d.giant);
-    Ciphertext acc;
+    ExtPair acc;
     bool acc_set = false;
-    std::vector<std::pair<const Ciphertext*, const Plaintext*>> terms;
+    std::vector<std::pair<const ExtPair*, const Plaintext*>> terms;
     for (int i = 0; i <= max_giant; ++i) {
         terms.clear();
         for (const auto& d : diag_values_) {
@@ -170,69 +191,74 @@ LinearTransform::apply(const Evaluator& eval, const Ciphertext& ct,
                                &d.plaintext);
         }
         if (terms.empty()) continue;
-        Ciphertext inner = inner_sum(terms);
+        ExtPair inner = inner_sum(terms);
         const int gi = (i * g_) % static_cast<int>(n_);
         if (gi != 0) {
-            const auto it = rot_keys.find(gi);
-            BTS_CHECK(it != rot_keys.end(), "missing rotation key " << gi);
-            inner = eval.rotate(inner, gi, it->second);
+            inner = eval.rotate_ext(std::move(inner), gi, *key_for(gi),
+                                    level_);
         }
         if (!acc_set) {
             acc = std::move(inner);
             acc_set = true;
         } else {
-            acc.b.add_inplace(inner.b);
-            acc.a.add_inplace(inner.a);
+            acc.first.add_inplace(inner.first);
+            acc.second.add_inplace(inner.second);
         }
     }
     BTS_ASSERT(acc_set, "linear transform accumulated nothing");
 
-    eval.rescale_inplace(acc);
-    acc.scale = ct.scale; // exact: plaintexts were encoded at the top prime
-    return acc;
+    // One ModDown per polynomial, then the rescale by the level's top
+    // prime, which restores the input's scale exactly (the diagonals
+    // were encoded at that prime).
+    eval.mod_down_inplace(acc.first, level_);
+    eval.mod_down_inplace(acc.second, level_);
+    const double pt_scale = static_cast<double>(ctx_.q_primes()[level_]);
+    Ciphertext out{std::move(acc.first), std::move(acc.second),
+                   input.scale * pt_scale, level_, n_};
+    eval.rescale_inplace(out);
+    out.scale = ct.scale;
+    return out;
 }
 
-Ciphertext
+LinearTransform::ExtPair
 LinearTransform::inner_sum(
-    const std::vector<std::pair<const Ciphertext*, const Plaintext*>>& terms)
+    const std::vector<std::pair<const ExtPair*, const Plaintext*>>& terms)
     const
 {
-    // One pass over every limb and coefficient: each residue of b and
-    // of a is the sum of its terms' products, accumulated in 128 bits
-    // and reduced once (mid-sum only past lazy_sum_terms(2q) terms, the
-    // budget for a [0, 2q) residue times a canonical one; baby steps
-    // and diagonals are both canonical, so it holds with room).
-    // The ciphertexts and the diagonals' limbs are read in place.
+    // One pass over every limb and coefficient of Q*P: each residue of
+    // b and of a is the sum of its terms' products, accumulated in 128
+    // bits and reduced once (mid-sum only past lazy_sum_terms(2q)
+    // terms, the budget for a [0, 2q) residue times a canonical one;
+    // baby steps and diagonals are both canonical, so it holds with
+    // room). The pairs and the diagonals' limbs are read in place.
     const std::size_t n = ctx_.n();
-    const std::size_t limbs = static_cast<std::size_t>(level_) + 1;
+    const auto primes = ctx_.extended_primes(level_);
+    const std::size_t limbs = primes.size();
     const std::size_t count = terms.size();
-    const Ciphertext& first = *terms.front().first;
     std::vector<const u64*> xb(count), xa(count), pt(count);
     for (std::size_t t = 0; t < count; ++t) {
-        const auto& [ct, plain] = terms[t];
-        BTS_ASSERT(ct->level == level_ && plain->num_primes() >= ct->level + 1,
-                   "BSGS term off the transform's level");
-        xb[t] = ct->b.data();
-        xa[t] = ct->a.data();
+        const auto& [pair, plain] = terms[t];
+        BTS_ASSERT(pair->first.num_primes() == limbs &&
+                       plain->num_primes() == static_cast<int>(limbs),
+                   "BSGS term off the transform's extended base");
+        xb[t] = pair->first.data();
+        xa[t] = pair->second.data();
         pt[t] = plain->poly.data();
     }
     std::vector<Barrett> barrett(limbs);
     std::vector<std::size_t> budget(limbs);
     for (std::size_t l = 0; l < limbs; ++l) {
-        barrett[l] = Barrett(first.b.prime(l));
-        budget[l] = lazy_sum_terms(2 * first.b.prime(l));
+        barrett[l] = Barrett(primes[l]);
+        budget[l] = lazy_sum_terms(2 * primes[l]);
     }
-    const auto primes = ctx_.level_primes(level_);
-    Ciphertext out{RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{}),
-                   RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{}),
-                   first.scale * terms.front().second->scale, level_,
-                   first.slots};
+    ExtPair out{RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{}),
+                RnsPoly(n, primes, Domain::kNtt, RnsPoly::Uninit{})};
     parallel_for_2d(
         limbs, n, [&](std::size_t l, std::size_t c0, std::size_t c1) {
             const Barrett& br = barrett[l];
             const std::size_t row = l * n;
-            u64* ob = out.b.component(l).data();
-            u64* oa = out.a.component(l).data();
+            u64* ob = out.first.component(l).data();
+            u64* oa = out.second.component(l).data();
             for (std::size_t c = c0; c < c1; ++c) {
                 u128 sb = 0, sa = 0;
                 std::size_t room = budget[l];

@@ -14,6 +14,19 @@
  * extracted) or directly from a sparse diagonal map — the factored
  * homomorphic DFT (dft_factor.h) uses the latter so the dense n x n
  * matrix is never materialized.
+ *
+ * apply() is double hoisted (Bossuat, Mouchet, Troncoso-Pastoriza &
+ * Hubaux, Eurocrypt 2021, extending Halevi & Shoup's single hoisting):
+ * the baby steps share one ModUp and stay over the extended base Q*P
+ * with no ModDown (Evaluator::rotate_hoisted_ext), the diagonals are
+ * encoded over Q*P, and each giant step sums over Q*P. A giant-step
+ * rotation ModDowns only its sum's mask before its key-switch
+ * (Evaluator::rotate_ext), and the transform ModDowns its accumulated
+ * pair once, then rescales. Per apply: one ModUp per input the
+ * diagonals read, 1 + (slices) BConvs per giant-step rotation and 2 for
+ * the final ModDown, whatever the number of baby steps. The Q*P
+ * diagonals cost (l+1+k)/(l+1) times the plaintext memory of Q-only
+ * ones, and every product runs over l+1+k limbs.
  */
 #pragma once
 
@@ -86,11 +99,14 @@ class LinearTransform
     int level() const { return level_; }
 
   private:
-    /** One giant step's inner sum: sum_t ct_t (*) pt_t over the baby
-     *  steps and their pre-rotated diagonals, in a single pass. */
-    Ciphertext inner_sum(
-        const std::vector<std::pair<const Ciphertext*, const Plaintext*>>&
-            terms) const;
+    using ExtPair = std::pair<RnsPoly, RnsPoly>;
+
+    /** One giant step's inner sum over Q*P: sum_t baby_t (*) pt_t over
+     *  its baby steps' Q*P pairs and their pre-rotated diagonals, in a
+     *  single pass. */
+    ExtPair inner_sum(
+        const std::vector<std::pair<const ExtPair*, const Plaintext*>>& terms)
+        const;
 
     const CkksContext& ctx_;
     const CkksEncoder& encoder_;
@@ -106,7 +122,7 @@ class LinearTransform
         bool turned;         // reads the half-turned input
         int baby;            // j = d mod g
         int giant;           // i = d / g
-        Plaintext plaintext; // diagonal pre-rotated by -g*i, encoded
+        Plaintext plaintext; // diagonal pre-rotated by -g*i, over Q*P
     };
     std::vector<Diag> diag_values_;
     std::vector<int> required_rotations_;

@@ -293,6 +293,83 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(std::size_t{8}, 4),
                       std::make_pair(std::size_t{64}, 4)));
 
+// ---------- precision against the clear-math product ----------
+
+TEST(FactoredDft, StagesMatchClearMathAtFunctionalInstance)
+{
+    // Every CtS and StC stage of functional_boot_config() at L=20, at
+    // the levels the bootstrap compiles them for, and a dense 64 x 64
+    // matrix at L=20, each applied to fresh encryptions and compared
+    // with its diagonals' clear-math product. A double-hoisted
+    // transform rounds at one ModDown per polynomial (plus one per
+    // giant-step mask) where single hoisting rounded per baby step, so
+    // this pins the error against the plaintext, not a digest. Worst
+    // error over these draws, both on the StC head (outputs near 10):
+    // 1.5e-8 single hoisted, 3.8e-9 double hoisted. Every case's
+    // worst fell, by 4x to 20x. The bound is twice the single-hoisted
+    // worst.
+    TestEnv env(runtime::functional_params(20, 7));
+    const BootstrapConfig cfg = runtime::functional_boot_config();
+    const Bootstrapper boot(env.ctx, env.encoder, env.evaluator, cfg);
+    const FactoredDft cts(env.ctx, env.encoder, cfg.slots,
+                          DftDirection::kCoeffToSlot, cfg.cts_radix,
+                          env.ctx.max_level(), /*packed=*/true);
+    const FactoredDft stc(env.ctx, env.encoder, cfg.slots,
+                          DftDirection::kSlotToCoeff, cfg.stc_radix,
+                          boot.stc_input_level(), /*packed=*/true);
+    auto cts_maps = FactoredDft::stage_diagonals(
+        cfg.slots, DftDirection::kCoeffToSlot, cfg.cts_radix);
+    cts_maps.back() = lift_cts_tail(cts_maps.back());
+    auto stc_maps = FactoredDft::stage_diagonals(
+        cfg.slots, DftDirection::kSlotToCoeff, cfg.stc_radix);
+    stc_maps.front() = lift_stc_head(stc_maps.front());
+
+    const std::size_t n = 64;
+    Xoshiro256 rng(1606);
+    std::vector<std::vector<Complex>> matrix(n, std::vector<Complex>(n));
+    for (auto& row : matrix) {
+        for (Complex& v : row) {
+            v = Complex(2 * rng.uniform_real() - 1,
+                        2 * rng.uniform_real() - 1);
+        }
+    }
+    const LinearTransform dense(env.ctx, env.encoder, matrix,
+                                env.ctx.max_level());
+
+    std::vector<std::pair<const LinearTransform*, DiagonalMap>> cases;
+    for (int s = 0; s < cts.num_stages(); ++s) {
+        cases.emplace_back(&cts.stage(s), cts_maps[s]);
+    }
+    for (int s = 0; s < stc.num_stages(); ++s) {
+        cases.emplace_back(&stc.stage(s), stc_maps[s]);
+    }
+    cases.emplace_back(&dense, diagonals_of(matrix));
+    ASSERT_EQ(cases.size(), 5u);
+
+    std::vector<int> amounts = boot.required_rotations();
+    for (const int r : dense.required_rotations()) amounts.push_back(r);
+    std::sort(amounts.begin(), amounts.end());
+    amounts.erase(std::unique(amounts.begin(), amounts.end()),
+                  amounts.end());
+    const RotationKeys keys = env.keygen.gen_rotation_keys(env.sk, amounts);
+
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+        const auto& [lt, map] = cases[k];
+        for (u64 draw = 0; draw < 4; ++draw) {
+            const auto z =
+                env.random_message(lt->dimension(), 1.0, 1700 + 8 * k + draw);
+            const Ciphertext out = lt->apply(
+                env.evaluator, env.encrypt(z, lt->level()), keys);
+            EXPECT_EQ(out.level, lt->level() - 1);
+            EXPECT_LT(TestEnv::max_err(apply_diagonals(map, z),
+                                       env.decrypt(out)),
+                      3e-8)
+                << "case " << k << " (level " << lt->level() << "), draw "
+                << draw;
+        }
+    }
+}
+
 // ---------- construction guards ----------
 
 TEST(FactoredDft, RejectsBadRadix)

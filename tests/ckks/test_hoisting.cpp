@@ -87,6 +87,35 @@ TEST(Hoisting, GroupedCallBitEqualsPerAmountHoistedCalls)
     }
 }
 
+TEST(Hoisting, ExtendedPairsModDownToTheHoistedRotations)
+{
+    // The contract double-hoisted transforms sum over: each
+    // rotate_hoisted_ext pair is P times its rotation over Q*P, so its
+    // ModDown is rotate_hoisted's output residue for residue, and
+    // to_ext's pair ModDowns to its input exactly.
+    auto& env = default_env();
+    const Ciphertext ct = env.encrypt(env.random_message(128, 1.0, 306));
+    const std::vector<int> amounts = {1, 3, 17, 64};
+    const RotationKeys keys = env.keygen.gen_rotation_keys(env.sk, amounts);
+    std::vector<const EvalKey*> resolved;
+    for (const int r : amounts) resolved.push_back(&keys.at(r));
+    const auto hoisted = env.evaluator.rotate_hoisted(ct, amounts, keys);
+    auto pairs = env.evaluator.rotate_hoisted_ext(ct, resolved);
+    ASSERT_EQ(pairs.size(), amounts.size());
+    const auto mod_down = [&](std::pair<RnsPoly, RnsPoly>& pair) {
+        env.evaluator.mod_down_inplace(pair.first, ct.level);
+        env.evaluator.mod_down_inplace(pair.second, ct.level);
+        return Ciphertext{std::move(pair.first), std::move(pair.second),
+                          ct.scale, ct.level, ct.slots};
+    };
+    for (std::size_t i = 0; i < amounts.size(); ++i) {
+        EXPECT_TRUE(testing::ct_equal(mod_down(pairs[i]), hoisted[i]))
+            << "amount " << amounts[i];
+    }
+    auto own = env.evaluator.to_ext(ct);
+    EXPECT_TRUE(testing::ct_equal(mod_down(own), ct));
+}
+
 TEST(Hoisting, ZeroAmountIsIdentity)
 {
     auto& env = default_env();

@@ -8,19 +8,21 @@
  *    NTT(sigma(a)) is an exact permutation of NTT(a), so any change of
  *    a single output bit is a bug, not a new golden value. The
  *    bootstrap digest was recorded again when sparse refreshes began
- *    to pack their real and imaginary parts through one EvalMod, and
- *    again when EvalMod became a cosine series with double angles:
- *    each time a different computation of the same message.
- *  - KeySwitch.TransformCounts: the NTT limb transforms, BConv calls
- *    and key-switches each op pays, from the kernel and evaluator
- *    telemetry spans.
+ *    to pack their real and imaginary parts through one EvalMod, again
+ *    when EvalMod became a cosine series with double angles, and again
+ *    (with the wide-prime dense LinearTransform digest) when
+ *    LinearTransform became double hoisted and moved ModDown's
+ *    rounding: each time a different computation of the same message.
+ *  - KeySwitch.TransformCounts and DoubleHoistedStageCounts: the NTT
+ *    limb transforms, BConv calls and key-switches each op pays, from
+ *    the kernel and evaluator telemetry spans.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 
-#include "ckks/linear_transform.h"
+#include "ckks/dft_factor.h"
 #include "runtime/telemetry/trace.h"
 #include "test_utils.h"
 
@@ -140,7 +142,10 @@ TEST(KeySwitchGolden, SwitchKey)
  * 32-term BSGS inner sum must reduce mid-sum there. (dnum = L+1 would
  * leave one special prime, a 61-bit prime below q_0, and break the
  * P >= Q_j rule.) The digests were recorded before products began to
- * accumulate unreduced; like the ones above, a mismatch is a bug.
+ * accumulate unreduced; like the ones above, a mismatch is a bug. The
+ * dense LinearTransform digest alone was recorded again when the
+ * transform became double hoisted (a different computation of the same
+ * product, still checked against M*z).
  */
 CkksParams
 wide_prime_params()
@@ -237,13 +242,14 @@ TEST(KeySwitchGolden, WidePrimesDenseLinearTransform)
     const LinearTransform lt(c.env.ctx, c.env.encoder, matrix, 15, 16.0);
     // 64 diagonals on a 32-wide baby-step grid: 32 terms per giant
     // step, whose canonical products (each below q^2) sum to about
-    // 8q^2, past q * 2^64 on the 61-bit limb in many coefficients.
+    // 8q^2, past q * 2^64 on the 61-bit limb in many coefficients (and
+    // on the two 61-bit special primes, which the Q*P sums span too).
     ASSERT_EQ(lt.num_diagonals(), 64);
     ASSERT_EQ(lt.baby_steps(), 32);
     const RotationKeys keys =
         c.env.keygen.gen_rotation_keys(c.env.sk, lt.required_rotations());
     const Ciphertext out = lt.apply(c.env.evaluator, c.x, keys);
-    EXPECT_EQ(digest(out), 0xf9270a326b9cfd15ULL);
+    EXPECT_EQ(digest(out), 0x989dde696ac089d9ULL);
 
     const std::vector<Complex> z = c.env.random_message(64, 1.0, 1603);
     std::vector<Complex> expected(n);
@@ -258,7 +264,7 @@ TEST(KeySwitchGolden, Bootstrap)
     testing::BootTestEnv be(31);
     auto& env = be.env;
     const Ciphertext ct = env.encrypt(env.random_message(64, 0.3, 32), 0);
-    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0x55f36d02096ddaeaULL);
+    EXPECT_EQ(digest(be.boot->bootstrap(ct)), 0x2541d11ada3cae44ULL);
 }
 
 /** What one traced call paid: NTT limb transforms (the limb counts the
@@ -347,9 +353,71 @@ TEST(KeySwitch, TransformCounts)
         be.env.encrypt(be.env.random_message(64, 0.3, 32), 0);
     const TransformCounts boot =
         count_transforms([&] { (void)be.boot->bootstrap(ct); });
-    EXPECT_EQ(boot.ntt_limbs, 1975);
-    EXPECT_EQ(boot.bconv, 134);
+    EXPECT_EQ(boot.ntt_limbs, 1585);
+    EXPECT_EQ(boot.bconv, 104);
     EXPECT_EQ(boot.keyswitch, 23);
+}
+
+TEST(KeySwitch, DoubleHoistedStageCounts)
+{
+    // One double-hoisted BSGS stage at functional_params(20), on a
+    // level with s key-switch slices: each input's baby front pays one
+    // ModUp (s BConvs) and its amounts pay no ModDown; each giant-step
+    // rotation pays its sum's mask ModDown and an s-slice ModUp (s + 1);
+    // the final ModDown pays 2. The StC head's half turn is a full
+    // rotation (s + 2) ahead of the turned input's own front. Single
+    // hoisting paid s + 2 per amount and per giant step instead.
+#if !defined(BTS_TELEMETRY)
+    GTEST_SKIP() << "built without BTS_TELEMETRY";
+#endif
+    testing::BootTestEnv be(31, {}, 20);
+    TestEnv& env = be.env;
+    const BootstrapConfig cfg = runtime::functional_boot_config();
+    const FactoredDft cts(env.ctx, env.encoder, cfg.slots,
+                          DftDirection::kCoeffToSlot, cfg.cts_radix,
+                          env.ctx.max_level(), /*packed=*/true);
+    const FactoredDft stc(env.ctx, env.encoder, cfg.slots,
+                          DftDirection::kSlotToCoeff, cfg.stc_radix,
+                          be.boot->stc_input_level(), /*packed=*/true);
+
+    // CtS stage 1 (the packed tail, level 19, s = 3) and the StC head
+    // (level 9, s = 2) each have 3 baby amounts and 3 giant-step
+    // rotations. Single hoisted, they paid 24 and 32 BConvs (648 and
+    // 544 NTT limb transforms).
+    struct Stage
+    {
+        const char* name;
+        const LinearTransform* lt;
+        int turns; // half turns: 1 on the StC head
+        int bconv;
+    };
+    const std::vector<Stage> stages = {
+        {"CtS stage 1", &cts.stage(1), 0, 17},
+        {"StC head", &stc.stage(0), 1, 19},
+    };
+    for (const Stage& st : stages) {
+        const LinearTransform& lt = *st.lt;
+        const int s = env.ctx.num_slices(lt.level());
+        const int span = static_cast<int>(lt.dimension()) / (st.turns + 1);
+        int babies = 0, giants = 0;
+        for (const int r : lt.required_rotations()) {
+            babies += r < lt.baby_steps();
+            giants += r % lt.baby_steps() == 0 && r < span;
+        }
+        ASSERT_GT(babies, 0) << st.name;
+        ASSERT_GT(giants, 0) << st.name;
+        const Ciphertext ct = env.encrypt(
+            env.random_message(lt.dimension(), 1.0, 33), lt.level());
+        const TransformCounts got = count_transforms(
+            [&] { (void)lt.apply(env.evaluator, ct, be.rot_keys); });
+        const int fronts = 1 + st.turns;
+        EXPECT_EQ(got.hoisted, fronts) << st.name;
+        EXPECT_EQ(got.keyswitch, giants + st.turns) << st.name;
+        EXPECT_EQ(got.bconv, fronts * s + giants * (s + 1) +
+                                 st.turns * (s + 2) + 2)
+            << st.name;
+        EXPECT_EQ(got.bconv, st.bconv) << st.name;
+    }
 }
 
 } // namespace
