@@ -18,9 +18,8 @@
  * (hoisted_products); rotate_hoisted ModDowns each, while
  * rotate_hoisted_ext leaves each rotation as a pair over the extended
  * base Q*P whose ModDown is rotate_hoisted's. A double-hoisted linear
- * transform
- * (linear_transform.h) multiplies and sums those Q*P pairs, rotates
- * the sums with rotate_ext and pays one mod_down_inplace per
+ * transform (linear_transform.h) multiplies and sums those Q*P pairs,
+ * rotates the sums with rotate_ext and pays one mod_down_inplace per
  * polynomial at the end.
  *
  * Every op takes and returns canonical residues in [0, q). Unreduced
