@@ -97,10 +97,10 @@ class FactoredDft
      * ModDown) while a giant step pays a mask ModDown, a ModUp and an
      * inner product. With only O(radix) diagonals a wider baby front
      * trades cheap baby steps for expensive giant ones. At the
-     * functional instance (N=2^8, L=20, radix 8, one lane) ratio 16
-     * ran CtS + StC about 9% faster (median of 40 alternated rounds,
-     * faster in 30) but needs 13 rotation keys instead of 11; the
-     * bootstrap's key set is pinned, so 4 stays.
+     * functional instance (N=2^8, L=20, radix 8, one lane of a 2.1 GHz
+     * Xeon) ratio 16 ran CtS + StC about 9% faster (median of 40
+     * alternated rounds, faster in 30) but needs 13 rotation keys
+     * instead of 11; the bootstrap's key set is pinned, so 4 stays.
      */
     FactoredDft(const CkksContext& ctx, const CkksEncoder& encoder,
                 std::size_t slots, DftDirection direction, int radix,
