@@ -23,11 +23,14 @@
 #include "common/parallel.h"
 #include "math/prime_gen.h"
 #include "runtime/apps/helr.h"
+#include "runtime/apps/paper.h"
 #include "runtime/apps/resnet.h"
 #include "runtime/apps/sort.h"
 #include "runtime/graph_workloads.h"
+#include "runtime/lowering.h"
 #include "runtime/server.h"
 #include "runtime/telemetry/trace.h"
+#include "sim/engine.h"
 
 namespace {
 
@@ -962,6 +965,67 @@ BENCHMARK(BM_AppServing)
     ->Iterations(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/** The pairs sim-paper sweeps: the raw paper HELR, ResNet-20 and
+ *  sorting graphs and tmult_graph on each Table 4 instance. */
+struct PaperPair
+{
+    hw::CkksInstance inst;
+    runtime::Graph graph;
+};
+
+const std::vector<PaperPair>&
+paper_pairs()
+{
+    static const std::vector<PaperPair>* pairs = [] {
+        auto* out = new std::vector<PaperPair>;
+        for (const hw::CkksInstance& inst : hw::table4_instances()) {
+            for (const char* name : {"helr", "resnet", "sort", "tmult"}) {
+                out->push_back({inst, runtime::apps::paper_graph(name, inst)});
+            }
+        }
+        return out;
+    }();
+    return *pairs;
+}
+
+void
+BM_PaperSweep(benchmark::State& state)
+{
+    // One sweep per iteration: lower_to_trace, then BtsSimulator::run,
+    // over the 12 paper pairs -- the path every simulated figure and
+    // the sim-paper end-to-end workload take. ops and bootstraps are
+    // one sweep's exact trace totals; lower_ms and run_ms split the
+    // sweep's time between the two layers.
+    const auto& pairs = paper_pairs();
+    const sim::BtsConfig hw;
+    using Clock = std::chrono::steady_clock;
+    double lower_s = 0, run_s = 0;
+    std::size_t ops = 0;
+    int bootstraps = 0;
+    for (auto _ : state) {
+        ops = 0;
+        bootstraps = 0;
+        for (const PaperPair& p : pairs) {
+            const Clock::time_point a = Clock::now();
+            const sim::Trace trace = runtime::lower_to_trace(p.graph, p.inst);
+            const Clock::time_point b = Clock::now();
+            const sim::SimResult r = sim::BtsSimulator(hw, p.inst).run(trace);
+            const Clock::time_point c = Clock::now();
+            benchmark::DoNotOptimize(r.total_s);
+            lower_s += std::chrono::duration<double>(b - a).count();
+            run_s += std::chrono::duration<double>(c - b).count();
+            ops += trace.ops.size();
+            bootstraps += trace.bootstrap_count;
+        }
+    }
+    const auto iters = static_cast<double>(state.iterations());
+    state.counters["lower_ms"] = 1e3 * lower_s / iters;
+    state.counters["run_ms"] = 1e3 * run_s / iters;
+    state.counters["ops"] = static_cast<double>(ops);
+    state.counters["bootstraps"] = bootstraps;
+}
+BENCHMARK(BM_PaperSweep)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

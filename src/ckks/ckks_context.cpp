@@ -77,9 +77,11 @@ CkksContext::CkksContext(const CkksParams& params)
     p_base_ = RnsBase(p_primes_);
     p_inv_shoup_.reserve(q_primes_.size());
     p_shoup_.reserve(q_primes_.size());
+    q_barrett_.reserve(q_primes_.size());
     for (const u64 qi : q_primes_) {
         p_inv_shoup_.push_back(ShoupMul::from_reduced(p_inv_mod(qi), qi));
         p_shoup_.push_back(ShoupMul::from_reduced(p_mod(qi), qi));
+        q_barrett_.emplace_back(qi);
     }
 
     log_pq_bits_ = q_bases_.back().product().bit_length() +

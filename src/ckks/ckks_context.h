@@ -138,6 +138,10 @@ class CkksContext
      *  its special-prime limbs are 0 (double-hoisted transforms). */
     const std::vector<ShoupMul>& p_shoup() const { return p_shoup_; }
 
+    /** Barrett reducers for q_i, i = 0..L: the per-coefficient
+     *  reductions of the rescale and ModRaise lifts. */
+    const std::vector<Barrett>& q_barrett() const { return q_barrett_; }
+
     /** Cached base converter (built lazily, keyed by source/target). */
     const BaseConverter& converter(const std::vector<u64>& source,
                                    const std::vector<u64>& target) const;
@@ -157,6 +161,7 @@ class CkksContext
     std::vector<std::vector<ShoupMul>> rescale_inv_;   // [top][i], i < top
     std::vector<ShoupMul> p_inv_shoup_;                // [i], i <= L
     std::vector<ShoupMul> p_shoup_;                    // [i], i <= L
+    std::vector<Barrett> q_barrett_;                   // [i], i <= L
     RnsBase p_base_;
     int log_pq_bits_;
     std::map<u64, std::unique_ptr<NttTables>> ntt_tables_;

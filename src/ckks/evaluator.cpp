@@ -581,11 +581,12 @@ Evaluator::rescale_poly(RnsPoly& poly) const
         [&](std::size_t i, std::size_t c0, std::size_t c1) {
             // Centered lift of the top residue into Z_qi.
             const u64 qi = poly.prime(i);
+            const Barrett& br = ctx_.q_barrett()[i];
             const u64 q_last_mod_qi =
                 ctx_.rescale_q_mod(top, static_cast<int>(i));
             u64* dst = lifted_base + i * n;
             for (std::size_t c = c0; c < c1; ++c) {
-                u64 v = last_base[c] % qi;
+                u64 v = br.reduce(last_base[c]);
                 if (last_base[c] > half) v = sub_mod(v, q_last_mod_qi, qi);
                 dst[c] = v;
             }
@@ -845,11 +846,12 @@ Evaluator::mod_raise(const Ciphertext& ct) const
             primes.size(), ctx_.n(),
             [&](std::size_t i, std::size_t c0, std::size_t c1) {
                 const u64 qi = primes[i];
+                const Barrett& br = ctx_.q_barrett()[i];
                 const u64 q0_mod_qi = q0 % qi;
                 u64* comp = out.component(i).data();
                 for (std::size_t c = c0; c < c1; ++c) {
                     // Centered lift of the mod-q0 residue into Z_qi.
-                    u64 v = base[c] % qi;
+                    u64 v = br.reduce(base[c]);
                     if (base[c] > half) v = sub_mod(v, q0_mod_qi, qi);
                     comp[c] = v;
                 }

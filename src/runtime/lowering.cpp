@@ -95,11 +95,10 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
             const int mid_level =
                 g.value(n.output).level +
                 (parts->second == OpKind::kHRescale ? 1 : 0);
-            std::vector<int> inputs;
-            inputs.reserve(n.inputs.size());
+            sim::OpInputs inputs;
             for (const int in : n.inputs) inputs.push_back(obj(in));
-            const int mid = b.add(to_sim_kind(parts->first), mid_level,
-                                  std::move(inputs), 0);
+            const int mid =
+                b.add(to_sim_kind(parts->first), mid_level, inputs, 0);
             object[n.output] =
                 b.add(to_sim_kind(parts->second), mid_level, {mid}, 0);
             return;
@@ -109,11 +108,10 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
         const int level = n.kind == OpKind::kHRescale
                               ? g.value(n.inputs[0]).level
                               : g.value(n.output).level;
-        std::vector<int> inputs;
-        inputs.reserve(n.inputs.size());
+        sim::OpInputs inputs;
         for (const int in : n.inputs) inputs.push_back(obj(in));
-        object[n.output] = b.add(to_sim_kind(n.kind), level,
-                                 std::move(inputs), n.rot_amount);
+        object[n.output] =
+            b.add(to_sim_kind(n.kind), level, inputs, n.rot_amount);
     };
 
     if (node_end != nullptr) {

@@ -1,6 +1,7 @@
 #include "sim/bootstrap_plan.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/bit_ops.h"
@@ -34,6 +35,7 @@ append_lt_stage(TraceBuilder& b, const CkksInstance& /*inst*/, int ct,
     const int babies = static_cast<int>(std::ceil(std::sqrt(radix)));
     const int giants = (radix + babies - 1) / babies;
     std::vector<int> baby_ids;
+    baby_ids.reserve(static_cast<std::size_t>(babies));
     for (int r = 0; r < babies; ++r) {
         baby_ids.push_back(
             b.add(HeOpKind::kHRot, level, {ct}, rot_seed + r + 1, true));
@@ -66,8 +68,8 @@ append_eval_mod(TraceBuilder& b, const CkksInstance& inst, int ct,
 {
     constexpr int kHMults = 15; // babies + giants + recombination
     // The Chebyshev power basis keeps ~8 T_j ciphertexts live.
-    std::vector<int> basis;
-    for (int t = 0; t < 8; ++t) basis.push_back(b.fresh_id());
+    std::array<int, 8> basis{};
+    for (int& t : basis) t = b.fresh_id();
     for (int m = 0; m < kHMults; ++m) {
         const int lvl =
             std::max(1, top_level - (m * levels) / kHMults);

@@ -6,6 +6,19 @@
 
 namespace bts::sim {
 
+CostModel::CostModel(const BtsConfig& hw, const hw::CkksInstance& inst)
+    : hw_(hw), inst_(inst),
+      levels_(static_cast<std::size_t>(std::max(0, inst.max_level + 1)))
+{
+    table_.reserve(kHeOpKindCount * levels_);
+    for (int kind = 0; kind < kHeOpKindCount; ++kind) {
+        for (std::size_t level = 0; level < levels_; ++level) {
+            table_.push_back(price(static_cast<HeOpKind>(kind),
+                                   static_cast<int>(level)));
+        }
+    }
+}
+
 double
 CostModel::ntt_time(double passes) const
 {
@@ -68,11 +81,8 @@ CostModel::finalize(OpCost& c) const
 }
 
 OpCost
-CostModel::op_cost(const HeOp& op) const
+CostModel::price(HeOpKind kind, int level) const
 {
-    const int level = op.level;
-    BTS_CHECK(level >= 0 && level <= inst_.max_level,
-              "op level outside the instance");
     const double n = static_cast<double>(inst_.n);
     const double l1 = level + 1;
     const double k = inst_.num_special();
@@ -81,7 +91,7 @@ CostModel::op_cost(const HeOp& op) const
     const double ct = inst_.ct_bytes(level);
 
     OpCost c;
-    switch (op.kind) {
+    switch (kind) {
     case HeOpKind::kHMult:
         c.ntt_s = ntt_time(keyswitch_ntt_passes(level));
         c.bconv_s = bconv_time(keyswitch_bconv_macs(level));

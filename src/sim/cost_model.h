@@ -11,9 +11,16 @@
  *  - element-wise work (tensor product, evk inner product, SSA) runs on
  *    the per-PE ModMult/ModAdd at 0.6 GHz;
  *  - evk slices stream from HBM; the op cannot finish before its evk.
+ *
+ * An op's cost depends only on its (kind, level), so the model prices
+ * every pair once, at construction, into one table: the simulator's
+ * schedule and the resource analyzer's totals both read that table.
  */
 #pragma once
 
+#include <vector>
+
+#include "common/check.h"
 #include "hwparams/instance.h"
 #include "sim/hw_config.h"
 #include "sim/op_trace.h"
@@ -33,16 +40,23 @@ struct OpCost
     double pt_bytes = 0;   //!< plaintext operand footprint
 };
 
-/** Computes OpCosts for a fixed (hardware, instance) pair. */
+/** The OpCost table of a fixed (hardware, instance) pair. */
 class CostModel
 {
   public:
-    CostModel(const BtsConfig& hw, const hw::CkksInstance& inst)
-        : hw_(hw), inst_(inst)
-    {}
+    /** Prices every (kind, level) pair, levels 0..inst.max_level. */
+    CostModel(const BtsConfig& hw, const hw::CkksInstance& inst);
 
-    /** Cost of one op at its recorded level. */
-    OpCost op_cost(const HeOp& op) const;
+    /** Cost of one op at its recorded level (throws for a level
+     *  outside the instance). */
+    const OpCost&
+    op_cost(const HeOp& op) const
+    {
+        BTS_CHECK(op.level >= 0 && op.level <= inst_.max_level,
+                  "op level outside the instance");
+        return table_[static_cast<std::size_t>(op.kind) * levels_ +
+                      static_cast<std::size_t>(op.level)];
+    }
 
     /** Number of (i)NTT residue-polynomial passes in a key-switch. */
     double keyswitch_ntt_passes(int level) const;
@@ -64,8 +78,13 @@ class CostModel
     /** Fill in compute_s from the resource components. */
     void finalize(OpCost& c) const;
 
+    /** The table entry of (@p kind, @p level). */
+    OpCost price(HeOpKind kind, int level) const;
+
     const BtsConfig& hw_;
     const hw::CkksInstance& inst_;
+    std::size_t levels_; //!< max_level + 1: the table's row length
+    std::vector<OpCost> table_; //!< [kind * levels_ + level]
 };
 
 } // namespace bts::sim

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/check.h"
 #include "sim/energy.h"
@@ -27,11 +28,13 @@ BtsSimulator::run(const Trace& trace) const
     r.cache_capacity_bytes = std::max(0.0, cache_capacity_bytes());
     SoftwareCache cache(r.cache_capacity_bytes);
 
+    std::array<KindStats, kHeOpKindCount> by_kind{};
+    std::array<KindStats, kHeOpKindCount> boot_by_kind{};
     double hbm_busy_s = 0;
     const double hbm_bw = hw_.hbm_effective();
 
     for (const auto& op : trace.ops) {
-        const OpCost c = model_.op_cost(op);
+        const OpCost& c = model_.op_cost(op);
 
         // Software cache: operands either hit on-chip or stream in.
         double miss_bytes = 0;
@@ -66,14 +69,22 @@ BtsSimulator::run(const Trace& trace) const
         r.elem_busy_s += c.elem_s;
         hbm_busy_s += mem_s;
 
-        auto& ks = r.by_kind[op.kind];
-        ks.count += 1;
-        ks.total_s += op_s;
+        const auto kind = static_cast<std::size_t>(op.kind);
+        by_kind[kind].count += 1;
+        by_kind[kind].total_s += op_s;
         if (op.in_bootstrap) {
             r.boot_s += op_s;
-            auto& bs = r.boot_by_kind[op.kind];
-            bs.count += 1;
-            bs.total_s += op_s;
+            boot_by_kind[kind].count += 1;
+            boot_by_kind[kind].total_s += op_s;
+        }
+    }
+    // The maps list exactly the kinds the trace ran.
+    for (int k = 0; k < kHeOpKindCount; ++k) {
+        if (by_kind[k].count > 0) {
+            r.by_kind.emplace(static_cast<HeOpKind>(k), by_kind[k]);
+        }
+        if (boot_by_kind[k].count > 0) {
+            r.boot_by_kind.emplace(static_cast<HeOpKind>(k), boot_by_kind[k]);
         }
     }
 

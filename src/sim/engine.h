@@ -5,6 +5,11 @@
  * cache behaviour and energy (Section 6.2's methodology: ops become
  * dataflow tasks scheduled at epoch granularity, with evk prefetch
  * overlapped against compute and temporary-data hold time minimized).
+ *
+ * A run allocates nothing per op: each op's cost is a lookup into the
+ * CostModel's (kind, level) table, the software cache is a flat slot
+ * array, and the per-kind totals accumulate in arrays that fill
+ * SimResult's maps once, after the last op.
  */
 #pragma once
 

@@ -46,6 +46,13 @@ kind_name(HeOpKind kind)
     panic("kind_name: unknown HeOpKind");
 }
 
+void
+OpInputs::reject_extra_input()
+{
+    fatal("an op takes at most " + std::to_string(kMaxInputs) +
+          " operands");
+}
+
 std::map<HeOpKind, int>
 kind_histogram(const Trace& trace)
 {
@@ -55,31 +62,28 @@ kind_histogram(const Trace& trace)
 }
 
 int
-TraceBuilder::add(HeOpKind kind, int level, std::vector<int> inputs,
-                  int rot_amount, bool in_bootstrap)
+TraceBuilder::add(HeOpKind kind, int level, OpInputs inputs, int rot_amount,
+                  bool in_bootstrap)
 {
     // Validate before allocating the output id: a rejected op must not
     // advance the id counter, or a generator that recovers from the
     // throw emits a shifted id stream.
     BTS_CHECK(level >= 0, "op below level 0");
-    return add_into(next_id_++, kind, level, std::move(inputs), rot_amount,
+    return add_into(next_id_++, kind, level, inputs, rot_amount,
                     in_bootstrap);
 }
 
 int
 TraceBuilder::add_into(int out_id, HeOpKind kind, int level,
-                       std::vector<int> inputs, int rot_amount,
-                       bool in_bootstrap)
+                       OpInputs inputs, int rot_amount, bool in_bootstrap)
 {
     BTS_CHECK(level >= 0, "op below level 0");
-    HeOp op;
-    op.kind = kind;
-    op.level = level;
-    op.rot_amount = rot_amount;
-    op.inputs = std::move(inputs);
-    op.output = out_id;
-    op.in_bootstrap = in_bootstrap;
-    trace_.ops.push_back(op);
+    trace_.ops.push_back({.kind = kind,
+                          .level = level,
+                          .rot_amount = rot_amount,
+                          .inputs = inputs,
+                          .output = out_id,
+                          .in_bootstrap = in_bootstrap});
     return out_id;
 }
 

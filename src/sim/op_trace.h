@@ -7,9 +7,18 @@
  * (Section 2.3) annotated with their multiplicative level, operand
  * object ids (for software-cache behaviour) and a bootstrap flag (for
  * the Fig. 7b / Fig. 10 breakdowns).
+ *
+ * An op is a fixed-size value: its operands live inline (OpInputs holds
+ * at most two ids, the arity of every runtime op and every
+ * bootstrap-plan op), so building, copying and freeing a trace of
+ * hundreds of thousands of ops makes one allocation per vector growth,
+ * none per op.
  */
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,13 +58,53 @@ bool needs_evk(HeOpKind kind);
  *  the enumerator range). */
 const char* kind_name(HeOpKind kind);
 
+/**
+ * An op's operand object ids, stored inline: at most kMaxInputs of
+ * them. Iterates, sizes and compares like the id list it stands for;
+ * a third operand throws std::invalid_argument.
+ */
+class OpInputs
+{
+  public:
+    static constexpr std::size_t kMaxInputs = 2;
+    using const_iterator = const int*;
+    using iterator = const_iterator;
+
+    OpInputs() = default;
+    OpInputs(std::initializer_list<int> ids)
+    {
+        for (const int id : ids) push_back(id);
+    }
+
+    void
+    push_back(int id)
+    {
+        if (size_ == kMaxInputs) reject_extra_input();
+        ids_[size_++] = id;
+    }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    const_iterator begin() const { return ids_.data(); }
+    const_iterator end() const { return ids_.data() + size_; }
+
+    /** Same ids in the same order (unused slots stay 0). */
+    bool operator==(const OpInputs&) const = default;
+
+  private:
+    [[noreturn]] static void reject_extra_input();
+
+    std::array<int, kMaxInputs> ids_{};
+    std::uint8_t size_ = 0;
+};
+
 /** One primitive op instance. */
 struct HeOp
 {
     HeOpKind kind = HeOpKind::kHAdd;
     int level = 0;           //!< multiplicative level it executes at
     int rot_amount = 0;      //!< HRot rotation distance (selects the evk)
-    std::vector<int> inputs; //!< ciphertext/plaintext object ids
+    OpInputs inputs;         //!< ciphertext/plaintext object ids
     int output = -1;         //!< output object id (-1: in-place/none)
     bool in_bootstrap = false;
 
@@ -70,12 +119,6 @@ struct Trace
     std::string name;
     std::vector<HeOp> ops;
     int bootstrap_count = 0;
-
-    void
-    push(HeOp op)
-    {
-        ops.push_back(std::move(op));
-    }
 };
 
 /** Op count per kind — the op-mix signature of a trace. */
@@ -94,14 +137,13 @@ class TraceBuilder
     int fresh_id() { return next_id_++; }
 
     /** Append an op; returns the output id (fresh unless provided). */
-    int add(HeOpKind kind, int level, std::vector<int> inputs,
-            int rot_amount = 0, bool in_bootstrap = false);
+    int add(HeOpKind kind, int level, OpInputs inputs, int rot_amount = 0,
+            bool in_bootstrap = false);
 
     /** Append an op writing into an existing object (accumulators and
      *  value chains — keeps dead intermediates out of the SW cache). */
-    int add_into(int out_id, HeOpKind kind, int level,
-                 std::vector<int> inputs, int rot_amount = 0,
-                 bool in_bootstrap = false);
+    int add_into(int out_id, HeOpKind kind, int level, OpInputs inputs,
+                 int rot_amount = 0, bool in_bootstrap = false);
 
     Trace& trace() { return trace_; }
     const Trace& trace() const { return trace_; }

@@ -8,11 +8,19 @@
  * accumulator working set), (2) the prefetched evk stream buffer, and
  * (3) a software-managed ciphertext cache with LRU replacement — the
  * paper's "SW caching", whose hit rate drives Fig. 7a and Fig. 10.
+ *
+ * The cache is flat: resident objects sit in a slot array linked into
+ * an intrusive recency list, and an id-indexed directory maps each id
+ * to its slot. A trace's object ids are dense (ciphertexts count up
+ * from 0; the simulator keys plaintexts at -1000000 - output), so the
+ * directory holds one window of ids per sign and a lookup is one index.
+ * The directory costs 4 bytes per id in each window's span, so ids far
+ * apart cost memory, not correctness.
  */
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "common/types.h"
 
@@ -44,18 +52,66 @@ class SoftwareCache
     double capacity() const { return capacity_; }
 
   private:
+    static constexpr int kNone = -1;
+
+    /** Slot index per key over the dense window [lo, lo + size). */
+    class Directory
+    {
+      public:
+        /** Slot of @p key, or kNone. */
+        int
+        find(std::int64_t key) const
+        {
+            const auto i = static_cast<std::uint64_t>(key - lo_);
+            return i < slot_.size() ? slot_[i] : kNone;
+        }
+
+        /** Writable entry of @p key, widening the window to hold it. */
+        int&
+        at(std::int64_t key)
+        {
+            const auto i = static_cast<std::uint64_t>(key - lo_);
+            return i < slot_.size() ? slot_[i] : widen(key);
+        }
+
+      private:
+        int& widen(std::int64_t key);
+
+        std::int64_t lo_ = 0;
+        std::vector<int> slot_;
+    };
+
+    /** A resident object and its recency-list neighbours. */
+    struct Slot
+    {
+        double bytes;
+        int id;
+        int prev; //!< more recent slot, kNone at the head
+        int next; //!< less recent slot, kNone at the tail
+    };
+
+    /** Directory and key holding @p id: ids >= 0 by value, negative
+     *  ids by ~id (so the plaintext window starts near 999999). */
+    Directory& directory(int id) { return id >= 0 ? pos_ : neg_; }
+    static std::int64_t key(int id) { return id >= 0 ? id : ~id; }
+    int find(int id) const { return (id >= 0 ? pos_ : neg_).find(key(id)); }
+
+    void unlink(int s);
+    void link_front(int s);
+    /** Make @p id resident as the most recent object. */
+    void push_front(int id, double bytes);
+    /** Drop resident slot @p s: unlink it, free it, release its bytes. */
+    void remove(int s);
     void evict_for(double bytes);
-    void touch(int id);
 
     double capacity_;
     double used_ = 0;
-    std::list<int> lru_; // front = most recent
-    struct Entry
-    {
-        double bytes;
-        std::list<int>::iterator pos;
-    };
-    std::unordered_map<int, Entry> entries_;
+    Directory pos_;
+    Directory neg_;
+    std::vector<Slot> slots_;
+    int head_ = kNone; //!< most recent
+    int tail_ = kNone; //!< least recent
+    int free_ = kNone; //!< free slots, chained through Slot::next
     std::size_t hits_ = 0;
     std::size_t misses_ = 0;
 };

@@ -188,9 +188,9 @@ TEST(Lowering, ObjectIdsFollowFirstUseOrder)
     g.mark_output(g.hadd(s, a));
     const sim::Trace trace = lower_to_trace(g, i);
     ASSERT_EQ(trace.ops.size(), 2u);
-    EXPECT_EQ(trace.ops[0].inputs, (std::vector<int>{0, 1}));
+    EXPECT_EQ(trace.ops[0].inputs, (sim::OpInputs{0, 1}));
     EXPECT_EQ(trace.ops[0].output, 2);
-    EXPECT_EQ(trace.ops[1].inputs, (std::vector<int>{2, 0}));
+    EXPECT_EQ(trace.ops[1].inputs, (sim::OpInputs{2, 0}));
     EXPECT_EQ(trace.ops[1].output, 3);
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <random>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "baselines/published.h"
 #include "sim/bootstrap_plan.h"
@@ -96,6 +101,31 @@ TEST(OpTrace, LevelUnderflowRejectedOnEveryBuilderPath)
     EXPECT_EQ(b.trace().ops.size(), 2u);
 }
 
+TEST(OpTrace, OperandListHoldsAtMostTwo)
+{
+    OpInputs two{3, 4};
+    EXPECT_EQ(two.size(), 2u);
+    EXPECT_EQ(std::vector<int>(two.begin(), two.end()),
+              (std::vector<int>{3, 4}));
+    EXPECT_EQ(two, (OpInputs{3, 4}));
+    EXPECT_NE(two, (OpInputs{4, 3}));
+    EXPECT_NE(two, (OpInputs{3}));
+    EXPECT_NE((OpInputs{0}), (OpInputs{0, 0}));
+    EXPECT_TRUE(OpInputs{}.empty());
+    EXPECT_THROW(two.push_back(5), std::invalid_argument);
+    EXPECT_EQ(two, (OpInputs{3, 4}));
+    EXPECT_THROW((OpInputs{1, 2, 3}), std::invalid_argument);
+
+    // A three-operand op is rejected before the builder sees it: no op
+    // is appended and no object id is consumed.
+    TraceBuilder b("t");
+    const int x = b.fresh_id();
+    EXPECT_THROW(b.add(HeOpKind::kHAdd, 1, {x, x, x}),
+                 std::invalid_argument);
+    EXPECT_TRUE(b.trace().ops.empty());
+    EXPECT_EQ(b.add(HeOpKind::kHAdd, 1, {x, x}), x + 1);
+}
+
 TEST(OpTrace, KindHistogram)
 {
     TraceBuilder b("t");
@@ -136,6 +166,185 @@ TEST(SoftwareCache, InsertReplaces)
     cache.insert(7, 30); // replaces, does not double-count
     EXPECT_EQ(cache.used_bytes(), 30);
     EXPECT_EQ(cache.access(7, 30), 0);
+}
+
+/**
+ * Reference model of SoftwareCache: the same LRU policy kept with one
+ * std::list node and one hash node per resident object. SoftwareCache
+ * must behave exactly like it.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(double capacity_bytes)
+        : capacity_(std::max(0.0, capacity_bytes))
+    {}
+
+    double
+    access(int id, double bytes)
+    {
+        const auto it = entries_.find(id);
+        if (it != entries_.end()) {
+            ++hits_;
+            touch(id);
+            return 0.0;
+        }
+        ++misses_;
+        if (bytes > capacity_) return bytes;
+        evict_for(bytes);
+        lru_.push_front(id);
+        entries_[id] = {bytes, lru_.begin()};
+        used_ += bytes;
+        return bytes;
+    }
+
+    void
+    insert(int id, double bytes)
+    {
+        const auto it = entries_.find(id);
+        if (it != entries_.end()) {
+            used_ -= it->second.bytes;
+            lru_.erase(it->second.pos);
+            entries_.erase(it);
+        }
+        if (bytes > capacity_) return;
+        evict_for(bytes);
+        lru_.push_front(id);
+        entries_[id] = {bytes, lru_.begin()};
+        used_ += bytes;
+    }
+
+    std::size_t hits() const { return hits_; }
+    std::size_t misses() const { return misses_; }
+    double used_bytes() const { return used_; }
+
+  private:
+    void
+    touch(int id)
+    {
+        auto& e = entries_.at(id);
+        lru_.erase(e.pos);
+        lru_.push_front(id);
+        e.pos = lru_.begin();
+    }
+
+    void
+    evict_for(double bytes)
+    {
+        while (used_ + bytes > capacity_ && !lru_.empty()) {
+            const int victim = lru_.back();
+            lru_.pop_back();
+            used_ -= entries_.at(victim).bytes;
+            entries_.erase(victim);
+        }
+    }
+
+    double capacity_;
+    double used_ = 0;
+    std::list<int> lru_; // front = most recent
+    struct Entry
+    {
+        double bytes;
+        std::list<int>::iterator pos;
+    };
+    std::unordered_map<int, Entry> entries_;
+    std::size_t hits_ = 0;
+    std::size_t misses_ = 0;
+};
+
+/**
+ * Drive SoftwareCache and ReferenceCache with the same seeded stream of
+ * @p calls access/insert calls over @p ids, with sizes drawn from
+ * @p sizes or uniformly from [0, 1.2 capacity); every return value and
+ * every statistic must match after every call.
+ */
+void
+expect_matches_reference(double capacity, const std::vector<int>& ids,
+                         const std::vector<double>& sizes,
+                         std::uint32_t seed, int calls)
+{
+    SoftwareCache flat(capacity);
+    ReferenceCache ref(capacity);
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> any_size(
+        0.0, 1.2 * std::max(capacity, 1.0));
+    for (int call = 0; call < calls; ++call) {
+        const int id = ids[rng() % ids.size()];
+        const double bytes =
+            rng() % 4 == 0 ? any_size(rng) : sizes[rng() % sizes.size()];
+        const bool insert = rng() % 3 == 0;
+        const auto where = [&] {
+            return ::testing::Message()
+                   << "seed " << seed << " call " << call << ": "
+                   << (insert ? "insert(" : "access(") << id << ", "
+                   << bytes << ")";
+        };
+        if (insert) {
+            flat.insert(id, bytes);
+            ref.insert(id, bytes);
+        } else {
+            ASSERT_EQ(flat.access(id, bytes), ref.access(id, bytes))
+                << where();
+        }
+        ASSERT_EQ(flat.hits(), ref.hits()) << where();
+        ASSERT_EQ(flat.misses(), ref.misses()) << where();
+        ASSERT_EQ(flat.used_bytes(), ref.used_bytes()) << where();
+    }
+}
+
+TEST(SoftwareCache, MatchesListAndMapReference)
+{
+    const double cap = 100.0;
+    // Sizes at, around and above capacity, tiny and zero ones, and
+    // fractions whose running sums round.
+    const std::vector<double> sizes = {0.0,  0.1,   1.0 / 3,   7.25,
+                                       33.3, 49.99, 50.0,      99.999,
+                                       cap,  100.5, 2.0 * cap, 1e-300};
+    std::vector<int> dense;
+    for (int id = 0; id < 24; ++id) dense.push_back(id);
+    // Ids far apart, on both sides of zero, out of order.
+    const std::vector<int> sparse = {0,      1,       7,      4093,
+                                     65536,  1 << 20, 999983, -1,
+                                     -2,     -77,     -40000, 123457};
+    // The simulator's mix: ciphertext ids and the plaintext keys
+    // -1000000 - output of the same outputs.
+    std::vector<int> engine;
+    for (int out = 0; out < 16; ++out) {
+        engine.push_back(out);
+        engine.push_back(-1000000 - out);
+    }
+    for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+        expect_matches_reference(cap, dense, sizes, seed, 20000);
+        expect_matches_reference(cap, sparse, sizes, seed, 20000);
+        expect_matches_reference(cap, engine, sizes, seed, 20000);
+        expect_matches_reference(0.0, dense, sizes, seed, 2000);
+        expect_matches_reference(-5.0, engine, sizes, seed, 2000);
+        expect_matches_reference(1e9, engine, sizes, seed, 2000);
+    }
+}
+
+TEST(SoftwareCache, MatchesReferenceOnAGrowingIdStream)
+{
+    // Ids arriving in trace order: each op reads recent outputs and a
+    // plaintext and writes a fresh id, so both id windows keep growing.
+    SoftwareCache flat(1000.0);
+    ReferenceCache ref(1000.0);
+    std::mt19937 rng(7);
+    for (int out = 41; out < 50000; ++out) {
+        for (int k = 0; k < 2; ++k) {
+            const int in = out - 1 - static_cast<int>(rng() % 40);
+            ASSERT_EQ(flat.access(in, 60.0), ref.access(in, 60.0));
+        }
+        if (rng() % 2 == 0) {
+            ASSERT_EQ(flat.access(-1000000 - out, 30.0),
+                      ref.access(-1000000 - out, 30.0));
+        }
+        flat.insert(out, 120.0);
+        ref.insert(out, 120.0);
+        ASSERT_EQ(flat.hits(), ref.hits());
+        ASSERT_EQ(flat.misses(), ref.misses());
+        ASSERT_EQ(flat.used_bytes(), ref.used_bytes());
+    }
 }
 
 class CostModelTest : public ::testing::Test
