@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
+#include "runtime/analysis/dot.h"
 #include "runtime/lowering.h"
 
 namespace bts::runtime::analysis {
@@ -367,21 +368,6 @@ to_resource_dot(const Graph& g, const ResourceSummary& s)
 {
     BTS_CHECK(s.nodes.size() == g.num_nodes(),
               "cost DOT needs the summary of this graph");
-    std::ostringstream os;
-    os.precision(3);
-    os << "digraph \"" << g.name() << "\" {\n"
-       << "  rankdir=TB;\n  node [fontsize=10];\n";
-    std::vector<char> is_out(g.num_values(), 0);
-    for (const int id : g.outputs()) is_out[id] = 1;
-
-    for (const int id : g.input_ids()) {
-        const ValueInfo& info = g.value(id);
-        os << "  v" << id << " [shape=box"
-           << (info.is_plain ? ", style=dashed" : "") << ", label=\""
-           << (info.is_plain ? "pt" : "ct") << " in v" << id << "\\nL"
-           << info.level << "\""
-           << (is_out[id] ? ", peripheries=2" : "") << "];\n";
-    }
     // Tint the nodes on the critical path: the chain whose finish time
     // equals the graph's critical path, walked back greedily.
     std::vector<char> critical(g.num_nodes(), 0);
@@ -411,37 +397,24 @@ to_resource_dot(const Graph& g, const ResourceSummary& s)
             at = next;
         }
     }
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
+
+    DotView view;
+    view.input_label = [&](std::ostream& label, int id) {
+        label << "\\nL" << g.value(id).level;
+    };
+    view.node_label = [&](std::ostream& label, std::size_t i) {
         const NodeResource& nr = s.nodes[i];
-        std::ostringstream label;
         label.precision(3);
-        label << "#" << i << " " << op_name(n.kind);
-        if (n.kind == OpKind::kHRot) label << " r=" << n.rot_amount;
-        label << "\\n" << nr.cost_s * 1e3 << " ms, live "
-              << nr.live_after << " ct";
+        label << "\\n" << nr.cost_s * 1e3 << " ms, live " << nr.live_after
+              << " ct";
         if (nr.evk_bytes > 0) {
             label << "\\nevk " << human_bytes(nr.evk_bytes);
         }
-        bool marks = false;
-        for (const int o : n.outputs) marks = marks || is_out[o];
-        os << "  n" << i << " [label=\"" << label.str() << "\"";
-        if (critical[i]) os << ", style=filled, fillcolor=lightsteelblue";
-        os << (marks ? ", peripheries=2" : "") << "];\n";
-    }
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        for (const int in : g.node(i).inputs) {
-            const ValueInfo& info = g.value(in);
-            if (info.is_input) {
-                os << "  v" << in;
-            } else {
-                os << "  n" << info.producer;
-            }
-            os << " -> n" << i << " [label=\"v" << in << "\"];\n";
-        }
-    }
-    os << "}\n";
-    return os.str();
+    };
+    view.node_fill = [&](std::size_t i) -> const char* {
+        return critical[i] ? "lightsteelblue" : nullptr;
+    };
+    return render_dot(g, view);
 }
 
 } // namespace bts::runtime::analysis

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "runtime/analysis/dot.h"
+
 namespace bts::runtime::analysis {
 
 namespace {
@@ -19,6 +21,25 @@ scales_equal(double a, double b)
     return a > 0.0 && b > 0.0 && std::abs(a / b - 1.0) < 1e-9;
 }
 
+/**
+ * The per-op noise growth model's constants. A ciphertext value carries
+ * noise_bits = log2 of its estimated error magnitude; error magnitudes
+ * compose by the independent-error (RMS) heuristic standard for CKKS:
+ * adds combine as sqrt(ea^2 + eb^2), multiplies take the dominant cross
+ * term max(na + sb, nb + sa) of e = a*eb + b*ea. Each constant is a
+ * fraction of S = log2(delta), so the model adapts from the paper's
+ * 50-bit production scales down to the 40-bit test instances without
+ * retuning. docs/ANALYSIS.md derives each one.
+ */
+constexpr double kFresh = 0.25;        //!< encryption noise
+constexpr double kKeySwitch = 0.30;    //!< additive key-switch noise
+constexpr double kRescaleFloor = 0.30; //!< rounding floor after rescale
+constexpr double kBootstrapOut = 0.45; //!< noise of a refreshed value
+constexpr double kWarnHeadroom = 0.15; //!< warn below this budget
+/** q0 headroom over the scale prime (60-bit base over 50-bit scale
+ *  primes in Table 4): level-0 capacity is kQ0Ratio x scale bits. */
+constexpr double kQ0Ratio = 1.2;
+
 class Verifier
 {
   public:
@@ -31,12 +52,12 @@ class Verifier
     Analysis
     run()
     {
-        if (opts_.structure && !check_structure()) {
+        if (!check_structure()) {
             // Structural corruption: every later analysis walks the
             // value/node cross-links, so stop before they misindex.
             return std::move(result_);
         }
-        if (opts_.structure) check_metadata();
+        check_metadata();
         if (opts_.noise) check_noise_and_levels();
         if (opts_.keys) check_keys(*opts_.keys);
         if (opts_.lints) check_lints();
@@ -359,12 +380,11 @@ class Verifier
     void
     check_noise_and_levels()
     {
-        const NoiseModel& m = opts_.noise_model;
         const double S = scale_bits_;
         std::vector<double> noise(g_.num_values(), 0.0);
 
         for (const int id : g_.input_ids()) {
-            if (!g_.value(id).is_plain) noise[id] = m.fresh * S;
+            if (!g_.value(id).is_plain) noise[id] = kFresh * S;
             note_value(id, noise[id]);
         }
         for (std::size_t i = 0; i < g_.num_nodes(); ++i) {
@@ -388,7 +408,7 @@ class Verifier
             case OpKind::kHMult:
                 out = log_sum(std::max(nb(0) + sbits(1),
                                        nb(1) + sbits(0)),
-                              m.key_switch * S);
+                              kKeySwitch * S);
                 break;
             case OpKind::kPMult:
                 out = nb(0) + sbits(1);
@@ -400,26 +420,26 @@ class Verifier
             case OpKind::kHRot:
             case OpKind::kConj:
             case OpKind::kHRotHoisted:
-                out = log_sum(nb(0), m.key_switch * S);
+                out = log_sum(nb(0), kKeySwitch * S);
                 break;
             case OpKind::kHRescale:
-                out = std::max(nb(0) - S, m.rescale_floor * S);
+                out = std::max(nb(0) - S, kRescaleFloor * S);
                 break;
             case OpKind::kModRaise: out = nb(0); break;
-            case OpKind::kBootstrap: out = m.bootstrap_out * S; break;
+            case OpKind::kBootstrap: out = kBootstrapOut * S; break;
             case OpKind::kHMultRescale:
                 out = std::max(log_sum(std::max(nb(0) + sbits(1),
                                                 nb(1) + sbits(0)),
-                                       m.key_switch * S) -
+                                       kKeySwitch * S) -
                                    S,
-                               m.rescale_floor * S);
+                               kRescaleFloor * S);
                 break;
             case OpKind::kPMultRescale:
                 out = std::max(nb(0) + sbits(1) - S,
-                               m.rescale_floor * S);
+                               kRescaleFloor * S);
                 break;
             case OpKind::kCMultRescale:
-                out = std::max(nb(0), m.rescale_floor * S);
+                out = std::max(nb(0), kRescaleFloor * S);
                 break;
             }
             for (const int o : n.outputs) {
@@ -449,7 +469,6 @@ class Verifier
     void
     check_budgets(int node, int id, double noise_bits)
     {
-        const NoiseModel& m = opts_.noise_model;
         const double S = scale_bits_;
         const ValueInfo& info = g_.value(id);
         const double sbits = std::log2(info.scale);
@@ -470,7 +489,7 @@ class Verifier
             return;
         }
         // Modulus capacity: scale must stay below q0 * delta^level.
-        if (sbits > (m.q0_ratio + info.level) * S) {
+        if (sbits > (kQ0Ratio + info.level) * S) {
             emit("level-budget", Severity::kError, node, id,
                  "scale (2^" + std::to_string(sbits) +
                      ") exceeds the level-" +
@@ -485,7 +504,7 @@ class Verifier
                      ") consumes the whole precision budget before "
                      "this value's bootstrap",
                  "bootstrap earlier or shorten the add chain");
-        } else if (budget < m.warn_headroom * S) {
+        } else if (budget < kWarnHeadroom * S) {
             emit("noise-budget", Severity::kWarning, node, id,
                  "only " + std::to_string(budget) +
                      " precision bits of headroom left "
@@ -668,10 +687,6 @@ verify_or_throw(const Graph& g, const AnalysisOptions& opts)
 std::string
 to_annotated_dot(const Graph& g, const Analysis& a)
 {
-    std::ostringstream os;
-    os << "digraph \"" << g.name() << "\" {\n"
-       << "  rankdir=TB;\n  node [fontsize=10];\n";
-
     // Worst diagnostic severity per node, for the tint.
     std::vector<int> worst(g.num_nodes(), -1);
     for (const Diagnostic& d : a.diags) {
@@ -680,62 +695,26 @@ to_annotated_dot(const Graph& g, const Analysis& a)
                 std::max(worst[d.node], static_cast<int>(d.severity));
         }
     }
-    const auto tint = [&](int node) -> const char* {
-        if (node < 0 || worst[node] < 0) return nullptr;
-        return worst[node] == static_cast<int>(Severity::kError)
-                   ? "lightcoral"
-                   : "khaki";
-    };
-    const auto facts_label = [&](std::ostringstream& label, int id) {
+    const auto facts_label = [&](std::ostream& label, int id) {
         if (id < 0 || id >= static_cast<int>(a.values.size())) return;
         const ValueFacts& f = a.values[id];
         label << "\\nL" << f.level << " noise=" << std::lround(f.noise_bits)
               << "b budget=" << std::lround(f.budget_bits) << "b";
     };
 
-    std::vector<char> is_out(g.num_values(), 0);
-    for (const int id : g.outputs()) is_out[id] = 1;
-
-    for (const int id : g.input_ids()) {
-        const ValueInfo& info = g.value(id);
-        std::ostringstream label;
-        label << (info.is_plain ? "pt" : "ct") << " in v" << id;
-        if (!info.is_plain) facts_label(label, id);
-        os << "  v" << id << " [shape=box"
-           << (info.is_plain ? ", style=dashed" : "") << ", label=\""
-           << label.str() << "\""
-           << (is_out[id] ? ", peripheries=2" : "") << "];\n";
-    }
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        const Node& n = g.node(i);
-        std::ostringstream label;
-        label << "#" << i << " " << op_name(n.kind);
-        if (n.kind == OpKind::kHRot) label << " r=" << n.rot_amount;
-        facts_label(label, n.output);
-        bool marks = false;
-        for (const int o : n.outputs) marks = marks || is_out[o];
-        os << "  n" << i << " [label=\"" << label.str() << "\"";
-        if (const char* color = tint(static_cast<int>(i))) {
-            os << ", style=filled, fillcolor=" << color;
-        }
-        os << (marks ? ", peripheries=2" : "") << "];\n";
-    }
-    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        for (const int in : g.node(i).inputs) {
-            if (in < 0 || in >= static_cast<int>(g.num_values())) {
-                continue;
-            }
-            const ValueInfo& info = g.value(in);
-            if (info.is_input) {
-                os << "  v" << in;
-            } else {
-                os << "  n" << info.producer;
-            }
-            os << " -> n" << i << " [label=\"v" << in << "\"];\n";
-        }
-    }
-    os << "}\n";
-    return os.str();
+    DotView view;
+    view.input_label = [&](std::ostream& label, int id) {
+        if (!g.value(id).is_plain) facts_label(label, id);
+    };
+    view.node_label = [&](std::ostream& label, std::size_t i) {
+        facts_label(label, g.node(i).output);
+    };
+    view.node_fill = [&](std::size_t i) -> const char* {
+        if (worst[i] < 0) return nullptr;
+        return worst[i] == static_cast<int>(Severity::kError) ? "lightcoral"
+                                                              : "khaki";
+    };
+    return render_dot(g, view);
 }
 
 } // namespace bts::runtime::analysis

@@ -53,34 +53,6 @@
 
 namespace bts::runtime::analysis {
 
-/**
- * Per-op noise growth model. A ciphertext value carries noise_bits =
- * log2 of its estimated error magnitude; error magnitudes compose by
- * the independent-error (RMS) heuristic standard for CKKS — adds
- * combine as sqrt(ea^2 + eb^2) (balanced trees grow 0.5 bits per
- * level; pathological self-accumulation still grows without bound),
- * multiplies take the dominant cross term max(na + sb, nb + sa) of
- * e = a*eb + b*ea. The
- * floor constants are *fractions of log2(delta)*, so the model adapts
- * from the paper's 50-bit production scales down to the 40-bit test
- * instances without retuning. A value's precision budget is
- * scale_bits - noise_bits; the estimator errors when that budget
- * reaches zero before the value's bootstrap. Constants follow the
- * paper's parameter-study margins (Section 2.4 / Table 4); see
- * docs/ANALYSIS.md for the derivation of each one.
- */
-struct NoiseModel
-{
-    double fresh = 0.25;         //!< encryption noise, x scale bits
-    double key_switch = 0.30;    //!< additive key-switch noise term
-    double rescale_floor = 0.30; //!< rounding noise floor after rescale
-    double bootstrap_out = 0.45; //!< noise of a refreshed ciphertext
-    double warn_headroom = 0.15; //!< warn when budget drops below this
-    /** q0 headroom over the scale prime (60-bit base over 50-bit scale
-     *  primes in Table 4): level-0 capacity is q0_ratio x scale bits. */
-    double q0_ratio = 1.2;
-};
-
 /** The evaluation-key material a graph's execution environment holds;
  *  checked against the ops the graph actually uses. */
 struct KeySet
@@ -92,13 +64,12 @@ struct KeySet
     std::set<int> rotations;
 };
 
-/** Which rule families run (all on by default). */
+/** Which rule families run besides structure and metadata, which
+ *  always run: every later rule walks the cross-links they check. */
 struct AnalysisOptions
 {
-    bool structure = true; //!< well-formedness + metadata re-inference
-    bool noise = true;     //!< noise-budget estimator + level budgets
-    bool lints = true;     //!< unused-input / dead-node / waterline...
-    NoiseModel noise_model;
+    bool noise = true; //!< noise-budget estimator + level budgets
+    bool lints = true; //!< unused-input / dead-node / waterline...
     /** When set, the graph's required evks are checked against it. */
     std::optional<KeySet> keys;
 

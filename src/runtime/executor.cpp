@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "runtime/analysis/resource.h"
-#include "runtime/telemetry/metrics.h"
 #include "runtime/telemetry/trace.h"
 
 namespace bts::runtime {
@@ -82,24 +81,6 @@ ciphertext_bytes(const Ciphertext& ct)
 {
     return (ct.b.num_primes() + ct.a.num_primes()) * ct.b.degree() *
            sizeof(u64);
-}
-
-/** Per-process executor metrics; references are stable for the
- *  registry's (leaked-singleton) lifetime, so resolve them once. */
-void
-record_run_metrics(const ExecStats& stats)
-{
-    using telemetry::MetricsRegistry;
-    static telemetry::Counter& runs = MetricsRegistry::instance().counter(
-        "bts_executor_runs_total", "graph executions completed");
-    static telemetry::Counter& nodes = MetricsRegistry::instance().counter(
-        "bts_executor_nodes_total", "graph nodes dispatched");
-    static telemetry::Gauge& peak = MetricsRegistry::instance().gauge(
-        "bts_executor_peak_live_bytes",
-        "largest per-run peak of the live ciphertext set");
-    runs.inc(1);
-    nodes.inc(stats.nodes);
-    peak.set_max(static_cast<double>(stats.peak_live_bytes));
 }
 
 } // namespace
@@ -384,8 +365,15 @@ Executor::finish_node(const Graph& g, std::size_t node_idx,
 }
 
 std::vector<Ciphertext>
-Executor::collect_outputs(const Graph& g, Sched& sched) const
+Executor::finish_run(const Graph& g, const Plan& plan, Sched& sched,
+                     ExecStats* stats) const
 {
+    if (stats) {
+        *stats = sched.stats;
+        std::lock_guard<std::mutex> lock(plan.plain_mutex);
+        stats->plain_cache_hits = plan.plain_hits;
+        stats->plain_cache_misses = plan.plain_misses;
+    }
     std::vector<Ciphertext> outs;
     outs.reserve(g.outputs().size());
     for (const int id : g.outputs()) {
@@ -523,14 +511,7 @@ Executor::run(const Graph& g, Binding inputs, ExecStats* stats,
     if (sched.error) std::rethrow_exception(sched.error);
     BTS_ASSERT(sched.done == sched.num_nodes,
                "scheduler finished with unexecuted nodes");
-    record_run_metrics(sched.stats);
-    if (stats) {
-        *stats = sched.stats;
-        std::lock_guard<std::mutex> lock(plan.plain_mutex);
-        stats->plain_cache_hits = plan.plain_hits;
-        stats->plain_cache_misses = plan.plain_misses;
-    }
-    return collect_outputs(g, sched);
+    return finish_run(g, plan, sched, stats);
 }
 
 std::vector<Ciphertext>
@@ -552,15 +533,7 @@ Executor::run_serial(const Graph& g, Binding inputs,
         sched.stats.peak_in_flight = 1;
         finish_node(g, i, std::move(out), sched);
     }
-
-    record_run_metrics(sched.stats);
-    if (stats) {
-        *stats = sched.stats;
-        std::lock_guard<std::mutex> lock(plan.plain_mutex);
-        stats->plain_cache_hits = plan.plain_hits;
-        stats->plain_cache_misses = plan.plain_misses;
-    }
-    return collect_outputs(g, sched);
+    return finish_run(g, plan, sched, stats);
 }
 
 } // namespace bts::runtime

@@ -154,8 +154,11 @@ class Executor
                                       Sched& sched) const;
     void finish_node(const Graph& g, std::size_t node_idx,
                      std::vector<Ciphertext> outs, Sched& sched) const;
-    std::vector<Ciphertext> collect_outputs(const Graph& g,
-                                            Sched& sched) const;
+    /** Copy the run's stats into @p stats (when given) and move the
+     *  marked outputs out, in mark order. */
+    std::vector<Ciphertext> finish_run(const Graph& g, const Plan& plan,
+                                       Sched& sched,
+                                       ExecStats* stats) const;
 
     EvalResources res_;
     ExecOptions opts_;

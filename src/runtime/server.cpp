@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "runtime/analysis/verifier.h"
-#include "runtime/telemetry/metrics.h"
 #include "runtime/telemetry/trace.h"
 
 namespace bts::runtime {
@@ -17,38 +16,6 @@ seconds(std::chrono::steady_clock::duration d)
 {
     return std::chrono::duration<double>(d).count();
 }
-
-/** Per-process serving metrics (see executor.cpp's record_run_metrics
- *  for the resolve-once idiom). */
-struct ServerMetrics
-{
-    telemetry::Counter& submitted;
-    telemetry::Counter& completed;
-    telemetry::Counter& failed;
-    telemetry::Gauge& queue_depth;
-    telemetry::Histogram& latency;
-
-    static ServerMetrics&
-    instance()
-    {
-        using telemetry::MetricsRegistry;
-        MetricsRegistry& reg = MetricsRegistry::instance();
-        static ServerMetrics* m = new ServerMetrics{
-            reg.counter("bts_server_jobs_submitted_total",
-                        "jobs admitted into the serving queue"),
-            reg.counter("bts_server_jobs_completed_total",
-                        "jobs whose future resolved with outputs"),
-            reg.counter("bts_server_jobs_failed_total",
-                        "jobs whose future resolved with an exception"),
-            reg.gauge("bts_server_queue_depth",
-                      "jobs waiting for a lane right now"),
-            reg.histogram("bts_server_job_latency_seconds",
-                          telemetry::latency_buckets(),
-                          "submit-to-completion latency"),
-        };
-        return *m;
-    }
-};
 
 } // namespace
 
@@ -191,9 +158,6 @@ GraphServer::submit(JobRequest req)
         queue_.push_back(std::move(job));
         BTS_TRACE_INSTANT(kServer, "job.admitted", queue_.size());
         BTS_TRACE_COUNTER(kServer, "server.queue_depth", queue_.size());
-        ServerMetrics::instance().submitted.inc(1);
-        ServerMetrics::instance().queue_depth.set(
-            static_cast<double>(queue_.size()));
     }
     queue_cv_.notify_one();
     return fut;
@@ -248,8 +212,6 @@ GraphServer::lane_loop(int lane_idx)
                               job.req.graph->uid());
             BTS_TRACE_COUNTER(kServer, "server.queue_depth",
                               queue_.size());
-            ServerMetrics::instance().queue_depth.set(
-                static_cast<double>(queue_.size()));
         }
         // One freed slot admits one submitter: every blocked submitter
         // waits on the same predicate.
@@ -260,6 +222,7 @@ GraphServer::lane_loop(int lane_idx)
         result.queue_s = seconds(start - job.submitted);
         result.est_cost_s =
             job.summary != nullptr ? job.summary->total_work_s : 0.0;
+        ExecStats exec_stats;
         bool ok = true;
         {
             BTS_TRACE_SPAN_VAR(job_span, kServer, "job");
@@ -269,7 +232,7 @@ GraphServer::lane_loop(int lane_idx)
             try {
                 result.outputs = exec.run(*job.req.graph,
                                           std::move(job.req.inputs),
-                                          nullptr, job.summary);
+                                          &exec_stats, job.summary);
             } catch (...) {
                 ok = false;
                 job.promise.set_exception(std::current_exception());
@@ -278,11 +241,6 @@ GraphServer::lane_loop(int lane_idx)
         const Clock::time_point end = Clock::now();
         result.exec_s = seconds(end - start);
         BTS_TRACE_INSTANT(kServer, "job.done", job.req.graph->uid());
-        (ok ? ServerMetrics::instance().completed
-            : ServerMetrics::instance().failed)
-            .inc(1);
-        ServerMetrics::instance().latency.observe(
-            seconds(end - job.submitted));
         // Fulfil the promise BEFORE decrementing active_: drain()
         // returning must imply every admitted job's future is ready.
         if (ok) job.promise.set_value(std::move(result));
@@ -295,6 +253,8 @@ GraphServer::lane_loop(int lane_idx)
                 ++completed_;
                 ++completed_by_client_[job.req.client];
                 exec_total_s_ += result.exec_s;
+                peak_live_bytes_ = std::max(peak_live_bytes_,
+                                            exec_stats.peak_live_bytes);
                 // Algorithm-R reservoir: every completed job's latency
                 // has equal probability of being in the sample.
                 constexpr std::size_t kReservoir = 4096;
@@ -331,6 +291,7 @@ GraphServer::stats() const
         s.completed = completed_;
         s.failed = failed_;
         s.completed_by_client = completed_by_client_;
+        s.peak_live_bytes = peak_live_bytes_;
         sorted = latencies_s_;
         client_sorted = client_latencies_s_;
         if (completed_ > 0) {

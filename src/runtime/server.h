@@ -85,6 +85,10 @@ struct ServerStats
     double mean_exec_s = 0;
     /** completed / (last completion - first admission). */
     double jobs_per_s = 0;
+    /** The largest ExecStats::peak_live_bytes among completed jobs:
+     *  the measured counterpart of a registered graph's
+     *  ResourceSummary::peak_live_bytes. */
+    std::size_t peak_live_bytes = 0;
 };
 
 /**
@@ -203,6 +207,7 @@ class GraphServer
     std::map<std::string, std::size_t> completed_by_client_
         BTS_GUARDED_BY(mutex_);
     double exec_total_s_ BTS_GUARDED_BY(mutex_) = 0;
+    std::size_t peak_live_bytes_ BTS_GUARDED_BY(mutex_) = 0;
     /** Bounded uniform sample of per-job latencies (reservoir
      *  sampling), so a long-lived server's memory and its stats()
      *  percentile cost stay O(capacity), not O(jobs served) —

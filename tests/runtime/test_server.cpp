@@ -115,6 +115,60 @@ TEST(GraphServer, MixedClientsAllComplete)
     EXPECT_EQ(by_client, 12u);
 }
 
+TEST(GraphServer, StatsArePerServer)
+{
+    // Two servers alive at once, serving different graphs with
+    // different job counts: each reports its own jobs, and its
+    // live-set peak is the one its graph reaches on an Executor with
+    // the server's lanes_per_job lanes.
+    auto& e = senv();
+    ServerOptions opts;
+    opts.lanes = 2;
+    GraphServer dot_server(e.resources(), opts);
+    GraphServer poly_server(e.resources(), opts);
+    const passes::OptimizeResult* reg = dot_server.register_graph(*e.dot);
+    const auto dot_job = [&](u64 seed) {
+        JobRequest raw = e.dot_job(seed);
+        JobRequest req;
+        req.graph = &reg->graph;
+        for (auto& [id, ct] : raw.inputs.ciphers) {
+            req.inputs.bind(reg->remap(Value{id}), std::move(ct));
+        }
+        for (auto& [id, pt] : raw.inputs.plains) {
+            req.inputs.bind(reg->remap(Value{id}), std::move(pt));
+        }
+        return req;
+    };
+
+    std::vector<std::future<JobResult>> futures;
+    for (u64 i = 0; i < 5; ++i) {
+        futures.push_back(dot_server.submit(dot_job(500 + i)));
+        if (i < 2) futures.push_back(poly_server.submit(e.poly_job(600 + i)));
+    }
+    for (auto& f : futures) f.get();
+    dot_server.drain();
+    poly_server.drain();
+
+    ExecOptions eo;
+    eo.lanes = opts.lanes_per_job;
+    const Executor ref(e.resources(), eo);
+    ExecStats dot_run;
+    ExecStats poly_run;
+    ref.run(reg->graph, dot_job(500).inputs, &dot_run);
+    ref.run(*e.poly, e.poly_job(600).inputs, &poly_run);
+    // Distinct peaks, so a counter shared between servers would show.
+    ASSERT_NE(dot_run.peak_live_bytes, poly_run.peak_live_bytes);
+
+    const ServerStats ds = dot_server.stats();
+    const ServerStats ps = poly_server.stats();
+    EXPECT_EQ(ds.submitted, 5u);
+    EXPECT_EQ(ds.completed, 5u);
+    EXPECT_EQ(ps.submitted, 2u);
+    EXPECT_EQ(ps.completed, 2u);
+    EXPECT_EQ(ds.peak_live_bytes, dot_run.peak_live_bytes);
+    EXPECT_EQ(ps.peak_live_bytes, poly_run.peak_live_bytes);
+}
+
 TEST(GraphServer, ResultsMatchDirectExecution)
 {
     auto& e = senv();

@@ -1,10 +1,9 @@
 /**
- * Tracing core + metrics registry tests (runtime/telemetry/):
- * multi-thread capture, the drop-new overflow contract (a full buffer
- * counts, never blocks or crashes), runtime category masking, the
- * metrics registry's instruments and both render formats, and the
- * Chrome trace exporter's event shapes. The disabled-path overhead
- * bound is timed on its own in test_telemetry_overhead.cpp.
+ * Tracing core tests (runtime/telemetry/): multi-thread capture, the
+ * drop-new overflow contract (a full buffer counts, never blocks or
+ * crashes), runtime category masking, and the Chrome trace exporter's
+ * event shapes. The disabled-path overhead bound is timed on its own
+ * in test_telemetry_overhead.cpp.
  *
  * Telemetry state is process-global; every test starts by disabling
  * emission and resetting the buffers so captures cannot leak across
@@ -16,12 +15,11 @@
 #include <vector>
 
 #include "runtime/telemetry/chrome_trace.h"
-#include "runtime/telemetry/metrics.h"
 #include "runtime/telemetry/trace.h"
 
 // Capture-dependent cases skip when the hooks are compiled out
 // (-DBTS_TELEMETRY=OFF): nothing emits by design, so there is nothing
-// to assert on. The metrics/render cases run either way.
+// to assert on. Trace.DisabledEmitsNothing runs either way.
 #if defined(BTS_TELEMETRY)
 #define BTS_SKIP_WITHOUT_TELEMETRY() ((void)0)
 #else
@@ -234,66 +232,6 @@ TEST(ChromeTrace, ExportsTracksSpansAndCounters)
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("\"dropped_events\":0"), std::string::npos);
-}
-
-TEST(Metrics, InstrumentsAccumulate)
-{
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    Counter& c = reg.counter("test_counter_total", "a counter");
-    c.reset();
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    // Find-or-create returns the same instrument.
-    EXPECT_EQ(&c, &reg.counter("test_counter_total"));
-
-    Gauge& g = reg.gauge("test_gauge");
-    g.reset();
-    g.set(2.5);
-    g.set_max(1.0); // lower: ignored
-    EXPECT_DOUBLE_EQ(g.value(), 2.5);
-    g.set_max(9.0);
-    EXPECT_DOUBLE_EQ(g.value(), 9.0);
-
-    Histogram& h = reg.histogram("test_hist", {0.1, 1.0});
-    h.reset();
-    h.observe(0.05);
-    h.observe(0.5);
-    h.observe(50.0);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.sum(), 50.55);
-    const std::vector<u64> buckets = h.bucket_counts();
-    ASSERT_EQ(buckets.size(), 3u); // two edges + the +Inf bucket
-    EXPECT_EQ(buckets[0], 1u);
-    EXPECT_EQ(buckets[1], 1u);
-    EXPECT_EQ(buckets[2], 1u);
-}
-
-TEST(Metrics, RendersPrometheusAndJson)
-{
-    MetricsRegistry& reg = MetricsRegistry::instance();
-    reg.counter("render_total", "help text").inc(3);
-    reg.histogram("render_hist", {1.0}).observe(0.5);
-
-    const std::string prom = reg.render_prometheus();
-    EXPECT_NE(prom.find("# HELP render_total help text"),
-              std::string::npos);
-    EXPECT_NE(prom.find("# TYPE render_total counter"),
-              std::string::npos);
-    EXPECT_NE(prom.find("render_hist_bucket{le=\"1\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("render_hist_bucket{le=\"+Inf\"} 1"),
-              std::string::npos);
-    EXPECT_NE(prom.find("render_hist_count 1"), std::string::npos);
-    // The built-in workspace collector reports through the same pipe.
-    EXPECT_NE(prom.find("bts_workspace_pool_hits_total"),
-              std::string::npos);
-
-    const std::string json = reg.render_json();
-    EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"render_total\""), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(json.find("\"collected\""), std::string::npos);
 }
 
 } // namespace

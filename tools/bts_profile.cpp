@@ -15,8 +15,12 @@
  *
  * --trace writes the full capture as Chrome trace-event JSON (load in
  * Perfetto / chrome://tracing; one track per server lane — the
- * measured Fig. 8 timeline). --metrics appends the process metrics
- * registry in Prometheus text format after the run.
+ * measured Fig. 8 timeline). --metrics appends the run's counters,
+ * each read from the object that owns it: the server's job counts,
+ * latency percentiles and throughput (GraphServer::stats()), the
+ * workspace pool's hits, misses and peak bytes (workspace_stats()),
+ * and the largest measured live-ciphertext peak of any job next to the
+ * analyzer's prediction (ResourceSummary::peak_live_bytes).
  *
  * The instance is the functional instance at L=20
  * (runtime::functional_params and functional_boot_config; insecure,
@@ -38,13 +42,13 @@
 #include "ckks/evaluator.h"
 #include "ckks/keygen.h"
 #include "common/random.h"
+#include "common/workspace.h"
 #include "runtime/apps/helr.h"
 #include "runtime/apps/resnet.h"
 #include "runtime/apps/sort.h"
 #include "runtime/graph_workloads.h"
 #include "runtime/server.h"
 #include "runtime/telemetry/chrome_trace.h"
-#include "runtime/telemetry/metrics.h"
 #include "runtime/telemetry/profile.h"
 #include "runtime/telemetry/trace.h"
 
@@ -284,6 +288,7 @@ run(const Args& args)
     tel::set_enabled(tel::kAllCategories &
                      ~static_cast<u32>(tel::Category::kWorkspace));
     tel::reset_trace();
+    reset_workspace_stats();
 
     std::vector<std::future<JobResult>> futures;
     futures.reserve(static_cast<std::size_t>(args.jobs));
@@ -320,7 +325,24 @@ run(const Args& args)
                   << args.trace_path << "\n";
     }
     if (args.metrics) {
-        std::cout << tel::MetricsRegistry::instance().render_prometheus();
+        const ServerStats st = server.stats();
+        const WorkspaceStats ws = workspace_stats();
+        std::cout << "jobs: submitted " << st.submitted << ", completed "
+                  << st.completed << ", failed " << st.failed << "\n"
+                  << "latency: p50 " << st.p50_latency_s * 1e3
+                  << " ms, p99 " << st.p99_latency_s * 1e3 << " ms, "
+                  << st.jobs_per_s << " jobs/s\n"
+                  << "workspace pool: " << ws.hits << " hits, "
+                  << ws.misses << " misses, peak " << ws.peak_bytes
+                  << " bytes\n"
+                  << "peak live bytes: measured " << st.peak_live_bytes
+                  << ", predicted ";
+        if (summary != nullptr) {
+            std::cout << static_cast<std::size_t>(summary->peak_live_bytes);
+        } else {
+            std::cout << "n/a";
+        }
+        std::cout << "\n";
     }
     return 0;
 }
