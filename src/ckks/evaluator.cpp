@@ -567,7 +567,11 @@ Evaluator::rescale_poly(RnsPoly& poly) const
     // cached per-level table chain keeps this path allocation-free.
     const auto& q_tables = ctx_.level_tables(top);
     u64* const last_base = poly.component(count - 1).data();
-    ntt_inverse_batch(q_tables.data() + top, last_base, 1, n);
+    {
+        BTS_TRACE_SPAN_VAR(trace_span, kKernel, "ntt.inv");
+        trace_span.set_arg(1);
+        ntt_inverse_batch(q_tables.data() + top, last_base, 1, n);
+    }
 
     // HRescale over (limb x coefficient block): the per-limb axis alone
     // collapses at low level (2 of 8 lanes busy at level 2 — exactly
@@ -593,7 +597,11 @@ Evaluator::rescale_poly(RnsPoly& poly) const
         });
 
     // Lazy forward transform: the fused pass below reduces anyway.
-    ntt_forward_batch_lazy(q_tables.data(), lifted_base, count - 1, n);
+    {
+        BTS_TRACE_SPAN_VAR(trace_span, kKernel, "ntt.fwd_lazy");
+        trace_span.set_arg(static_cast<i64>(count - 1));
+        ntt_forward_batch_lazy(q_tables.data(), lifted_base, count - 1, n);
+    }
 
     // Fused subtract-multiply with the cached Shoup inverse constants.
     // The lifted residues are lazy in [0, 2q); dst - src + 2q stays in
