@@ -467,6 +467,13 @@ Executor::run(const Graph& g, Binding inputs, ExecStats* stats,
     Sched sched;
     sched.predicted = predicted;
     init_sched(g, inputs, sched);
+    if (!pool_) {
+        // One lane runs the node list in program order, the order the
+        // resource analyzer's liveness walk follows, so a one-lane
+        // job's live peak is the predicted one.
+        run_in_order(g, plan, sched);
+        return finish_run(g, plan, sched, stats);
+    }
 
     const auto worker = [&]() {
         for (;;) {
@@ -501,12 +508,8 @@ Executor::run(const Graph& g, Binding inputs, ExecStats* stats,
         }
     };
 
-    if (pool_) {
-        pool_->run(0, static_cast<std::size_t>(opts_.lanes),
-                   [&](std::size_t) { worker(); });
-    } else {
-        worker();
-    }
+    pool_->run(0, static_cast<std::size_t>(opts_.lanes),
+               [&](std::size_t) { worker(); });
 
     if (sched.error) std::rethrow_exception(sched.error);
     BTS_ASSERT(sched.done == sched.num_nodes,
@@ -522,9 +525,15 @@ Executor::run_serial(const Graph& g, Binding inputs,
     const Plan& plan = *plan_owner;
     Sched sched;
     init_sched(g, inputs, sched);
+    run_in_order(g, plan, sched);
+    return finish_run(g, plan, sched, stats);
+}
 
+void
+Executor::run_in_order(const Graph& g, const Plan& plan, Sched& sched) const
+{
     // Program order IS a topological order (SSA by construction), so
-    // the reference backend is a plain loop over the node list.
+    // this is a plain loop over the node list.
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
         BTS_ASSERT(sched.missing[i] == 0,
                    "node order is not topological");
@@ -533,7 +542,6 @@ Executor::run_serial(const Graph& g, Binding inputs,
         sched.stats.peak_in_flight = 1;
         finish_node(g, i, std::move(out), sched);
     }
-    return finish_run(g, plan, sched, stats);
 }
 
 } // namespace bts::runtime

@@ -10,7 +10,9 @@
  * same Evaluator call regardless of schedule, so results are
  * bit-identical at any lane count — run_serial() executes the same
  * per-node code in program order and is the reference the tests pin
- * the scheduler against.
+ * the scheduler against. With one lane, run() executes that same
+ * program-order loop, so a one-lane job's live set follows the resource
+ * analyzer's liveness walk exactly.
  *
  * Resource reuse:
  *  - evk handles (mult / per-amount rotation / conjugation keys) are
@@ -65,8 +67,9 @@ struct EvalResources
 /** Scheduler knobs. */
 struct ExecOptions
 {
-    /** Worker lanes (1 = inline on the calling thread); each runs
-     *  one node at a time, so at most this many nodes are in flight. */
+    /** Worker lanes (1 = inline on the calling thread, in program
+     *  order); each runs one node at a time, so at most this many nodes
+     *  are in flight. */
     int lanes = 1;
 };
 
@@ -82,8 +85,9 @@ struct ExecStats
     /** Peak bytes of the live ciphertext set, weighing each value by
      *  its materialized size (2 (level+1) N 8) for its whole semantic
      *  lifetime — i.e. until its last consumer finishes, whether or
-     *  not an in-place op stole the storage early. On serial runs this
-     *  equals analysis::ResourceSummary::peak_live_bytes exactly. */
+     *  not an in-place op stole the storage early. On serial and
+     *  one-lane runs this equals
+     *  analysis::ResourceSummary::peak_live_bytes exactly. */
     std::size_t peak_live_bytes = 0;
     std::size_t plain_cache_hits = 0;  //!< CMult plaintext handle reuse
     std::size_t plain_cache_misses = 0;
@@ -154,6 +158,9 @@ class Executor
                                       Sched& sched) const;
     void finish_node(const Graph& g, std::size_t node_idx,
                      std::vector<Ciphertext> outs, Sched& sched) const;
+    /** Execute every node in program order on the calling thread
+     *  (run_serial, and run() on one lane). */
+    void run_in_order(const Graph& g, const Plan& plan, Sched& sched) const;
     /** Copy the run's stats into @p stats (when given) and move the
      *  marked outputs out, in mark order. */
     std::vector<Ciphertext> finish_run(const Graph& g, const Plan& plan,

@@ -32,6 +32,32 @@ to_sim_kind(OpKind kind)
     panic("unknown OpKind");
 }
 
+namespace {
+
+/** Ops in one sim::append_bootstrap expansion on @p inst, counted by
+ *  expanding the plan into a scratch builder, so the plan stays the one
+ *  description of a bootstrap. */
+std::size_t
+bootstrap_op_count(const hw::CkksInstance& inst)
+{
+    sim::TraceBuilder scratch("bootstrap");
+    sim::append_bootstrap(scratch, inst, scratch.fresh_id());
+    return scratch.trace().ops.size();
+}
+
+/** Ops lower_to_trace emits for @p n: the bootstrap expansion
+ *  (@p boot_ops), one HRot per hoisted amount, both parts of a fused
+ *  kind, or the one primitive. */
+std::size_t
+node_op_count(const Node& n, std::size_t boot_ops)
+{
+    if (n.kind == OpKind::kBootstrap) return boot_ops;
+    if (n.kind == OpKind::kHRotHoisted) return n.amounts.size();
+    return op_info(n.kind).parts ? 2 : 1;
+}
+
+} // namespace
+
 sim::Trace
 lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
                std::vector<std::size_t>* node_end)
@@ -114,13 +140,31 @@ lower_to_trace(const Graph& g, const hw::CkksInstance& inst,
             b.add(to_sim_kind(n.kind), level, inputs, n.rot_amount);
     };
 
+    // Size the trace once: a paper-scale trace holds hundreds of
+    // thousands of ops, and growing it by doubling would copy each op
+    // and hold the old and the new buffer at once.
+    const std::size_t boot_ops =
+        g.uses_bootstrap() ? bootstrap_op_count(inst) : 0;
+    std::size_t total_ops = 0;
+    for (std::size_t i = 0; i < g.num_nodes(); ++i) {
+        total_ops += node_op_count(g.node(i), boot_ops);
+    }
+    std::vector<sim::HeOp>& ops = b.trace().ops;
+    ops.reserve(total_ops);
+
     if (node_end != nullptr) {
         node_end->clear();
         node_end->reserve(g.num_nodes());
     }
     for (std::size_t i = 0; i < g.num_nodes(); ++i) {
-        lower_node(g.node(i));
-        if (node_end != nullptr) node_end->push_back(b.trace().ops.size());
+        const Node& n = g.node(i);
+        const std::size_t end = ops.size() + node_op_count(n, boot_ops);
+        lower_node(n);
+        BTS_ASSERT(ops.size() == end,
+                   g.name() << ": node " << i << " (" << op_name(n.kind)
+                            << ") emitted a different op count than "
+                               "the trace was sized for");
+        if (node_end != nullptr) node_end->push_back(end);
     }
     return std::move(b.trace());
 }

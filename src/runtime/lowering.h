@@ -13,7 +13,10 @@
  *    at its input's level, ModRaise at the raised level);
  *  - a kBootstrap node expands to the full ModRaise / CtS / EvalMod /
  *    StC plan via sim::append_bootstrap, with every expanded op
- *    tagged in_bootstrap and counted in Trace::bootstrap_count.
+ *    tagged in_bootstrap and counted in Trace::bootstrap_count;
+ *  - the trace is allocated once, at its exact size, summed per node
+ *    before the first op is emitted (a bootstrap's count by expanding
+ *    the plan once); each node is checked to emit exactly its count.
  *
  * The lowered traces of the paper graphs (tmult, HELR, ResNet,
  * sorting, bootstrap refresh) are pinned by golden fixtures in

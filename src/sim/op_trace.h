@@ -10,9 +10,10 @@
  *
  * An op is a fixed-size value: its operands live inline (OpInputs holds
  * at most two ids, the arity of every runtime op and every
- * bootstrap-plan op), so building, copying and freeing a trace of
- * hundreds of thousands of ops makes one allocation per vector growth,
- * none per op.
+ * bootstrap-plan op), so a trace of hundreds of thousands of ops is one
+ * flat buffer with no allocation per op. lower_to_trace sizes that
+ * buffer exactly before it emits the first op, so building a lowered
+ * trace allocates it once and never copies it.
  */
 #pragma once
 

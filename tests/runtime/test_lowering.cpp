@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "ckks/bootstrapper.h"
 #include "runtime/apps/paper.h"
 #include "runtime/graph_workloads.h"
 #include "runtime/lowering.h"
+#include "runtime/server.h"
 #include "sim/bootstrap_plan.h"
 #include "sim/engine.h"
 
@@ -108,6 +110,62 @@ TEST(Lowering, Deterministic)
     for (std::size_t k = 0; k < a.ops.size(); ++k) {
         EXPECT_EQ(a.ops[k], b.ops[k]);
     }
+}
+
+// lower_to_trace sizes each trace once, exactly: no slack from growth
+// by doubling, whose copy would also hold two buffers at once.
+class ExactSize : public ::testing::TestWithParam<int>
+{
+  protected:
+    hw::CkksInstance
+    inst() const
+    {
+        return hw::table4_instances()[GetParam()];
+    }
+};
+
+TEST_P(ExactSize, PaperTracesHaveNoSpareCapacity)
+{
+    const auto i = inst();
+    for (const char* name : {"helr", "resnet", "sort", "tmult"}) {
+        for (const bool optimize : {false, true}) {
+            const sim::Trace t =
+                lower_to_trace(apps::paper_graph(name, i, optimize), i);
+            EXPECT_GT(t.ops.size(), 0u) << name;
+            EXPECT_EQ(t.ops.capacity(), t.ops.size())
+                << name << " on " << i.name
+                << (optimize ? ", optimized" : ", raw");
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Table4, ExactSize, ::testing::Values(0, 1, 2));
+
+TEST(LoweringExactSize, NodeEndCallHasNoSpareCapacity)
+{
+    // The resource analyzer's call: the same trace, sized the same way.
+    const auto i = hw::ins2();
+    const Graph g = apps::paper_graph("helr", i, /*optimize=*/true);
+    std::vector<std::size_t> node_end;
+    const sim::Trace t = lower_to_trace(g, i, &node_end);
+    EXPECT_EQ(t.ops.capacity(), t.ops.size());
+    ASSERT_EQ(node_end.size(), g.num_nodes());
+    EXPECT_EQ(node_end.back(), t.ops.size());
+    EXPECT_EQ(t.ops, lower_to_trace(g, i).ops);
+}
+
+TEST(LoweringExactSize, FunctionalRefreshHasNoSpareCapacity)
+{
+    // A refresh graph of the functional instance, lowered on the
+    // instance GraphServer's analyzer builds from its context.
+    const CkksContext ctx(functional_params(20, 7));
+    const CkksEncoder encoder(ctx);
+    const Evaluator eval(ctx, encoder);
+    const Bootstrapper boot(ctx, encoder, eval, functional_boot_config());
+    const Graph g = bootstrap_refresh_graph(traits_for(ctx, &boot));
+    const sim::Trace t = lower_to_trace(g, serving_instance(ctx, g));
+    EXPECT_EQ(t.bootstrap_count, 1);
+    EXPECT_EQ(t.ops.capacity(), t.ops.size());
 }
 
 TEST(Lowering, NodeEndAttributesEveryOpToItsNode)
